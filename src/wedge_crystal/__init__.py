@@ -1,12 +1,10 @@
 """Exact crystal components of doubled wedge spaces and their verification."""
 
 from .cartan import AffineType, cartan_data, from_label
-from .crystal import BinaryMatrix, BinaryVector, component, e_tilde, f_tilde
+from .crystal import component, e_tilde, f_tilde
 
 __all__ = [
     "AffineType",
-    "BinaryMatrix",
-    "BinaryVector",
     "cartan_data",
     "component",
     "e_tilde",

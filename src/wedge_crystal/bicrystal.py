@@ -1,10 +1,11 @@
 """Commuting row-wise sl_2 structure on two-column binary matrices.
 
-Each row of a matrix is a two-letter word: [1 0] can be lowered, [0 1] can
-be raised, [0 0] and [1 1] are inert.  Reading the rows from 1-bar up to
-n-bar and cancelling matched pairs gives the usual signature rule; the
-resulting string position sigma = (epsilon, phi) is the key statistic for
-the component characterizations.
+Matrices are integer ids as in :mod:`crystal`, so row j-bar is the bit pair
+(n - j, 2n - j).  Each row of a matrix is a two-letter word: [1 0] can be
+lowered, [0 1] can be raised, [0 0] and [1 1] are inert.  Reading the rows
+from 1-bar up to n-bar and cancelling matched pairs gives the usual
+signature rule; the resulting string position sigma = (epsilon, phi) is the
+key statistic for the component characterizations.
 """
 
 from __future__ import annotations
@@ -12,101 +13,94 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import AffineType, DOUBLE, FORK
-from .crystal import BinaryMatrix, CrystalGraph
+from .crystal import CrystalGraph
 
 
-def _signature(m: BinaryMatrix):
+def _row(n: int, j: int) -> int:
+    """Both bits of row j-bar of a matrix id."""
+    return 1 << (n - j) | 1 << (2 * n - j)
+
+
+def _signature(n: int, x: int):
     """Surviving raise/lower rows after cancellation.
 
     Returns (minus_rows, plus_rows): rows whose [0 1] survive (raisable)
     and rows whose [1 0] survive (lowerable), in reading order 1-bar..n-bar.
+    Every surviving [0 1] precedes every surviving [1 0], so a [0 1] row
+    cancels the latest unmatched [1 0] row, if there is one.
     """
-    stack = []
-    for j in range(1, m.n + 1):
-        row = m.row(j)
-        if row == (1, 0):
-            stack.append(("+", j))
-        elif row == (0, 1):
-            if stack and stack[-1][0] == "+":
-                stack.pop()
+    minus, plus = [], []
+    for j in range(1, n + 1):
+        a = x >> (n - j) & 1
+        b = x >> (2 * n - j) & 1
+        if a > b:
+            plus.append(j)
+        elif b > a:
+            if plus:
+                plus.pop()
             else:
-                stack.append(("-", j))
-    minus = [j for s, j in stack if s == "-"]
-    plus = [j for s, j in stack if s == "+"]
+                minus.append(j)
     return minus, plus
 
 
-def E_tilde(m: BinaryMatrix):
+def E_tilde(n: int, x: int):
     """Row-wise raising operator: flips the last surviving [0 1] row."""
-    minus, _ = _signature(m)
+    minus, _ = _signature(n, x)
     if not minus:
         return None
-    return m.with_row(minus[-1], (1, 0))
+    return x ^ _row(n, minus[-1])
 
 
-def F_tilde(m: BinaryMatrix):
+def F_tilde(n: int, x: int):
     """Row-wise lowering operator: flips the first surviving [1 0] row."""
-    _, plus = _signature(m)
+    _, plus = _signature(n, x)
     if not plus:
         return None
-    return m.with_row(plus[0], (0, 1))
+    return x ^ _row(n, plus[0])
 
 
-def sigma(m: BinaryMatrix):
-    """String position (epsilon, phi) of m under the row operators."""
-    minus, plus = _signature(m)
+def sigma(n: int, x: int):
+    """String position (epsilon, phi) of the matrix x under the row operators."""
+    minus, plus = _signature(n, x)
     return (len(minus), len(plus))
 
 
-def sigma_checked(m: BinaryMatrix):
+def sigma_checked(n: int, x: int):
     """String position computed two ways; raises if they ever disagree."""
-    by_rule = sigma(m)
-    closed = sigma_closed(m)
+    by_rule = sigma(n, x)
+    closed = sigma_closed(n, x)
     if by_rule != closed:
         raise AssertionError(
-            f"string position mismatch at {m.text}: {by_rule} vs {closed}")
+            f"string position mismatch at id {x}: {by_rule} vs {closed}")
     return by_rule
 
 
-def sigma_by_strings(m: BinaryMatrix):
+def sigma_by_strings(n: int, x: int):
     """Same statistic computed by iterating the operators (test oracle)."""
     eps = 0
-    y = E_tilde(m)
+    y = E_tilde(n, x)
     while y is not None:
         eps += 1
-        y = E_tilde(y)
+        y = E_tilde(n, y)
     phi = 0
-    y = F_tilde(m)
+    y = F_tilde(n, x)
     while y is not None:
         phi += 1
-        y = F_tilde(y)
+        y = F_tilde(n, y)
     return (eps, phi)
 
 
-def _pos(x: int) -> int:
-    return x if x > 0 else 0
-
-
-def sigma_closed(m: BinaryMatrix):
+def sigma_closed(n: int, x: int):
     """Closed prefix/suffix-maximum formulas for the string position."""
-    n = m.n
-    eps = 0
-    for k in range(1, n + 1):
-        total = sum(_pos(m.row(i)[1] - m.row(i)[0]) for i in range(1, k + 1))
-        total -= sum(_pos(m.row(i)[0] - m.row(i)[1]) for i in range(1, k))
-        eps = max(eps, total)
-    phi = 0
-    for k in range(1, n + 1):
-        total = sum(
-            _pos(m.row(i)[0] - m.row(i)[1]) - _pos(m.row(i + 1)[1] - m.row(i + 1)[0])
-            for i in range(k, n)
-        )
-        total += _pos(m.row(n)[0] - m.row(n)[1])
-        phi = max(phi, total)
+    rows = [(x >> (n - j) & 1, x >> (2 * n - j) & 1) for j in range(1, n + 1)]
+    lower = [int(a > b) for a, b in rows]  # [1 0] rows, reading order
+    raise_ = [int(b > a) for a, b in rows]  # [0 1] rows
+    eps = max([0] + [sum(raise_[:k]) - sum(lower[:k - 1]) for k in range(1, n + 1)])
+    phi = max([0] + [sum(lower[k - 1:]) - sum(raise_[k:]) for k in range(1, n + 1)])
     return (eps, phi)
 
 
-def varsigma(t: AffineType, k: int, m: BinaryMatrix) -> BinaryMatrix:
+def varsigma(t: AffineType, k: int, x: int) -> int:
     """Order-two symmetry of the shared component of the fork-double types.
 
     Lowers when the element sits in the longer-phi half, raises otherwise.
@@ -116,11 +110,11 @@ def varsigma(t: AffineType, k: int, m: BinaryMatrix) -> BinaryMatrix:
         raise ValueError("the involution exists only for fork-plus-double types")
     if not 1 <= k <= t.n - 1:
         raise ValueError(f"k must lie in 1..{t.n - 1}, got {k}")
-    phi = sigma(m)[1]
+    phi = sigma(t.n, x)[1]
     if phi == t.n - k:
-        out = F_tilde(m)
+        out = F_tilde(t.n, x)
     elif phi == t.n - k - 1:
-        out = E_tilde(m)
+        out = E_tilde(t.n, x)
     else:
         raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
     if out is None:
@@ -132,20 +126,20 @@ def varsigma(t: AffineType, k: int, m: BinaryMatrix) -> BinaryMatrix:
 class QuotientGraph:
     """Component modulo the order-two symmetry, as an I-colored digraph.
 
-    Vertices are the orbits, stored as (plus, minus) with the longer-phi
-    member first; the orbit id is the smaller member id.
+    Vertices are the orbits, stored as id pairs (plus, minus) with the
+    longer-phi member first; the orbit id is the smaller member id.
     """
 
     type: AffineType
     k: int
-    orbits: tuple  # ((plus_elem, minus_elem), ...)
+    orbits: tuple  # ((plus_id, minus_id), ...)
     edges: tuple  # (src_orbit_id, dst_orbit_id, color)
     weights: dict
     sigma_plus: dict
 
     @property
     def ids(self):
-        return tuple(min(p.id, q.id) for p, q in self.orbits)
+        return tuple(min(p, q) for p, q in self.orbits)
 
 
 def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
@@ -154,17 +148,17 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
     n = t.n
     orbit_of = {}
     orbits = {}
-    for el in g.vertices:
-        if el.id in orbit_of:
+    for x in g.vertices:
+        if x in orbit_of:
             continue
-        mate = varsigma(t, k, el)
-        if mate.id == el.id:
+        mate = varsigma(t, k, x)
+        if mate == x:
             raise RuntimeError("involution has a fixed point; invalid domain")
-        plus, minus = (el, mate) if sigma(el)[1] == n - k else (mate, el)
-        oid = min(el.id, mate.id)
+        plus, minus = (x, mate) if g.sigma[x][1] == n - k else (mate, x)
+        oid = min(x, mate)
         orbits[oid] = (plus, minus)
-        orbit_of[el.id] = oid
-        orbit_of[mate.id] = oid
+        orbit_of[x] = oid
+        orbit_of[mate] = oid
     edge_map = {}
     for s, d, c in g.edges:
         key = (orbit_of[s], c)
@@ -174,7 +168,7 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
         edge_map[key] = dst
     edges = tuple(sorted((s, d, c) for (s, c), d in edge_map.items()))
     ordered = tuple(orbits[oid] for oid in sorted(orbits))
-    weights = {oid: g.weights[orbits[oid][0].id] for oid in sorted(orbits)}
-    sigma_plus = {oid: sigma(orbits[oid][0]) for oid in sorted(orbits)}
+    weights = {oid: g.weights[orbits[oid][0]] for oid in sorted(orbits)}
+    sigma_plus = {oid: g.sigma[orbits[oid][0]] for oid in sorted(orbits)}
     return QuotientGraph(type=t, k=k, orbits=ordered, edges=edges,
                          weights=weights, sigma_plus=sigma_plus)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bicrystal, crystal, fock, theorems
@@ -21,14 +20,6 @@ PALETTE = (
     "#e41a1c", "#377eb8", "#4daf4a", "#984ea3", "#ff7f00",
     "#a65628", "#f781bf", "#999999", "#66c2a5", "#ffd92f", "#8da0cb",
 )
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("WEDGE_CRYSTAL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class UsageError(Exception):
@@ -54,9 +45,9 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
             raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
         g = crystal.component(t, crystal.v_spin(t, k))
         vertices = [
-            {"id": el.id, "text": el.text,
-             "weight": list(g.weights[el.id]), "sigma": None}
-            for el in g.vertices
+            {"id": x, "text": crystal.text(t, x),
+             "weight": list(g.weights[x]), "sigma": None}
+            for x in g.vertices
         ]
         edges = [{"src": s, "dst": d, "color": c} for s, d, c in g.edges]
         return {"header": header, "vertices": vertices, "edges": edges}
@@ -78,19 +69,19 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
         q = bicrystal.quotient_graph(g, k)
         vertices = []
         for plus, minus in q.orbits:
-            oid = min(plus.id, minus.id)
+            oid = min(plus, minus)
             vertices.append({
                 "id": oid,
-                "text": f"{plus.text}+{minus.text}",
+                "text": f"{crystal.text(t, plus)}+{crystal.text(t, minus)}",
                 "weight": list(q.weights[oid]),
                 "sigma": list(q.sigma_plus[oid]),
             })
         edges = [{"src": s, "dst": d, "color": c} for s, d, c in q.edges]
         return {"header": header, "vertices": vertices, "edges": edges}
     vertices = [
-        {"id": el.id, "text": el.text, "weight": list(g.weights[el.id]),
-         "sigma": list(g.sigma[el.id])}
-        for el in g.vertices
+        {"id": x, "text": crystal.text(t, x), "weight": list(g.weights[x]),
+         "sigma": list(g.sigma[x])}
+        for x in g.vertices
     ]
     edges = [{"src": s, "dst": d, "color": c} for s, d, c in g.edges]
     return {"header": header, "vertices": vertices, "edges": edges}
@@ -237,7 +228,7 @@ def cmd_fock_verify(args) -> int:
     rep = fock.representation(t)
     checks = []
     if wanted["relations"]:
-        checks += fock.verify_relations(rep, threads=_thread_count())
+        checks += fock.verify_relations(rep)
         checks += fock.verify_weight_compatibility(rep)
     if wanted["polarization"]:
         checks += fock.verify_polarization(rep)

@@ -2,273 +2,157 @@
 
 The ground set is the set of length-n bit vectors (single-column types) or
 n x 2 bit matrices (doubled types).  Positions are indexed by the barred
-alphabet n-bar < ... < 1-bar; we store position j for j-bar, display rows
-from n-bar (top) down to 1-bar (bottom), and encode elements as integer
-bitmasks, column-major with row n-bar as the least significant bit.
+alphabet n-bar < ... < 1-bar; rows are displayed from n-bar (top) down to
+1-bar (bottom).  Every element is its integer id, a column-major bitmask:
+row j-bar of column one is bit n-j and row j-bar of column two is bit 2n-j.
+Text is produced only for display, by :func:`text`.
 
-Raising and lowering operators act per index i in 0..n:
+Raising and lowering operators act per index i in 0..n through a rule
+(mask, pf, pe) on one column: f applies when ``x & mask == pf``, e applies
+when ``x & mask == pe``, and either one toggles ``mask``.  With
+r(j) = 1 << (n - j):
 
-* middle indices move a bit between adjacent rows of one column (the usual
-  sl_n rule, combined across the two columns by the tensor product rule),
+* a middle index moves a bit between adjacent rows of one column:
+  mask r(i) | r(i+1), pf = r(i+1), pe = r(i) (the usual sl_n rule);
 * a SINGLE end toggles the terminal bit of one column,
-* a FORK end toggles the two terminal bits of one column together,
-* a DOUBLE end toggles the full terminal row of the matrix in one step.
+* a FORK end toggles the two terminal bits of one column together;
+  both have pf = mask, pe = 0 at index 0 and pf = 0, pe = mask at index n;
+* a DOUBLE end toggles the full terminal row of the matrix in one step,
+  one rule on the whole id.
+
+On matrices the two column rules combine by the tensor product rule.  Every
+column string has length at most one, so the rule compares truth values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .cartan import AffineType, DOUBLE, FORK, SINGLE
+from .cartan import AffineType, DOUBLE, FORK
 
-
-class BinaryVector:
-    """Element of the single-column ground set; bits[j-1] is row j-bar."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits):
-        self.bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def get(self, j: int) -> int:
-        return self.bits[j - 1]
-
-    def updated(self, changes: dict) -> "BinaryVector":
-        bits = list(self.bits)
-        for j, v in changes.items():
-            bits[j - 1] = v
-        return BinaryVector(bits)
-
-    @property
-    def id(self) -> int:
-        n = len(self.bits)
-        return sum(self.bits[j - 1] << (n - j) for j in range(1, n + 1))
-
-    @classmethod
-    def from_id(cls, n: int, v: int) -> "BinaryVector":
-        return cls([(v >> (n - j)) & 1 for j in range(1, n + 1)])
-
-    @property
-    def text(self) -> str:
-        return "/".join(str(self.bits[j - 1]) for j in range(len(self.bits), 0, -1))
-
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryVector":
-        rows = text.strip().split("/")
-        bits = [int(r) for r in reversed(rows)]
-        return cls(bits)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryVector) and self.bits == other.bits
-
-    def __hash__(self):
-        return hash(("v", self.bits))
-
-    def __repr__(self):
-        return f"BinaryVector({self.text})"
+# A rule is (m1, pf1, pe1, m2, pf2, pe2): the first triple acts on column one
+# or on the whole id, the second on column two.  A rule without a second
+# column has m2 = 0 and pf2 = pe2 = _NEVER, which no masked value equals.
+_NEVER = -1
 
 
-class BinaryMatrix:
-    """Element of the two-column ground set: a pair of binary columns."""
+@lru_cache(maxsize=None)
+def rules(t: AffineType) -> tuple:
+    """The operator rule of every index i in 0..n, computed once per type."""
+    n = t.n
 
-    __slots__ = ("col1", "col2")
+    def r(j):
+        return 1 << (n - j)
 
-    def __init__(self, col1: BinaryVector, col2: BinaryVector):
-        if col1.n != col2.n:
-            raise ValueError("columns must have equal length")
-        self.col1 = col1
-        self.col2 = col2
-
-    @property
-    def n(self) -> int:
-        return self.col1.n
-
-    def row(self, j: int):
-        return (self.col1.get(j), self.col2.get(j))
-
-    @property
-    def id(self) -> int:
-        return self.col1.id | (self.col2.id << self.n)
-
-    @classmethod
-    def from_id(cls, n: int, v: int) -> "BinaryMatrix":
-        mask = (1 << n) - 1
-        return cls(BinaryVector.from_id(n, v & mask), BinaryVector.from_id(n, v >> n))
-
-    @property
-    def text(self) -> str:
-        n = self.n
-        return "/".join(
-            f"{self.col1.get(j)}{self.col2.get(j)}" for j in range(n, 0, -1)
-        )
-
-    @classmethod
-    def from_text(cls, text: str) -> "BinaryMatrix":
-        rows = text.strip().split("/")
-        n = len(rows)
-        c1, c2 = [0] * n, [0] * n
-        for offset, row in enumerate(rows):
-            if len(row) != 2 or any(ch not in "01" for ch in row):
-                raise ValueError(f"bad matrix row {row!r}")
-            j = n - offset
-            c1[j - 1] = int(row[0])
-            c2[j - 1] = int(row[1])
-        return cls(BinaryVector(c1), BinaryVector(c2))
-
-    def with_row(self, j: int, pair) -> "BinaryMatrix":
-        return BinaryMatrix(self.col1.updated({j: pair[0]}),
-                            self.col2.updated({j: pair[1]}))
-
-    def __eq__(self, other):
-        return (isinstance(other, BinaryMatrix)
-                and self.col1 == other.col1 and self.col2 == other.col2)
-
-    def __hash__(self):
-        return hash(("m", self.col1.bits, self.col2.bits))
-
-    def __repr__(self):
-        return f"BinaryMatrix({self.text})"
+    out = []
+    for i in range(n + 1):
+        whole = not t.doubled
+        if 1 <= i <= n - 1:
+            mask, pf, pe = r(i) | r(i + 1), r(i + 1), r(i)
+        else:
+            shape, j = (t.end0, 1) if i == 0 else (t.end_n, n)
+            mask = r(j)
+            if shape == DOUBLE:
+                mask |= r(j) << n
+                whole = True
+            elif shape == FORK:
+                mask |= r(2) if i == 0 else r(n - 1)
+            pf, pe = (mask, 0) if i == 0 else (0, mask)
+        if whole:
+            out.append((mask, pf, pe, 0, _NEVER, _NEVER))
+        else:
+            out.append((mask, pf, pe, mask << n, pf << n, pe << n))
+    return tuple(out)
 
 
-def _check_index(t: AffineType, i: int):
+def step_e(rule, x):
+    """Raising by one rule: column two only if it admits e and column one
+    does not admit f."""
+    m1, pf1, pe1, m2, pf2, pe2 = rule
+    if x & m2 == pe2 and x & m1 != pf1:
+        return x ^ m2
+    if x & m1 == pe1:
+        return x ^ m1
+    return None
+
+
+def step_f(rule, x):
+    """Lowering by one rule: column one only if it admits f and column two
+    does not admit e."""
+    m1, pf1, pe1, m2, pf2, pe2 = rule
+    if x & m1 == pf1 and x & m2 != pe2:
+        return x ^ m1
+    if x & m2 == pf2:
+        return x ^ m2
+    return None
+
+
+def _weight(rs, x):
+    return tuple((x & m1 == pf1) - (x & m1 == pe1) + (x & m2 == pf2) - (x & m2 == pe2)
+                 for m1, pf1, pe1, m2, pf2, pe2 in rs)
+
+
+def ground_size(t: AffineType) -> int:
+    return 1 << (2 * t.n if t.doubled else t.n)
+
+
+def _check(t: AffineType, x, i: int = 0):
     if not 0 <= i <= t.n:
         raise ValueError(f"index {i} out of range for n={t.n}")
-
-
-def _col_e(t: AffineType, i: int, v: BinaryVector):
-    """Raising operator on one column (middle or non-doubled end index)."""
-    n = t.n
-    if 1 <= i <= n - 1:
-        if v.get(i + 1) == 0 and v.get(i) == 1:
-            return v.updated({i + 1: 1, i: 0})
-        return None
-    if i == 0:
-        shape = t.end0
-        if shape == SINGLE:
-            return v.updated({1: 1}) if v.get(1) == 0 else None
-        if shape == FORK:
-            if v.get(1) == 0 and v.get(2) == 0:
-                return v.updated({1: 1, 2: 1})
-            return None
-    else:
-        shape = t.end_n
-        if shape == SINGLE:
-            return v.updated({n: 0}) if v.get(n) == 1 else None
-        if shape == FORK:
-            if v.get(n) == 1 and v.get(n - 1) == 1:
-                return v.updated({n: 0, n - 1: 0})
-            return None
-    raise ValueError(f"index {i} has no single-column rule for {t}")
-
-
-def _col_f(t: AffineType, i: int, v: BinaryVector):
-    n = t.n
-    if 1 <= i <= n - 1:
-        if v.get(i + 1) == 1 and v.get(i) == 0:
-            return v.updated({i + 1: 0, i: 1})
-        return None
-    if i == 0:
-        shape = t.end0
-        if shape == SINGLE:
-            return v.updated({1: 0}) if v.get(1) == 1 else None
-        if shape == FORK:
-            if v.get(1) == 1 and v.get(2) == 1:
-                return v.updated({1: 0, 2: 0})
-            return None
-    else:
-        shape = t.end_n
-        if shape == SINGLE:
-            return v.updated({n: 1}) if v.get(n) == 0 else None
-        if shape == FORK:
-            if v.get(n) == 0 and v.get(n - 1) == 0:
-                return v.updated({n: 1, n - 1: 1})
-            return None
-    raise ValueError(f"index {i} has no single-column rule for {t}")
-
-
-def _double_end(t: AffineType, i: int) -> bool:
-    return (i == 0 and t.end0 == DOUBLE) or (i == t.n and t.end_n == DOUBLE)
+    if not (isinstance(x, int) and 0 <= x < ground_size(t)):
+        raise ValueError(f"not a crystal element of {t}: {x!r}")
 
 
 def e_tilde(t: AffineType, i: int, x):
-    """Raising operator; returns the raised element or None."""
-    _check_index(t, i)
-    if isinstance(x, BinaryVector):
-        if t.doubled:
-            raise ValueError(f"{t} acts on matrices, not vectors")
-        return _col_e(t, i, x)
-    if not isinstance(x, BinaryMatrix):
-        raise ValueError(f"not a crystal element: {x!r}")
-    if not t.doubled:
-        raise ValueError(f"{t} acts on vectors, not matrices")
-    if _double_end(t, i):
-        if i == 0:
-            return x.with_row(1, (1, 1)) if x.row(1) == (0, 0) else None
-        return x.with_row(t.n, (0, 0)) if x.row(t.n) == (1, 1) else None
-    phi1 = _col_f(t, i, x.col1) is not None
-    eps2 = _col_e(t, i, x.col2) is not None
-    if phi1 >= eps2:
-        c1 = _col_e(t, i, x.col1)
-        return None if c1 is None else BinaryMatrix(c1, x.col2)
-    c2 = _col_e(t, i, x.col2)
-    return None if c2 is None else BinaryMatrix(x.col1, c2)
+    """Raising operator; returns the raised id or None."""
+    _check(t, x, i)
+    return step_e(rules(t)[i], x)
 
 
 def f_tilde(t: AffineType, i: int, x):
     """Lowering operator, the inverse relation of :func:`e_tilde`."""
-    _check_index(t, i)
-    if isinstance(x, BinaryVector):
-        if t.doubled:
-            raise ValueError(f"{t} acts on matrices, not vectors")
-        return _col_f(t, i, x)
-    if not isinstance(x, BinaryMatrix):
-        raise ValueError(f"not a crystal element: {x!r}")
-    if not t.doubled:
-        raise ValueError(f"{t} acts on vectors, not matrices")
-    if _double_end(t, i):
-        if i == 0:
-            return x.with_row(1, (0, 0)) if x.row(1) == (1, 1) else None
-        return x.with_row(t.n, (1, 1)) if x.row(t.n) == (0, 0) else None
-    phi1 = _col_f(t, i, x.col1) is not None
-    eps2 = _col_e(t, i, x.col2) is not None
-    if phi1 > eps2:
-        c1 = _col_f(t, i, x.col1)
-        return None if c1 is None else BinaryMatrix(c1, x.col2)
-    c2 = _col_f(t, i, x.col2)
-    return None if c2 is None else BinaryMatrix(x.col1, c2)
+    _check(t, x, i)
+    return step_f(rules(t)[i], x)
 
 
 def string_lengths(t: AffineType, i: int, x):
     """(epsilon_i, phi_i): how often the raising/lowering operator applies."""
+    _check(t, x, i)
+    rule = rules(t)[i]
     eps = 0
-    y = e_tilde(t, i, x)
+    y = step_e(rule, x)
     while y is not None:
         eps += 1
-        y = e_tilde(t, i, y)
+        y = step_e(rule, y)
     phi = 0
-    y = f_tilde(t, i, x)
+    y = step_f(rule, x)
     while y is not None:
         phi += 1
-        y = f_tilde(t, i, y)
+        y = step_f(rule, y)
     return eps, phi
 
 
 def weight(t: AffineType, x):
-    """Coroot pairings (phi_i - epsilon_i) over the full index set."""
-    out = []
-    for i in range(t.n + 1):
-        eps, phi = string_lengths(t, i, x)
-        out.append(phi - eps)
-    return tuple(out)
+    """Coroot pairings (phi_i - epsilon_i) over the full index set.
+
+    Closed form: the weight is additive over the column rules, each adding
+    [f applies] - [e applies].
+    """
+    _check(t, x)
+    return _weight(rules(t), x)
 
 
-def v_kl(t: AffineType, k: int, l: int) -> BinaryMatrix:
+def text(t: AffineType, x: int) -> str:
+    """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``."""
+    n = t.n
+    if t.doubled:
+        return "/".join(f"{x >> (n - j) & 1}{x >> (2 * n - j) & 1}"
+                        for j in range(n, 0, -1))
+    return "/".join(str(x >> (n - j) & 1) for j in range(n, 0, -1))
+
+
+def v_kl(t: AffineType, k: int, l: int) -> int:
     """Canonical classically-highest matrix indexed by (k, l).
 
     Column 1 carries ones in its top l rows, column 2 in the next n-k-l.
@@ -276,31 +160,22 @@ def v_kl(t: AffineType, k: int, l: int) -> BinaryMatrix:
     n = t.n
     if not (0 <= k <= n and 0 <= l <= n - k):
         raise ValueError(f"(k,l)=({k},{l}) out of range for n={n}")
-    c1 = [0] * n
-    c2 = [0] * n
-    for j in range(n - l + 1, n + 1):
-        c1[j - 1] = 1
-    for j in range(k + 1, n - l + 1):
-        c2[j - 1] = 1
-    return BinaryMatrix(BinaryVector(c1), BinaryVector(c2))
+    return (1 << l) - 1 | ((1 << (n - k - l)) - 1) << (l + n)
 
 
-def v_spin(t: AffineType, k: int) -> BinaryVector:
+def v_spin(t: AffineType, k: int) -> int:
     """Highest representative of the one or two single-column components."""
     n = t.n
     if k == n:
-        return BinaryVector([0] * n)
+        return 0
     if k == n - 1:
-        return BinaryVector([0] * (n - 1) + [1])  # row n-bar set
+        return 1  # row n-bar set
     raise ValueError(f"spin index must be n or n-1, got {k}")
 
 
-def all_elements(t: AffineType):
+def all_elements(t: AffineType) -> range:
     """The full ground set, in id order."""
-    n = t.n
-    if t.doubled:
-        return [BinaryMatrix.from_id(n, v) for v in range(4 ** n)]
-    return [BinaryVector.from_id(n, v) for v in range(2 ** n)]
+    return range(ground_size(t))
 
 
 @dataclass
@@ -308,7 +183,7 @@ class CrystalGraph:
     """A connected component with its colored edges and vertex annotations.
 
     Edges record the lowering direction: (src, dst, i) means index i lowers
-    src to dst (equivalently raises dst to src).  Vertices are sorted by id.
+    src to dst (equivalently raises dst to src).  Vertices are sorted ids.
     """
 
     type: AffineType
@@ -316,10 +191,6 @@ class CrystalGraph:
     edges: tuple  # (src_id, dst_id, color)
     weights: dict = field(repr=False)
     sigma: dict = field(repr=False, default=None)
-
-    @property
-    def by_id(self):
-        return {x.id: x for x in self.vertices}
 
     def out_edges(self):
         out = {}
@@ -334,58 +205,55 @@ class CrystalGraph:
         return inc
 
 
-def component(t: AffineType, x) -> CrystalGraph:
-    """Closure of x under all raising and lowering operators (BFS)."""
+def component(t: AffineType, x: int) -> CrystalGraph:
+    """Closure of x under all raising and lowering operators (graph search)."""
     from . import bicrystal  # local import; sigma annotations on matrices
 
-    seen = {x.id: x}
-    frontier = [x]
-    while frontier:
-        frontier.sort(key=lambda e: e.id)
-        new = []
-        for el in frontier:
-            for i in range(t.n + 1):
-                for op in (f_tilde, e_tilde):
-                    y = op(t, i, el)
-                    if y is not None and y.id not in seen:
-                        seen[y.id] = y
-                        new.append(y)
-        frontier = new
-    vertices = tuple(sorted(seen.values(), key=lambda e: e.id))
+    _check(t, x)
+    rs = rules(t)
+    indexed = tuple(enumerate(rs))
+    seen = {x}
+    todo = [x]
     edges = []
-    for el in vertices:
-        for i in range(t.n + 1):
-            y = f_tilde(t, i, el)
+    while todo:
+        c = todo.pop()
+        for i, rule in indexed:
+            y = step_f(rule, c)
             if y is not None:
-                edges.append((el.id, y.id, i))
+                edges.append((c, y, i))
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+            y = step_e(rule, c)
+            if y is not None and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    vertices = tuple(sorted(seen))
     edges.sort()
-    weights = {el.id: weight(t, el) for el in vertices}
+    weights = {c: _weight(rs, c) for c in vertices}
     sigma = None
     if t.doubled:
-        sigma = {el.id: bicrystal.sigma(el) for el in vertices}
+        sigma = {c: bicrystal.sigma(t.n, c) for c in vertices}
     return CrystalGraph(type=t, vertices=vertices, edges=tuple(edges),
                         weights=weights, sigma=sigma)
 
 
-def weyl_reflection(t: AffineType, i: int, x):
+def weyl_reflection(t: AffineType, i: int, x: int) -> int:
     """Simple-reflection action on a regular crystal element."""
     eps, phi = string_lengths(t, i, x)
     m = phi - eps
+    step = step_f if m >= 0 else step_e
+    rule = rules(t)[i]
     y = x
-    if m >= 0:
-        for _ in range(m):
-            y = f_tilde(t, i, y)
-            if y is None:
-                raise RuntimeError(f"lowering string ended early at index {i}")
-    else:
-        for _ in range(-m):
-            y = e_tilde(t, i, y)
-            if y is None:
-                raise RuntimeError(f"raising string ended early at index {i}")
+    for _ in range(abs(m)):
+        y = step(rule, y)
+        if y is None:
+            kind = "lowering" if m >= 0 else "raising"
+            raise RuntimeError(f"{kind} string ended early at index {i}")
     return y
 
 
-def weyl_action(t: AffineType, word, x):
+def weyl_action(t: AffineType, word, x: int) -> int:
     """Apply the reflection word left to right."""
     y = x
     for i in word:

@@ -262,8 +262,7 @@ class Representation:
     f: dict
     t: dict
     tinv: dict
-    elements: list = field(repr=False)  # basis index -> crystal element
-    weights: list = field(repr=False)  # basis index -> coroot pairings
+    weights: list = field(repr=False)  # basis index (= crystal id) -> coroot pairings
 
     def q_i(self, i: int) -> LaurentScalar:
         return LaurentScalar.qs(self.cd.qi_exp[i])
@@ -340,7 +339,6 @@ def representation(t: AffineType) -> Representation:
         f = {i: single[i][1] for i in range(n + 1)}
         tt = {i: single[i][2] for i in range(n + 1)}
         tinv = {i: single[i][3] for i in range(n + 1)}
-        elements = [crys.BinaryVector.from_id(n, v) for v in range(dim)]
     else:
         dim = 1 << (2 * n)
         half = 1 << n
@@ -369,11 +367,9 @@ def representation(t: AffineType) -> Representation:
                 f[i] = kron(f1, ident) + kron(t1, f1)
                 tt[i] = kron(t1, t1)
                 tinv[i] = kron(ti1, ti1)
-        elements = [crys.BinaryMatrix.from_id(n, v) for v in range(dim)]
-    weights = [crys.weight(t, el) for el in elements]
+    weights = [crys.weight(t, x) for x in range(dim)]
     return Representation(type=t, cd=cd, copies=2 if t.doubled else 1, dim=dim,
-                          e=e, f=f, t=tt, tinv=tinv,
-                          elements=elements, weights=weights)
+                          e=e, f=f, t=tt, tinv=tinv, weights=weights)
 
 
 # -- relation and polarization suites -----------------------------------------
@@ -394,7 +390,7 @@ def divided_power(rep: Representation, op: SparseOperator, k: int, i: int) -> Sp
     return op.power(k).scale(fact.inverse())
 
 
-def verify_relations(rep: Representation, threads: int = 1):
+def verify_relations(rep: Representation):
     """Every defining relation, checked as an exact matrix identity."""
     n = rep.type.n
     dim = rep.dim
@@ -452,13 +448,7 @@ def verify_relations(rep: Representation, threads: int = 1):
             add(f"serre e({i},{j})", lambda i=i, j=j, m=m: serre("e", i, j, m))
             add(f"serre f({i},{j})", lambda i=i, j=j, m=m: serre("f", i, j, m))
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda job: Check(job[0], job[1]()), jobs))
-    else:
-        results = [Check(name, thunk()) for name, thunk in jobs]
-    return results
+    return [Check(name, thunk()) for name, thunk in jobs]
 
 
 def verify_weight_compatibility(rep: Representation):
@@ -556,9 +546,11 @@ def kashiwara_operators(rep: Representation, i: int):
     buckets = {}
     for idx in range(dim):
         buckets.setdefault(rep.weights[idx][i], []).append(idx)
-    for (r, c) in ei.entries:
+    by_col = {}  # column -> [(row, value)] of e_i
+    for (r, c), v in ei.entries.items():
         if rep.weights[r][i] != rep.weights[c][i] + 2:
             raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
+        by_col.setdefault(c, []).append((r, v))
 
     strings = []  # (top_weight m, [w_r dicts for r = 0..m])
     for m, cols in sorted(buckets.items(), reverse=True):
@@ -568,9 +560,8 @@ def kashiwara_operators(rep: Representation, i: int):
         pos_of = {idx: p for p, idx in enumerate(target)}
         rows = [[_ZERO] * len(cols) for _ in target]
         for ci, cidx in enumerate(cols):
-            for (r, c), v in ei.entries.items():
-                if c == cidx:
-                    rows[pos_of[r]][ci] = v
+            for r, v in by_col.get(cidx, ()):
+                rows[pos_of[r]][ci] = v
         kernel = _nullspace(rows, len(cols))
         for coeffs in kernel:
             u = {cidx: v for cidx, v in zip(cols, coeffs) if not v.is_zero}
@@ -633,8 +624,9 @@ def crystal_match(rep: Representation, indices=None):
     signs = {}
     for i in (range(t.n + 1) if indices is None else indices):
         et, ft = kashiwara_operators(rep, i)
-        for name, op, comb in ((f"e~({i})", et, crys.e_tilde),
-                               (f"f~({i})", ft, crys.f_tilde)):
+        rule = crys.rules(t)[i]
+        for name, op, step in ((f"e~({i})", et, crys.step_e),
+                               (f"f~({i})", ft, crys.step_f)):
             regular = all(v.is_regular for v in op.entries.values())
             checks.append(Check(f"{name} lattice-regular", regular))
             if not regular:
@@ -645,10 +637,10 @@ def crystal_match(rep: Representation, indices=None):
                 if val:
                     reduced[(r, c)] = val
             adjacency = {}
-            for el in rep.elements:
-                y = comb(t, i, el)
+            for x in range(rep.dim):
+                y = step(rule, x)
                 if y is not None:
-                    adjacency[(y.id, el.id)] = 1
+                    adjacency[(y, x)] = 1
             same = set(reduced) == set(adjacency) and \
                 all(abs(v) == 1 for v in reduced.values())
             checks.append(Check(f"{name} matches the crystal adjacency", same))
@@ -681,13 +673,10 @@ def highest_vectors(rep: Representation, weight_vec):
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
-    out = []
-    for el in rep.elements:
-        if rep.weights[el.id] == tuple(weight_vec) and \
-                all(crys.e_tilde(rep.type, i, el) is None
-                    for i in range(1, rep.type.n + 1)):
-            out.append(el.id)
-    return sorted(out)
+    classical = crys.rules(rep.type)[1:]
+    return [x for x in range(rep.dim)
+            if rep.weights[x] == tuple(weight_vec)
+            and all(crys.step_e(rule, x) is None for rule in classical)]
 
 
 def normalized_highest_vector(rep: Representation, k: int, l: int):
@@ -698,7 +687,7 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     checks that the remainder lies in qs times the lattice.
     """
     t = rep.type
-    target = crys.v_kl(t, k, l).id
+    target = crys.v_kl(t, k, l)
     wvec = fundamental_weight_cl(t, k)
     kernel, _ = highest_vectors(rep, wvec)
     ids = _highest_crystal_ids(rep, wvec)
@@ -774,10 +763,10 @@ def verify_null_shift(rep: Representation):
         img_a, end_a = apply_extremal_word(rep, va, va_el, word)
         img_b, end_b = apply_extremal_word(rep, vb, vb_el, word)
         checks.append(Check(f"k={k} word moves the crystal representatives",
-                            end_a.id == vb_el.id and end_b.id == va_el.id))
+                            end_a == vb_el and end_b == va_el))
         signs = []
-        for name, img, target in ((f"k={k} image of ({k},{n-k})", img_a, vb_el.id),
-                                  (f"k={k} image of ({k},{n-k-1})", img_b, va_el.id)):
+        for name, img, target in ((f"k={k} image of ({k},{n-k})", img_a, vb_el),
+                                  (f"k={k} image of ({k},{n-k-1})", img_b, va_el)):
             lead = img.get(target, _ZERO)
             good = lead in (_ONE, minus_one) and \
                 all(v.is_regular for v in img.values()) and \

@@ -76,11 +76,12 @@ def partition_ids(t: AffineType):
     """Union-find closure of the full ground set under all operator edges."""
     elements = crystal.all_elements(t)
     uf = UnionFind(len(elements))
-    for el in elements:
-        for i in range(t.n + 1):
-            y = crystal.f_tilde(t, i, el)
+    rs = crystal.rules(t)
+    for x in elements:
+        for rule in rs:
+            y = crystal.step_f(rule, x)
             if y is not None:
-                uf.union(el.id, y.id)
+                uf.union(x, y)
     return uf, elements
 
 
@@ -90,6 +91,11 @@ def classify_weight(t: AffineType, w) -> int | None:
         if tuple(w) == fundamental_weight_cl(t, k):
             return k
     return None
+
+
+def sorted_labels(labels):
+    """Branching labels in numeric order, unmatched (None) labels last."""
+    return sorted(labels, key=lambda lab: (lab is None, lab or 0))
 
 
 def expected_branching(t: AffineType, k: int, l: int):
@@ -110,8 +116,9 @@ def expected_branching(t: AffineType, k: int, l: int):
     return sorted(out)
 
 
-def _is_classically_highest(t: AffineType, x) -> bool:
-    return all(crystal.e_tilde(t, i, x) is None for i in range(1, t.n + 1))
+def _is_classically_highest(rs, x: int) -> bool:
+    """No classical raising operator (index 1..n of the rules rs) applies."""
+    return all(crystal.step_e(rule, x) is None for rule in rs[1:])
 
 
 @dataclass
@@ -134,9 +141,9 @@ class DecompositionReport:
 
 
 def decomposition_report(t: AffineType) -> DecompositionReport:
-    uf, elements = partition_ids(t)
-    by_id = {el.id: el for el in elements}
+    uf, _ = partition_ids(t)
     classes = uf.classes()
+    rs = crystal.rules(t)
     rows = []
     if t.doubled:
         keys = [(k, l) for (k, l) in h_diamond(t)]
@@ -148,17 +155,18 @@ def decomposition_report(t: AffineType) -> DecompositionReport:
             keys = [("spin", t.n)]
     for key in keys:
         rep = reps[key]
-        members = [by_id[i] for i in classes[uf.find(rep.id)]]
-        highest = [x for x in members if _is_classically_highest(t, x)]
-        labels = sorted(classify_weight(t, crystal.weight(t, x)) for x in highest)
-        sig = bicrystal.sigma(rep) if t.doubled else None
+        members = classes[uf.find(rep)]
+        highest = [x for x in members if _is_classically_highest(rs, x)]
+        labels = sorted_labels(classify_weight(t, crystal.weight(t, x))
+                               for x in highest)
+        sig = bicrystal.sigma(t.n, rep) if t.doubled else None
         split = None
         if t.diamond == (FORK, DOUBLE) and isinstance(key[0], int) and 1 <= key[0] <= t.n - 1 and key[1] == t.n - key[0]:
             k = key[0]
-            plus = sum(1 for x in members if bicrystal.sigma(x)[1] == t.n - k)
+            plus = sum(1 for x in members if bicrystal.sigma(t.n, x)[1] == t.n - k)
             split = (plus, len(members) - plus)
         rows.append(ComponentRow(
-            key=key, rep_id=rep.id, rep_text=rep.text, size=len(members),
+            key=key, rep_id=rep, rep_text=crystal.text(t, rep), size=len(members),
             weight=crystal.weight(t, rep), branching=labels, sigma=sig,
             split=split,
         ))
@@ -174,7 +182,7 @@ def verify_component_partition(t: AffineType) -> SuiteResult:
     uf, _ = partition_ids(t)
     pairs = h_diamond(t)
     reps = {pair: crystal.v_kl(t, *pair) for pair in pairs}
-    roots = {pair: uf.find(rep.id) for pair, rep in reps.items()}
+    roots = {pair: uf.find(rep) for pair, rep in reps.items()}
     if len(set(roots.values())) != len(pairs):
         res.note("representatives are not in pairwise distinct components")
     if uf.count != len(pairs):
@@ -196,35 +204,39 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
     res = SuiteResult(name="thm42", passed=True)
     if not t.doubled:
         raise ValueError("branching suite needs a matrix-crystal type")
-    uf, elements = partition_ids(t)
-    by_id = {el.id: el for el in elements}
+    uf, _ = partition_ids(t)
     classes = uf.classes()
+    rs = crystal.rules(t)
     for (k, l) in h_diamond(t):
-        rep = crystal.v_kl(t, k, l)
-        members = [by_id[i] for i in classes[uf.find(rep.id)]]
-        highest = [x for x in members if _is_classically_highest(t, x)]
+        members = classes[uf.find(crystal.v_kl(t, k, l))]
+        highest = [x for x in members if _is_classically_highest(rs, x)]
         labels = []
         for x in highest:
             lab = classify_weight(t, crystal.weight(t, x))
             if lab is None:
-                res.note(f"({k},{l}): highest element {x.text} has an unexpected weight")
+                res.note(f"({k},{l}): highest element {crystal.text(t, x)} "
+                         f"has an unexpected weight")
             labels.append(lab)
-        if sorted(labels, key=str) != expected_branching(t, k, l):
-            res.note(f"({k},{l}): branching {sorted(labels, key=str)} != expected "
+        labels = sorted_labels(labels)
+        if labels != expected_branching(t, k, l):
+            res.note(f"({k},{l}): branching {labels} != expected "
                      f"{expected_branching(t, k, l)}")
-        sub = UnionFind(4 ** t.n)
+        # classical edges stay inside the component: a union-find over its members
+        slot = {x: p for p, x in enumerate(members)}
+        sub = UnionFind(len(members))
         for x in members:
-            for i in range(1, t.n + 1):
-                y = crystal.f_tilde(t, i, x)
+            for rule in rs[1:]:
+                y = crystal.step_f(rule, x)
                 if y is not None:
-                    sub.union(x.id, y.id)
-        comp_roots = {sub.find(x.id) for x in members}
+                    sub.union(slot[x], slot[y])
+        comp_roots = {sub.find(p) for p in range(len(members))}
         if len(comp_roots) != len(highest):
             res.note(f"({k},{l}): {len(comp_roots)} classical components for "
                      f"{len(highest)} highest elements")
         per = {}
         for x in highest:
-            per[sub.find(x.id)] = per.get(sub.find(x.id), 0) + 1
+            root = sub.find(slot[x])
+            per[root] = per.get(root, 0) + 1
         if any(c != 1 for c in per.values()) or len(per) != len(comp_roots):
             res.note(f"({k},{l}): classical components and highest elements do not biject")
     return res
@@ -249,11 +261,11 @@ def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
         for i in range(kk // 2 + 1):
             allowed.add((2 * i, t.n - kk))
             allowed.add((2 * i + 1, t.n - kk - 1))
-        for el in g.vertices:
-            if bicrystal.sigma(el) not in allowed:
-                res.note(f"k={kk}: sigma{bicrystal.sigma(el)} of {el.text} out of range")
-        plus = [el for el in g.vertices if bicrystal.sigma(el)[1] == t.n - kk]
-        if any(bicrystal.sigma(el)[0] % 2 for el in plus):
+        for x in g.vertices:
+            if g.sigma[x] not in allowed:
+                res.note(f"k={kk}: sigma{g.sigma[x]} of {crystal.text(t, x)} out of range")
+        plus = [x for x in g.vertices if g.sigma[x][1] == t.n - kk]
+        if any(g.sigma[x][0] % 2 for x in plus):
             res.note(f"k={kk}: odd raise-count in the long-phi half")
         if 2 * len(plus) != len(g.vertices):
             res.note(f"k={kk}: halves have sizes {len(plus)} and "
@@ -266,28 +278,31 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     res = SuiteResult(name="prop46", passed=True)
     if t.diamond != (FORK, DOUBLE):
         raise ValueError("involution suite needs the fork-plus-double type")
+    rs = tuple(enumerate(crystal.rules(t)))
     for kk in _middle_ks(t, k):
         g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
-        members = {el.id for el in g.vertices}
-        for el in g.vertices:
-            mate = bicrystal.varsigma(t, kk, el)
-            if mate.id not in members:
-                res.note(f"k={kk}: involution leaves the component at {el.text}")
+        members = set(g.vertices)
+        for x in g.vertices:
+            mate = bicrystal.varsigma(t, kk, x)
+            if mate not in members:
+                res.note(f"k={kk}: involution leaves the component at "
+                         f"{crystal.text(t, x)}")
                 continue
-            if mate.id == el.id:
-                res.note(f"k={kk}: fixed point at {el.text}")
-            if bicrystal.varsigma(t, kk, mate).id != el.id:
-                res.note(f"k={kk}: involution not of order two at {el.text}")
-            for i in range(t.n + 1):
-                for op in (crystal.e_tilde, crystal.f_tilde):
-                    a = op(t, i, el)
+            if mate == x:
+                res.note(f"k={kk}: fixed point at {crystal.text(t, x)}")
+            if bicrystal.varsigma(t, kk, mate) != x:
+                res.note(f"k={kk}: involution not of order two at {crystal.text(t, x)}")
+            for i, rule in rs:
+                for step in (crystal.step_e, crystal.step_f):
+                    a = step(rule, x)
                     lhs = None if a is None else bicrystal.varsigma(t, kk, a)
-                    b = op(t, i, mate)
+                    b = step(rule, mate)
                     if (lhs is None) != (b is None):
                         res.note(f"k={kk}: commutation defined-ness fails at "
-                                 f"{el.text}, i={i}")
-                    elif lhs is not None and lhs.id != b.id:
-                        res.note(f"k={kk}: commutation fails at {el.text}, i={i}")
+                                 f"{crystal.text(t, x)}, i={i}")
+                    elif lhs is not None and lhs != b:
+                        res.note(f"k={kk}: commutation fails at "
+                                 f"{crystal.text(t, x)}, i={i}")
     return res
 
 
@@ -298,36 +313,33 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
         raise ValueError("characterization suite needs a matrix-crystal type")
     n = t.n
     ks = range(1, n + 1) if k is None else [k]
-    elements = crystal.all_elements(t)
-    sig = {el.id: bicrystal.sigma(el) for el in elements}
+    sig = {x: bicrystal.sigma(n, x) for x in crystal.all_elements(t)}
     d = t.diamond
     for kk in ks:
         if not 1 <= kk <= n:
             raise ValueError(f"k must lie in 1..{n}, got {kk}")
         if d == (DOUBLE, DOUBLE):
-            comp = {el.id for el in crystal.component(t, crystal.v_kl(t, kk, 0)).vertices}
+            comp = set(crystal.component(t, crystal.v_kl(t, kk, 0)).vertices)
             level = {i for i, s in sig.items() if s == (n - kk, 0)}
         elif d == (SINGLE, DOUBLE):
-            comp = {el.id for el in crystal.component(t, crystal.v_kl(t, kk, n - kk)).vertices}
+            comp = set(crystal.component(t, crystal.v_kl(t, kk, n - kk)).vertices)
             level = {i for i, s in sig.items()
                      if s[1] == n - kk and 0 <= kk - s[0] <= kk}
         elif d == (DOUBLE, SINGLE):
-            comp = {el.id for el in crystal.component(t, crystal.v_kl(t, kk, 0)).vertices}
+            comp = set(crystal.component(t, crystal.v_kl(t, kk, 0)).vertices)
             level = {i for i, s in sig.items() if s[0] == n - kk and s[1] <= kk}
         else:  # fork-plus-double
             if kk == n:
-                comp = {el.id for el in crystal.component(t, crystal.v_kl(t, n, 0)).vertices}
+                comp = set(crystal.component(t, crystal.v_kl(t, n, 0)).vertices)
                 level = {i for i, s in sig.items() if s[1] == 0 and s[0] % 2 == 0}
             else:
                 g = crystal.component(t, crystal.v_kl(t, kk, n - kk))
                 q = bicrystal.quotient_graph(g, kk)
-                comp_orbits = {frozenset((p.id, m.id)) for p, m in q.orbits}
-                by_id = {el.id: el for el in elements}
+                comp_orbits = {frozenset(pair) for pair in q.orbits}
                 level_orbits = set()
                 for i, s in sig.items():
                     if s[1] == n - kk and s[0] % 2 == 0:
-                        mate = bicrystal.varsigma(t, kk, by_id[i])
-                        level_orbits.add(frozenset((i, mate.id)))
+                        level_orbits.add(frozenset((i, bicrystal.varsigma(t, kk, i))))
                 if comp_orbits != level_orbits:
                     res.note(f"k={kk}: orbit sets differ "
                              f"({len(comp_orbits)} vs {len(level_orbits)})")
@@ -339,8 +351,7 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
 
 
 def _graph_root(g, target_weight):
-    hits = [el for el in g.vertices if g.weights[el.id] == tuple(target_weight)]
-    return hits
+    return [x for x in g.vertices if g.weights[x] == tuple(target_weight)]
 
 
 def isomorphic_components(g1, g2, root1: int, root2: int) -> bool:
@@ -395,7 +406,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
                 if len(hits) != 1:
                     res.note(f"(k,l)=({k},{l}): weight multiplicity "
                              f"{len(hits)} at the extremal weight")
-                roots.append(hits[0].id if hits else None)
+                roots.append(hits[0] if hits else None)
             base = graphs[0]
             for g, l, r in zip(graphs[1:], ls[1:], roots[1:]):
                 if r is None or roots[0] is None:
@@ -437,25 +448,24 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
     if t.doubled:
         raise ValueError("spin suite needs a single-column type")
     n = t.n
-    uf, elements = partition_ids(t)
+    uf, _ = partition_ids(t)
     expected = 2 if t.diamond == (FORK, FORK) else 1
     if uf.count != expected:
         res.note(f"{uf.count} components, expected {expected}")
     top = crystal.v_spin(t, n)
     second = crystal.v_spin(t, n - 1)
-    if expected == 2 and uf.find(top.id) == uf.find(second.id):
+    if expected == 2 and uf.find(top) == uf.find(second):
         res.note("the two canonical representatives share a component")
-    if expected == 1 and uf.find(top.id) != uf.find(second.id):
+    if expected == 1 and uf.find(top) != uf.find(second):
         res.note("expected a single component containing both representatives")
     classes = uf.classes()
     sizes = sorted(len(ids) for ids in classes.values())
     if sum(sizes) != 2 ** n:
         res.note(f"sizes {sizes} do not sum to {2 ** n}")
-    by_id = {el.id: el for el in elements}
     for root, ids in classes.items():
-        weights = [crystal.weight(t, by_id[i]) for i in ids]
+        weights = [crystal.weight(t, i) for i in ids]
         if len(set(weights)) != len(weights):
-            res.note(f"repeated weight inside component of {by_id[root].text}")
+            res.note(f"repeated weight inside component of {crystal.text(t, root)}")
     reps = [top] if expected == 1 else [top, second]
     for k, rep in zip((n, n - 1), reps):
         if crystal.weight(t, rep) != fundamental_weight_cl(t, k):
@@ -480,8 +490,10 @@ def verify_delta_shift(t: AffineType, k: int | None = None) -> SuiteResult:
         except RuntimeError as exc:
             res.note(f"k={kk}: {exc}")
             continue
-        if fwd.id != vb.id:
-            res.note(f"k={kk}: word sends {va.text} to {fwd.text}, wanted {vb.text}")
-        if back.id != va.id:
-            res.note(f"k={kk}: word sends {vb.text} to {back.text}, wanted {va.text}")
+        if fwd != vb:
+            res.note(f"k={kk}: word sends {crystal.text(t, va)} to "
+                     f"{crystal.text(t, fwd)}, wanted {crystal.text(t, vb)}")
+        if back != va:
+            res.note(f"k={kk}: word sends {crystal.text(t, vb)} to "
+                     f"{crystal.text(t, back)}, wanted {crystal.text(t, va)}")
     return res

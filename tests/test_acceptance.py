@@ -56,9 +56,9 @@ def test_criterion_4_closed_string_formulas():
     ok = True
     for n in range(2, 9):
         t = from_label("C1", n)
-        for el in crystal.all_elements(t):
-            s = bicrystal.sigma(el)
-            if s != bicrystal.sigma_closed(el) or s != bicrystal.sigma_by_strings(el):
+        for x in crystal.all_elements(t):
+            s = bicrystal.sigma(n, x)
+            if s != bicrystal.sigma_closed(n, x) or s != bicrystal.sigma_by_strings(n, x):
                 ok = False
                 break
     _report(4, ok, "closed string-position formulas match operator strings, "
@@ -126,15 +126,15 @@ def test_criterion_10_figures():
     t = from_label("C1", 3)
     doc = graph_document(t, 2, 1)
     uf, elements = theorems.partition_ids(t)
-    root = uf.find(crystal.v_kl(t, 2, 1).id)
-    brute = {el.id for el in elements if uf.find(el.id) == root}
+    root = uf.find(crystal.v_kl(t, 2, 1))
+    brute = {x for x in elements if uf.find(x) == root}
     ids = {v["id"] for v in doc["vertices"]}
     ok = ok and ids == brute
-    level = {el.id for el in elements if bicrystal.sigma(el) == (0, 1)}
+    level = {x for x in elements if bicrystal.sigma(3, x) == (0, 1)}
     ok = ok and ids == level
-    edge_count = sum(1 for el in elements if el.id in ids
-                     for i in range(4) if crystal.f_tilde(t, i, el) is not None
-                     and crystal.f_tilde(t, i, el).id in ids)
+    edge_count = sum(1 for x in elements if x in ids
+                     for i in range(4) if crystal.f_tilde(t, i, x) is not None
+                     and crystal.f_tilde(t, i, x) in ids)
     ok = ok and len(doc["edges"]) == edge_count
 
     # second figure: mixed type at its dictated l = n - k
@@ -143,10 +143,10 @@ def test_criterion_10_figures():
     ok = ok and doc["header"]["l"] == 1
     ids = {v["id"] for v in doc["vertices"]}
     uf, elements = theorems.partition_ids(t)
-    root = uf.find(crystal.v_kl(t, 2, 1).id)
-    ok = ok and ids == {el.id for el in elements if uf.find(el.id) == root}
-    level = {el.id for el in elements
-             if bicrystal.sigma(el) in {(2, 1), (1, 1), (0, 1)}}
+    root = uf.find(crystal.v_kl(t, 2, 1))
+    ok = ok and ids == {x for x in elements if uf.find(x) == root}
+    level = {x for x in elements
+             if bicrystal.sigma(3, x) in {(2, 1), (1, 1), (0, 1)}}
     ok = ok and ids == level
 
     # third figure: fork type quotient at k = 2
@@ -156,8 +156,8 @@ def test_criterion_10_figures():
     q = bicrystal.quotient_graph(g, 2)
     ok = ok and len(doc["vertices"]) == len(q.orbits)
     ok = ok and len(doc["edges"]) == len(q.edges)
-    plus_ids = {el.id for el in crystal.all_elements(t)
-                if bicrystal.sigma(el) in {(0, 1), (2, 1)}}
-    ok = ok and {p.id for p, _ in q.orbits} == plus_ids
+    plus_ids = {x for x in crystal.all_elements(t)
+                if bicrystal.sigma(3, x) in {(0, 1), (2, 1)}}
+    ok = ok and {p for p, _ in q.orbits} == plus_ids
     _report(10, ok, "figure regeneration matches brute-force closures and "
                     "level-set descriptions")

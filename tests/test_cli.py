@@ -29,8 +29,8 @@ def test_graph_vertices_match_sigma_description():
     t = from_label("A2even", 3)
     doc = graph_document(t, 2, 1)
     ids = {v["id"] for v in doc["vertices"]}
-    level = {el.id for el in crystal.all_elements(t)
-             if bicrystal.sigma(el) in {(2, 1), (1, 1), (0, 1)}}
+    level = {x for x in crystal.all_elements(t)
+             if bicrystal.sigma(3, x) in {(2, 1), (1, 1), (0, 1)}}
     assert ids == level
 
 

@@ -1,70 +1,96 @@
 import pytest
 
+import crystal_oracle as oracle
 from wedge_crystal.cartan import cartan_data, from_label
 from wedge_crystal import crystal
-from wedge_crystal.crystal import (BinaryMatrix, BinaryVector, all_elements,
-                                   component, delta_word, e_tilde, f_tilde,
-                                   v_kl, v_spin, weight, weyl_action)
+from wedge_crystal.crystal import (all_elements, component, delta_word,
+                                   e_tilde, f_tilde, text, v_kl, v_spin,
+                                   weight, weyl_action)
 
 DOUBLED = ("C1", "A2even", "A2evenDagger", "A2odd")
 SINGLE_COL = ("B1", "D1", "D2")
 
 
+def M(rows):
+    return oracle.BinaryMatrix.from_text(rows).id
+
+
 def test_encoding_round_trip():
-    m = BinaryMatrix.from_text("10/11/01")
+    m = oracle.BinaryMatrix.from_text("10/11/01")
     assert m.text == "10/11/01"
-    assert BinaryMatrix.from_id(3, m.id) == m
-    v = BinaryVector.from_text("1/0/1")
+    assert oracle.BinaryMatrix.from_id(3, m.id) == m
+    assert text(from_label("C1", 3), m.id) == "10/11/01"
+    v = oracle.BinaryVector.from_text("1/0/1")
     assert v.text == "1/0/1"
-    assert BinaryVector.from_id(3, v.id) == v
+    assert oracle.BinaryVector.from_id(3, v.id) == v
+    assert text(from_label("B1", 3), v.id) == "1/0/1"
     # low bit of the id is the top row of column one
-    assert BinaryMatrix.from_text("10/00/00").id == 1
-    assert BinaryMatrix.from_text("01/00/00").id == 8
+    assert M("10/00/00") == 1
+    assert M("01/00/00") == 8
+    assert text(from_label("C1", 3), 1) == "10/00/00"
+    assert text(from_label("C1", 3), 8) == "01/00/00"
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+@pytest.mark.parametrize("n", (2, 3))
+def test_text_matches_oracle(token, n):
+    t = from_label(token, n)
+    for obj in oracle.all_elements(t):
+        assert text(t, obj.id) == obj.text
 
 
 def test_operator_examples():
     t = from_label("C1", 2)
-    m = BinaryMatrix.from_text("11/00")
-    assert e_tilde(t, 2, m).text == "00/00"  # full top row collapses
+    m = M("11/00")
+    assert text(t, e_tilde(t, 2, m)) == "00/00"  # full top row collapses
     t = from_label("A2evenDagger", 2)
-    m = BinaryMatrix.from_text("11/00")
-    assert e_tilde(t, 2, m).text == "10/00"  # short top end peels one
+    m = M("11/00")
+    assert text(t, e_tilde(t, 2, m)) == "10/00"  # short top end peels one
     t = from_label("A2even", 2)
-    m = BinaryMatrix.from_text("00/01")
-    assert e_tilde(t, 0, m).text == "00/11"
+    m = M("00/01")
+    assert text(t, e_tilde(t, 0, m)) == "00/11"
     # fork bottom end fills both bottom rows of one column
     t = from_label("A2odd", 3)
-    m = BinaryMatrix.from_text("00/00/00")
-    assert e_tilde(t, 0, m).text == "00/01/01"
-    assert e_tilde(t, 0, e_tilde(t, 0, m)).text == "00/11/11"
+    m = M("00/00/00")
+    assert text(t, e_tilde(t, 0, m)) == "00/01/01"
+    assert text(t, e_tilde(t, 0, e_tilde(t, 0, m))) == "00/11/11"
     # doubled top end of the fork type acts on the whole top row
-    m = BinaryMatrix.from_text("11/01/00")
-    assert e_tilde(t, 3, m).text == "00/01/00"
+    m = M("11/01/00")
+    assert text(t, e_tilde(t, 3, m)) == "00/01/00"
 
 
 def test_vector_rules():
     t = from_label("B1", 2)
-    v = BinaryVector((1, 0))  # (m_2bar, m_1bar) = (0, 1)
-    assert e_tilde(t, 1, v).bits == (0, 1)
+    v = oracle.BinaryVector((1, 0)).id  # (m_2bar, m_1bar) = (0, 1)
+    assert e_tilde(t, 1, v) == oracle.BinaryVector((0, 1)).id
     assert f_tilde(t, 1, e_tilde(t, 1, v)) == v
     t = from_label("D2", 3)
-    v = BinaryVector((0, 0, 1))  # top row occupied
-    assert e_tilde(t, 3, v).bits == (0, 0, 0)
-    assert e_tilde(t, 0, v).bits == (1, 0, 1)
+    v = oracle.BinaryVector((0, 0, 1)).id  # top row occupied
+    assert e_tilde(t, 3, v) == oracle.BinaryVector((0, 0, 0)).id
+    assert e_tilde(t, 0, v) == oracle.BinaryVector((1, 0, 1)).id
     t = from_label("D1", 3)
-    v = BinaryVector((0, 0, 0))
-    assert f_tilde(t, 3, v).bits == (0, 1, 1)
+    v = oracle.BinaryVector((0, 0, 0)).id
+    assert f_tilde(t, 3, v) == oracle.BinaryVector((0, 1, 1)).id
     assert e_tilde(t, 3, f_tilde(t, 3, v)) == v
 
 
 def test_variant_mismatch():
     t = from_label("C1", 2)
     with pytest.raises(ValueError):
-        e_tilde(t, 1, BinaryVector((0, 0)))
+        e_tilde(t, 1, 16)  # past the 4^2 matrices
     with pytest.raises(ValueError):
-        e_tilde(from_label("B1", 2), 1, BinaryMatrix.from_text("00/00"))
+        e_tilde(from_label("B1", 2), 1, 4)  # past the 2^2 vectors
     with pytest.raises(ValueError):
-        e_tilde(t, 5, BinaryMatrix.from_text("00/00"))
+        e_tilde(t, 5, 0)
+    with pytest.raises(ValueError):
+        f_tilde(t, 1, -1)
+    with pytest.raises(ValueError):
+        weight(t, oracle.BinaryMatrix.from_text("00/00"))
+    # the oracle keeps rejecting the wrong element kind
+    with pytest.raises(ValueError):
+        oracle.e_tilde(t, 1, oracle.BinaryVector((0, 0)))
+    with pytest.raises(ValueError):
+        oracle.e_tilde(from_label("B1", 2), 1, oracle.BinaryMatrix.from_text("00/00"))
 
 
 @pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
@@ -72,7 +98,6 @@ def test_variant_mismatch():
 def test_raising_lowering_pairing(token, n):
     t = from_label(token, n)
     elements = all_elements(t)
-    by_id = {x.id: x for x in elements}
     for x in elements:
         for i in range(n + 1):
             y = f_tilde(t, i, x)
@@ -81,7 +106,21 @@ def test_raising_lowering_pairing(token, n):
             z = e_tilde(t, i, x)
             if z is not None:
                 assert f_tilde(t, i, z) == x
-    assert len(by_id) == len(elements)
+    assert len(set(elements)) == len(elements) == crystal.ground_size(t)
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_kernel_matches_oracle_exhaustively(token, n):
+    t = from_label(token, n)
+    for obj in oracle.all_elements(t):
+        x = obj.id
+        for i in range(n + 1):
+            for op, ref in ((e_tilde, oracle.e_tilde), (f_tilde, oracle.f_tilde)):
+                y = ref(t, i, obj)
+                assert op(t, i, x) == (None if y is None else y.id)
+            assert crystal.string_lengths(t, i, x) == oracle.string_lengths(t, i, obj)
+        assert weight(t, x) == oracle.weight(t, obj)
 
 
 @pytest.mark.parametrize("token", ("A2odd", "B1"))
@@ -124,13 +163,18 @@ def test_level_zero(token, n):
 
 def test_v_kl_examples():
     t = from_label("C1", 3)
-    assert v_kl(t, 1, 1).text == "10/01/00"
-    assert v_kl(t, 3, 0).text == "00/00/00"
-    assert v_kl(t, 0, 3).text == "10/10/10"
+    assert text(t, v_kl(t, 1, 1)) == "10/01/00"
+    assert text(t, v_kl(t, 3, 0)) == "00/00/00"
+    assert text(t, v_kl(t, 0, 3)) == "10/10/10"
     with pytest.raises(ValueError):
         v_kl(t, 2, 2)
     with pytest.raises(ValueError):
         v_kl(t, 4, 0)
+    for n in (2, 3, 4, 5):
+        t = from_label("C1", n)
+        for k in range(n + 1):
+            for l in range(n - k + 1):
+                assert v_kl(t, k, l) == oracle.v_kl(t, k, l).id
 
 
 def test_v_kl_weights():
@@ -148,8 +192,10 @@ def test_v_kl_weights():
 
 def test_spin_representatives():
     t = from_label("D1", 4)
-    assert v_spin(t, 4).bits == (0, 0, 0, 0)
-    assert v_spin(t, 3).bits == (0, 0, 0, 1)
+    assert v_spin(t, 4) == oracle.BinaryVector((0, 0, 0, 0)).id
+    assert v_spin(t, 3) == oracle.BinaryVector((0, 0, 0, 1)).id
+    assert v_spin(t, 4) == oracle.v_spin(t, 4).id
+    assert v_spin(t, 3) == oracle.v_spin(t, 3).id
     with pytest.raises(ValueError):
         v_spin(t, 2)
 
@@ -169,20 +215,20 @@ def test_component_against_union_find():
     t = from_label("C1", 3)
     g = component(t, v_kl(t, 2, 1))
     uf, elements = theorems.partition_ids(t)
-    root = uf.find(v_kl(t, 2, 1).id)
-    members = {el.id for el in elements if uf.find(el.id) == root}
-    assert {el.id for el in g.vertices} == members
+    root = uf.find(v_kl(t, 2, 1))
+    members = {x for x in elements if uf.find(x) == root}
+    assert set(g.vertices) == members
     # edge pairing invariant inside the graph
     out = g.out_edges()
     for (src, color), dst in out.items():
-        assert f_tilde(t, color, g.by_id[src]) == g.by_id[dst]
+        assert f_tilde(t, color, src) == dst
 
 
 def test_component_determinism():
     t = from_label("C1", 2)
     g1 = component(t, v_kl(t, 1, 0))
     g2 = component(t, f_tilde(t, 1, v_kl(t, 1, 0)))
-    assert [v.id for v in g1.vertices] == [v.id for v in g2.vertices]
+    assert list(g1.vertices) == list(g2.vertices)
     assert g1.edges == g2.edges
 
 
@@ -223,7 +269,7 @@ def test_spin_component_split(token, n):
     top = component(t, v_spin(t, n))
     if token == "D1":
         second = component(t, v_spin(t, n - 1))
-        ids = {v.id for v in top.vertices} | {v.id for v in second.vertices}
+        ids = set(top.vertices) | set(second.vertices)
         assert len(top.vertices) == len(second.vertices) == 2 ** (n - 1)
         assert len(ids) == 2 ** n
     else:

@@ -138,9 +138,9 @@ def test_normalized_highest_vector():
     rep = representation(t)
     vec, ok, dim = normalized_highest_vector(rep, 1, 1)
     assert ok
-    target = crystal.v_kl(t, 1, 1).id
+    target = crystal.v_kl(t, 1, 1)
     assert vec[target] == ONE
-    other = crystal.v_kl(t, 1, 0).id
+    other = crystal.v_kl(t, 1, 0)
     assert other not in vec or vec[other].eval_at_zero() == 0
 
 

@@ -2,8 +2,10 @@ import pytest
 
 from wedge_crystal.cartan import from_label
 from wedge_crystal import crystal
-from wedge_crystal.theorems import (decomposition_report, h_diamond,
-                                    isomorphic_components, partition_ids,
+from wedge_crystal import theorems
+from wedge_crystal.theorems import (decomposition_report, expected_branching,
+                                    h_diamond, isomorphic_components,
+                                    partition_ids, sorted_labels,
                                     verify_classical_branching,
                                     verify_component_partition,
                                     verify_delta_shift,
@@ -43,8 +45,8 @@ def test_same_component_for_the_shared_pair():
     t = from_label("A2odd", 3)
     uf, _ = partition_ids(t)
     for k in (1, 2):
-        assert uf.find(crystal.v_kl(t, k, 3 - k).id) == \
-            uf.find(crystal.v_kl(t, k, 2 - k).id)
+        assert uf.find(crystal.v_kl(t, k, 3 - k)) == \
+            uf.find(crystal.v_kl(t, k, 2 - k))
 
 
 @pytest.mark.parametrize("token", DOUBLED)
@@ -75,6 +77,43 @@ def test_branching_shapes():
     assert by_key[(1, 2)].branching == [1, 1]
 
 
+@pytest.mark.parametrize("token", ("A2even", "A2odd"))
+def test_branching_labels_sort_numerically(token):
+    # at n >= 10 a label has two digits; text order would put 10 before 2
+    t = from_label(token, 10)
+    expected = expected_branching(t, 10, 0)
+    assert 10 in expected
+    assert sorted_labels(reversed(expected)) == expected
+    assert sorted_labels([None, 10, 2, None, 0]) == [0, 2, 10, None, None]
+
+
+def test_unmatched_labels_are_reported_not_raised(monkeypatch):
+    t = from_label("A2even", 3)
+    monkeypatch.setattr(theorems, "classify_weight", lambda t, w: None)
+    rep = decomposition_report(t)
+    assert rep.rows[-1].branching == [None] * 4
+    res = verify_classical_branching(t)
+    assert not res.passed
+    assert any("unexpected weight" in d for d in res.discrepancies)
+
+
+def test_branching_union_find_covers_each_state_once(monkeypatch):
+    sizes = []
+    init = theorems.UnionFind.__init__
+
+    def recording(self, size):
+        sizes.append(size)
+        init(self, size)
+
+    monkeypatch.setattr(theorems.UnionFind, "__init__", recording)
+    for token in DOUBLED:
+        sizes.clear()
+        assert verify_classical_branching(from_label(token, 3)).passed
+        # one partition of the ground set, then one slot per component member
+        assert sizes[0] == 4 ** 3
+        assert sum(sizes[1:]) == 4 ** 3
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_sigma_range_and_involution(n):
     t = from_label("A2odd", n)
@@ -94,10 +133,9 @@ def test_sigma_level_sets_are_components():
     from wedge_crystal import bicrystal
 
     for (k, l) in h_diamond(t):
-        comp = {el.id for el in
-                crystal.component(t, crystal.v_kl(t, k, l)).vertices}
-        level = {el.id for el in crystal.all_elements(t)
-                 if bicrystal.sigma(el) == (3 - k - l, l)}
+        comp = set(crystal.component(t, crystal.v_kl(t, k, l)).vertices)
+        level = {x for x in crystal.all_elements(t)
+                 if bicrystal.sigma(3, x) == (3 - k - l, l)}
         assert comp == level
 
 
@@ -109,14 +147,14 @@ def test_component_isomorphism_between_level_sets():
     from wedge_crystal.cartan import fundamental_weight_cl
 
     target = fundamental_weight_cl(t, 1)
-    r1 = [v for v in g1.vertices if g1.weights[v.id] == target]
-    r2 = [v for v in g2.vertices if g2.weights[v.id] == target]
+    r1 = [v for v in g1.vertices if g1.weights[v] == target]
+    r2 = [v for v in g2.vertices if g2.weights[v] == target]
     assert len(r1) == len(r2) == 1
-    assert isomorphic_components(g1, g2, r1[0].id, r2[0].id)
+    assert isomorphic_components(g1, g2, r1[0], r2[0])
     g3 = crystal.component(t, crystal.v_kl(t, 2, 0))
     r3 = [v for v in g3.vertices
-          if g3.weights[v.id] == fundamental_weight_cl(t, 2)]
-    assert not isomorphic_components(g1, g3, r1[0].id, r3[0].id)
+          if g3.weights[v] == fundamental_weight_cl(t, 2)]
+    assert not isomorphic_components(g1, g3, r1[0], r3[0])
 
 
 @pytest.mark.parametrize("token", DOUBLED)
