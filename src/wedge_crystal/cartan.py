@@ -149,7 +149,6 @@ class CartanData:
     norms: tuple  # (alpha_i, alpha_i) as Fractions
     d: int  # qs = q^(1/d)
     qi_exp: tuple  # q_i = qs^qi_exp[i]
-    d_i: tuple  # null-root shift orders for i = 0..n (entry 0 unused)
 
 
 def _edge(a, i, j, aij, aji):
@@ -247,12 +246,6 @@ def _cartan_data(label: str, n: int) -> CartanData:
     for nu in norms:
         d = lcm(d, (nu / 2).denominator)
     qi_exp = tuple(int(d * nu / 2) for nu in norms)
-    d_i = [0]
-    for i in range(1, n + 1):
-        di = max(1, int(norms[i] / 2)) if (norms[i] / 2).denominator == 1 else 1
-        if label == A2EVEN and i == n:
-            di = 1
-        d_i.append(di)
     return CartanData(
         type=t,
         a=a,
@@ -261,7 +254,6 @@ def _cartan_data(label: str, n: int) -> CartanData:
         norms=tuple(norms),
         d=d,
         qi_exp=qi_exp,
-        d_i=tuple(d_i),
     )
 
 

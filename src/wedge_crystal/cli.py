@@ -3,7 +3,8 @@
 All output is deterministic: vertices are ordered by id, edges by
 (source, target, color), and JSON is emitted with sorted keys, so repeated
 invocations are byte-identical.  Exit codes: 0 all checks pass, 1 a check
-failed (a JSON discrepancy dump goes to stdout), 2 usage error.
+failed (a JSON discrepancy dump goes to stdout), 2 usage error, 3 internal
+fault (one JSON line on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import bicrystal, crystal, fock, theorems
-from .cartan import DOUBLE, FORK, from_label
+from .cartan import DOUBLE, FORK, from_label, fundamental_weight_cl
 
 # fixed edge palette, cycled by color index; documented in the README
 PALETTE = (
@@ -27,13 +28,14 @@ class UsageError(Exception):
 
 
 def _resolve_type(args):
-    if args.diamond:
-        if args.type:
-            raise UsageError("give either --type or --diamond, not both")
-        return from_label(args.diamond, args.n)
-    if not args.type:
+    if args.diamond and args.type:
+        raise UsageError("give either --type or --diamond, not both")
+    if not (args.diamond or args.type):
         raise UsageError("one of --type or --diamond is required")
-    return from_label(args.type, args.n)
+    try:
+        return from_label(args.diamond or args.type, args.n)
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def graph_document(t, k, l=None, quotient=False) -> dict:
@@ -242,14 +244,14 @@ def cmd_fock_verify(args) -> int:
     bad = [c for c in checks if not c.ok]
     for c in checks:
         print(f"[{'ok' if c.ok else 'FAIL'}] {c.name}")
+        if c.witness:
+            print(f"  witness: {c.witness}")
     print(f"{len(checks) - len(bad)}/{len(checks)} checks passed "
           f"for {t.label} n={t.n}")
     return 0 if not bad else 1
 
 
 def _highest_checks(rep):
-    from .cartan import fundamental_weight_cl
-
     t = rep.type
     checks = []
     if not t.doubled:
@@ -322,9 +324,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        print(json.dumps({"internal_error": type(exc).__name__,
+                          "message": str(exc)}, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

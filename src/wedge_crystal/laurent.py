@@ -1,11 +1,18 @@
 """Exact scalar arithmetic in one deformation variable.
 
-Everything downstream runs over Laurent polynomials in a single variable
-``qs`` (integer exponents, possibly negative, rational coefficients) and
-over their fraction field.  Coefficients are :class:`fractions.Fraction`,
-so all arithmetic is exact.  Fractions are kept in a canonical reduced
-form (gcd-reduced, denominator a polynomial with constant term 1), which
-makes equality syntactic.
+Two rings in a single variable ``qs`` (integer exponents, possibly
+negative):
+
+- Z[qs^±1], integer Laurent polynomials as plain dicts exponent -> nonzero
+  int (``{}`` is zero).  Generator matrices and every relation check live
+  here; the helpers ``padd``, ``pmul`` and ``qbinomial`` act on them and
+  never mutate their arguments.
+- Q(qs), the fraction field, for exact elimination only.  Laurent
+  polynomials with :class:`fractions.Fraction` coefficients
+  (:class:`LaurentScalar`) and their quotients (:class:`RationalScalar`),
+  kept in a canonical reduced form (gcd-reduced, denominator a polynomial
+  with constant term 1), which makes equality syntactic.  ``rational``
+  carries a Z[qs^±1] entry across.
 """
 
 from __future__ import annotations
@@ -74,11 +81,6 @@ class LaurentScalar:
             raise ValueError("zero polynomial has no valuation")
         return min(self._c)
 
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._c)
-
     def shifted(self, k: int) -> "LaurentScalar":
         return LaurentScalar({e + k: v for e, v in self._c.items()})
 
@@ -139,18 +141,6 @@ class LaurentScalar:
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a polynomial; divide instead")
-        out = LaurentScalar.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __truediv__(self, other) -> "RationalScalar":
         return RationalScalar(self, _as_laurent(other))
@@ -316,9 +306,6 @@ class RationalScalar:
             raise ZeroDivisionError("scalar division by zero")
         return RationalScalar(self.num * other.den, self.den * other.num)
 
-    def __rtruediv__(self, other):
-        return _as_rational(other) / self
-
     def inverse(self):
         return RationalScalar.one() / self
 
@@ -330,12 +317,6 @@ class RationalScalar:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def order_at_zero(self) -> int:
-        """Valuation at qs = 0 (denominator is valuation-free by canonicity)."""
-        if self.is_zero:
-            raise ValueError("zero scalar has no valuation")
-        return self.num.min_exp()
 
     @property
     def is_regular(self) -> bool:
@@ -374,4 +355,55 @@ def qfactorial(k: int, unit: int = 1) -> LaurentScalar:
     out = LaurentScalar.one()
     for s in range(1, k + 1):
         out = out * qint(s, unit)
+    return out
+
+
+# -- integer Laurent polynomials: dicts exponent -> nonzero int ---------------
+
+_LAURENT_ONE = LaurentScalar.one()
+
+
+def padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, v in b.items():
+        s = out.get(e, 0) + v
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def pmul(a: dict, b: dict) -> dict:
+    if len(a) == 1:
+        (ea, va), = a.items()
+        return {ea + e: va * v for e, v in b.items()}
+    if len(b) == 1:
+        (eb, vb), = b.items()
+        return {e + eb: v * vb for e, v in a.items()}
+    out = {}
+    for ea, va in a.items():
+        for eb, vb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + va * vb
+    return {e: v for e, v in out.items() if v}
+
+
+def qbinomial(m: int, k: int, unit: int = 1) -> dict:
+    """[m choose k] in the variable q = qs^unit, by the q-Pascal rule:
+
+    [m choose k] = q^-k [m-1 choose k] + q^(m-k) [m-1 choose k-1].
+    """
+    row = [{0: 1}]
+    for mm in range(1, m + 1):
+        row = [padd(pmul({-unit * kk: 1}, row[kk]) if kk < mm else {},
+                    pmul({unit * (mm - kk): 1}, row[kk - 1]) if kk else {})
+               for kk in range(mm + 1)]
+    return row[k] if 0 <= k <= m else {}
+
+
+def rational(p: dict) -> RationalScalar:
+    """The Q(qs) value of a Z[qs^±1] entry; already canonical (denominator 1)."""
+    out = RationalScalar.__new__(RationalScalar)
+    out.num = LaurentScalar(p)
+    out.den = _LAURENT_ONE
     return out

@@ -1,0 +1,471 @@
+"""Test oracle: the generator family and relation checks over Q(qs).
+
+This is the rational formulation that ``wedge_crystal.fock`` used before
+its generators and relation checks moved to integer Laurent entries: every
+entry is a canonical ``RationalScalar``, the string identity divides by
+q_i - q_i^-1 and the Serre relations use divided powers.  The tests compare
+the integer formulation against it, entry for entry and verdict for verdict.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from wedge_crystal import crystal as crys
+from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
+    fundamental_weight_cl
+from wedge_crystal.laurent import LaurentScalar, RationalScalar, qfactorial
+
+_ZERO = RationalScalar.zero()
+_ONE = RationalScalar.one()
+
+
+def _rq(v) -> RationalScalar:
+    return v if isinstance(v, RationalScalar) else RationalScalar(v)
+
+
+class SparseOperator:
+    """Sparse exact matrix acting on column vectors indexed 0..dim-1."""
+
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries=None):
+        self.dim = dim
+        self.entries = {}
+        if entries:
+            for (r, c), v in entries.items():
+                v = _rq(v)
+                if not v.is_zero:
+                    self.entries[(r, c)] = v
+
+    @classmethod
+    def identity(cls, dim: int) -> "SparseOperator":
+        out = cls(dim)
+        out.entries = {(i, i): _ONE for i in range(dim)}
+        return out
+
+    @classmethod
+    def diagonal(cls, dim: int, values) -> "SparseOperator":
+        out = cls(dim)
+        for i, v in enumerate(values):
+            v = _rq(v)
+            if not v.is_zero:
+                out.entries[(i, i)] = v
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.entries
+
+    def scale(self, v) -> "SparseOperator":
+        v = _rq(v)
+        out = SparseOperator(self.dim)
+        if v.is_zero:
+            return out
+        out.entries = {rc: val * v for rc, val in self.entries.items()}
+        return out
+
+    def __add__(self, other: "SparseOperator") -> "SparseOperator":
+        out = SparseOperator(self.dim)
+        e = dict(self.entries)
+        for rc, v in other.entries.items():
+            s = e.get(rc)
+            s = v if s is None else s + v
+            if s.is_zero:
+                e.pop(rc, None)
+            else:
+                e[rc] = s
+        out.entries = e
+        return out
+
+    def __neg__(self) -> "SparseOperator":
+        out = SparseOperator(self.dim)
+        out.entries = {rc: -v for rc, v in self.entries.items()}
+        return out
+
+    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
+        return self + (-other)
+
+    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
+        by_col = {}
+        for (r, c), v in self.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        out = {}
+        for (r2, c2), v2 in other.entries.items():
+            for r1, v1 in by_col.get(r2, ()):
+                key = (r1, c2)
+                s = out.get(key)
+                p = v1 * v2
+                s = p if s is None else s + p
+                if s.is_zero:
+                    out.pop(key, None)
+                else:
+                    out[key] = s
+        op = SparseOperator(self.dim)
+        op.entries = out
+        return op
+
+    def power(self, k: int) -> "SparseOperator":
+        out = SparseOperator.identity(self.dim)
+        for _ in range(k):
+            out = out @ self
+        return out
+
+    def transpose(self) -> "SparseOperator":
+        out = SparseOperator(self.dim)
+        out.entries = {(c, r): v for (r, c), v in self.entries.items()}
+        return out
+
+    def apply(self, vec: dict) -> dict:
+        return _apply_fast(self, vec)
+
+    def __eq__(self, other):
+        return isinstance(other, SparseOperator) and self.dim == other.dim \
+            and self.entries == other.entries
+
+    def __repr__(self):
+        return f"SparseOperator(dim={self.dim}, nnz={len(self.entries)})"
+
+
+def kron(low: SparseOperator, high: SparseOperator) -> SparseOperator:
+    """Tensor product; the first factor owns the low index bits."""
+    d = low.dim
+    out = SparseOperator(d * high.dim)
+    for (r1, c1), v1 in low.entries.items():
+        for (r2, c2), v2 in high.entries.items():
+            out.entries[(r1 + r2 * d, c1 + c2 * d)] = v1 * v2
+    return out
+
+
+def _apply_fast(op: SparseOperator, vec: dict) -> dict:
+    by_col = {}
+    for (r, c), v in op.entries.items():
+        by_col.setdefault(c, []).append((r, v))
+    out = {}
+    for c, v in vec.items():
+        for r, a in by_col.get(c, ()):
+            s = out.get(r)
+            p = a * v
+            s = p if s is None else s + p
+            if s.is_zero:
+                out.pop(r, None)
+            else:
+                out[r] = s
+    return out
+
+
+# -- fermionic generators ------------------------------------------------------
+
+
+def _bit(n: int, j: int) -> int:
+    return n - j
+
+
+def _phase(state: int, bit: int) -> int:
+    mask = (1 << bit) - 1
+    return -1 if bin(state & mask).count("1") % 2 else 1
+
+
+def psi(n: int, j: int) -> SparseOperator:
+    """Creation at row j-bar with the fermionic phase over lower bits."""
+    b = _bit(n, j)
+    out = SparseOperator(1 << n)
+    for s in range(1 << n):
+        if not (s >> b) & 1:
+            out.entries[(s | (1 << b), s)] = _rq(_phase(s, b))
+    return out
+
+
+def psi_star(n: int, j: int) -> SparseOperator:
+    """Annihilation at row j-bar, adjoint phase convention."""
+    b = _bit(n, j)
+    out = SparseOperator(1 << n)
+    for s in range(1 << n):
+        if (s >> b) & 1:
+            out.entries[(s & ~(1 << b), s)] = _rq(_phase(s, b))
+    return out
+
+
+def omega(n: int, j: int, unit: int, power: int = 1) -> SparseOperator:
+    """Diagonal gauge operator: qs^(unit*power*(m_j - 1)) on each state."""
+    b = _bit(n, j)
+    out = SparseOperator(1 << n)
+    for s in range(1 << n):
+        m = (s >> b) & 1
+        out.entries[(s, s)] = _rq(LaurentScalar.qs(unit * power * (m - 1)))
+    return out
+
+
+def parity(n: int) -> SparseOperator:
+    """Fermion parity (-1)^(occupation count), the Klein twist factor."""
+    out = SparseOperator(1 << n)
+    for s in range(1 << n):
+        out.entries[(s, s)] = _rq(1 if bin(s).count("1") % 2 == 0 else -1)
+    return out
+
+
+def clifford_relation_checks(n: int, unit: int):
+    """Exact checks of the generator relations on the 2^n-dimensional space."""
+    checks = []
+    dim = 1 << n
+    q = LaurentScalar.qs(unit)
+    qinv = LaurentScalar.qs(-unit)
+    denom = RationalScalar(q - qinv)
+    for a in range(1, n + 1):
+        pa, psa = psi(n, a), psi_star(n, a)
+        oa = omega(n, a, unit)
+        oai = omega(n, a, unit, power=-1)
+        checks.append((f"omega({a}) invertible", (oa @ oai) == SparseOperator.identity(dim)))
+        lhs = pa @ psa
+        rhs = (oa.scale(RationalScalar(q)) - oai.scale(RationalScalar(qinv))).scale(denom.inverse())
+        checks.append((f"psi({a})psi*({a}) diagonal identity", lhs == rhs))
+        lhs = psa @ pa
+        rhs = (oa - oai).scale(-denom.inverse())
+        checks.append((f"psi*({a})psi({a}) diagonal identity", lhs == rhs))
+        for b in range(1, n + 1):
+            pb, psb = psi(n, b), psi_star(n, b)
+            checks.append((f"psi({a})psi({b}) anticommute",
+                           (pa @ pb + pb @ pa).is_zero))
+            checks.append((f"psi*({a})psi*({b}) anticommute",
+                           (psa @ psb + psb @ psa).is_zero))
+            if a != b:
+                checks.append((f"psi({a})psi*({b}) anticommute",
+                               (pa @ psb + psb @ pa).is_zero))
+            ob = omega(n, b, unit)
+            obi = omega(n, b, unit, power=-1)
+            scale = RationalScalar(LaurentScalar.qs(unit if a == b else 0))
+            checks.append((f"omega({b})psi({a}) gauge",
+                           (ob @ pa @ obi) == pa.scale(scale)))
+            checks.append((f"omega({b})psi*({a}) gauge",
+                           (ob @ psa @ obi) == psa.scale(scale.inverse())))
+    return checks
+
+
+# -- the generator family ------------------------------------------------------
+
+
+@dataclass
+class Representation:
+    """Generator matrices for one labeling on the wedge space or its square."""
+
+    type: AffineType
+    cd: CartanData
+    copies: int  # 1 or 2
+    dim: int
+    e: dict
+    f: dict
+    t: dict
+    tinv: dict
+    weights: list = field(repr=False)  # basis index (= crystal id) -> coroot pairings
+
+    def q_i(self, i: int) -> LaurentScalar:
+        return LaurentScalar.qs(self.cd.qi_exp[i])
+
+
+def _klein_target(t: AffineType) -> int | None:
+    """End node whose generators get the fermion-parity twist.
+
+    Two remote odd generators anticommute; composing one short end with the
+    parity operator restores the required commutation without touching any
+    relation local to a single end.  Only configurations with a short end
+    facing another non-fork end need it, and only on one side.
+    """
+    d0, dn = t.diamond
+    if d0 == SINGLE and dn in (SINGLE, DOUBLE):
+        return 0
+    if dn == SINGLE and d0 == DOUBLE:
+        return t.n
+    return None
+
+
+def _end_ops_single(t: AffineType, cd: CartanData):
+    """Raw end-node operators on the single space (no doubled ends here)."""
+    n = t.n
+    unit = cd.qi_exp[1]
+    ops = {}
+    q0 = LaurentScalar.qs(cd.qi_exp[0])
+    qn = LaurentScalar.qs(cd.qi_exp[n])
+    if t.end0 == SINGLE:
+        ops[0] = (psi(n, 1), psi_star(n, 1),
+                  omega(n, 1, unit).scale(RationalScalar(q0)),
+                  omega(n, 1, unit, power=-1).scale(RationalScalar(q0).inverse()))
+    elif t.end0 == FORK:
+        o = omega(n, 1, unit) @ omega(n, 2, unit)
+        oi = omega(n, 1, unit, power=-1) @ omega(n, 2, unit, power=-1)
+        ops[0] = (psi(n, 1) @ psi(n, 2), psi_star(n, 2) @ psi_star(n, 1),
+                  o.scale(RationalScalar(q0)), oi.scale(RationalScalar(q0).inverse()))
+    if t.end_n == SINGLE:
+        ops[n] = (psi_star(n, n), psi(n, n),
+                  omega(n, n, unit, power=-1).scale(RationalScalar(qn).inverse()),
+                  omega(n, n, unit).scale(RationalScalar(qn)))
+    elif t.end_n == FORK:
+        o = omega(n, n, unit, power=-1) @ omega(n, n - 1, unit, power=-1)
+        oi = omega(n, n, unit) @ omega(n, n - 1, unit)
+        ops[n] = (psi_star(n, n) @ psi_star(n, n - 1), psi(n, n - 1) @ psi(n, n),
+                  o.scale(RationalScalar(qn).inverse()), oi.scale(RationalScalar(qn)))
+    target = _klein_target(t)
+    if target in ops:
+        p = parity(n)
+        e, f, tt, ti = ops[target]
+        ops[target] = (e @ p, p @ f, tt, ti)
+    return ops
+
+
+def representation(t: AffineType) -> Representation:
+    """Generator matrices realizing the labeling on the appropriate space."""
+    cd = cartan_data(t)
+    n = t.n
+    unit = cd.qi_exp[1]
+    single = {}
+    for i in range(1, n):
+        e_i = psi(n, i + 1) @ psi_star(n, i)
+        # creation factor first; the anticommutation phase then makes the
+        # string identity with e_i exact
+        f_i = psi(n, i) @ psi_star(n, i + 1)
+        t_i = omega(n, i + 1, unit) @ omega(n, i, unit, power=-1)
+        ti_i = omega(n, i + 1, unit, power=-1) @ omega(n, i, unit)
+        single[i] = (e_i, f_i, t_i, ti_i)
+    single.update(_end_ops_single(t, cd))
+
+    if not t.doubled:
+        dim = 1 << n
+        e = {i: single[i][0] for i in range(n + 1)}
+        f = {i: single[i][1] for i in range(n + 1)}
+        tt = {i: single[i][2] for i in range(n + 1)}
+        tinv = {i: single[i][3] for i in range(n + 1)}
+    else:
+        dim = 1 << (2 * n)
+        half = 1 << n
+        ident = SparseOperator.identity(half)
+        e, f, tt, tinv = {}, {}, {}, {}
+        for i in range(n + 1):
+            if (i == 0 and t.end0 == DOUBLE) or (i == n and t.end_n == DOUBLE):
+                q_end = RationalScalar(LaurentScalar.qs(cd.qi_exp[i]))
+                if i == 0:
+                    e[i] = kron(psi(n, 1), psi(n, 1))
+                    f[i] = kron(psi_star(n, 1), psi_star(n, 1))
+                    o2 = omega(n, 1, unit, power=2)
+                    o2i = omega(n, 1, unit, power=-2)
+                    tt[i] = kron(o2, o2).scale(q_end)
+                    tinv[i] = kron(o2i, o2i).scale(q_end.inverse())
+                else:
+                    e[i] = kron(psi_star(n, n), psi_star(n, n))
+                    f[i] = kron(psi(n, n), psi(n, n))
+                    o2 = omega(n, n, unit, power=2)
+                    o2i = omega(n, n, unit, power=-2)
+                    tt[i] = kron(o2i, o2i).scale(q_end.inverse())
+                    tinv[i] = kron(o2, o2).scale(q_end)
+            else:
+                e1, f1, t1, ti1 = single[i]
+                e[i] = kron(e1, ti1) + kron(ident, e1)
+                f[i] = kron(f1, ident) + kron(t1, f1)
+                tt[i] = kron(t1, t1)
+                tinv[i] = kron(ti1, ti1)
+    weights = [crys.weight(t, x) for x in range(dim)]
+    return Representation(type=t, cd=cd, copies=2 if t.doubled else 1, dim=dim,
+                          e=e, f=f, t=tt, tinv=tinv, weights=weights)
+
+
+# -- relation and polarization suites -----------------------------------------
+
+
+@dataclass
+class Check:
+    name: str
+    ok: bool
+
+
+def _qpow(rep: Representation, i: int, k: int) -> RationalScalar:
+    return RationalScalar(LaurentScalar.qs(rep.cd.qi_exp[i] * k))
+
+
+def divided_power(rep: Representation, op: SparseOperator, k: int, i: int) -> SparseOperator:
+    fact = RationalScalar(qfactorial(k, rep.cd.qi_exp[i]))
+    return op.power(k).scale(fact.inverse())
+
+
+def verify_relations(rep: Representation):
+    """Every defining relation, checked as an exact matrix identity."""
+    n = rep.type.n
+    dim = rep.dim
+    ident = SparseOperator.identity(dim)
+    a = rep.cd.a
+    jobs = []
+
+    def add(name, thunk):
+        jobs.append((name, thunk))
+
+    for i in range(n + 1):
+        add(f"t({i}) t({i})^-1 = 1",
+            lambda i=i: (rep.t[i] @ rep.tinv[i]) == ident)
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            add(f"t({i}) t({j}) commute",
+                lambda i=i, j=j: (rep.t[i] @ rep.t[j]) == (rep.t[j] @ rep.t[i]))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            add(f"t({i}) e({j}) gauge",
+                lambda i=i, j=j: (rep.t[i] @ rep.e[j] @ rep.tinv[i])
+                == rep.e[j].scale(_qpow(rep, i, a[i][j])))
+            add(f"t({i}) f({j}) gauge",
+                lambda i=i, j=j: (rep.t[i] @ rep.f[j] @ rep.tinv[i])
+                == rep.f[j].scale(_qpow(rep, i, -a[i][j])))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j:
+                def thunk(i=i):
+                    lhs = rep.e[i] @ rep.f[i] - rep.f[i] @ rep.e[i]
+                    qi = LaurentScalar.qs(rep.cd.qi_exp[i])
+                    qii = LaurentScalar.qs(-rep.cd.qi_exp[i])
+                    rhs = (rep.t[i] - rep.tinv[i]).scale(
+                        RationalScalar(qi - qii).inverse())
+                    return lhs == rhs
+                add(f"[e({i}), f({i})] string identity", thunk)
+            else:
+                add(f"[e({i}), f({j})] = 0",
+                    lambda i=i, j=j: (rep.e[i] @ rep.f[j] - rep.f[j] @ rep.e[i]).is_zero)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if i == j:
+                continue
+            m = 1 - a[i][j]
+
+            def serre(x, i=i, j=j, m=m):
+                total = SparseOperator(dim)
+                parts = rep.e if x == "e" else rep.f
+                for kk in range(m + 1):
+                    term = divided_power(rep, parts[i], kk, i) @ parts[j] \
+                        @ divided_power(rep, parts[i], m - kk, i)
+                    total = total + (term if kk % 2 == 0 else -term)
+                return total.is_zero
+
+            add(f"serre e({i},{j})", lambda i=i, j=j, m=m: serre("e", i, j, m))
+            add(f"serre f({i},{j})", lambda i=i, j=j, m=m: serre("f", i, j, m))
+
+    return [Check(name, thunk()) for name, thunk in jobs]
+
+
+def verify_weight_compatibility(rep: Representation):
+    """Diagonal gauge eigenvalues match the crystal weights exactly."""
+    checks = []
+    for i in range(rep.type.n + 1):
+        expected = SparseOperator.diagonal(
+            rep.dim,
+            [RationalScalar(LaurentScalar.qs(rep.cd.qi_exp[i] * rep.weights[idx][i]))
+             for idx in range(rep.dim)])
+        checks.append(Check(f"t({i}) eigenvalues match weights", rep.t[i] == expected))
+    return checks
+
+
+def verify_polarization(rep: Representation):
+    """Transpose against the twisted antiautomorphism, entry by entry."""
+    checks = []
+    for i in range(rep.type.n + 1):
+        qinv = _qpow(rep, i, -1)
+        eta_e = (rep.tinv[i] @ rep.f[i]).scale(qinv)
+        eta_f = (rep.t[i] @ rep.e[i]).scale(qinv)
+        checks.append(Check(f"polarization e({i})", rep.e[i].transpose() == eta_e))
+        checks.append(Check(f"polarization f({i})", rep.f[i].transpose() == eta_f))
+        checks.append(Check(f"polarization t({i})", rep.t[i].transpose() == rep.t[i]))
+    return checks
+

@@ -107,15 +107,6 @@ def test_small_rank_collisions():
     assert d2.marks == (1, 0, 1)  # decomposes; still corank one
 
 
-def test_null_root_shift_orders():
-    cd = cartan_data(AffineType(A2EVEN, 3))
-    assert cd.d_i[3] == 1  # tabulated exception at the top node
-    cd = cartan_data(AffineType(A2ODD, 3))
-    assert cd.d_i[1] == 1 and cd.d_i[3] == 2
-    cd = cartan_data(AffineType(C1, 3))
-    assert cd.d_i[3] == 1
-
-
 def test_fundamental_weights():
     t = AffineType(C1, 3)
     assert fundamental_weight_cl(t, 0) == (0, 0, 0, 0)

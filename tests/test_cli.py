@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from wedge_crystal import crystal
 from wedge_crystal.cli import graph_document, main, render_json
 
 
@@ -175,3 +178,77 @@ def test_fock_verify_crystal_match(capsys):
     code, out, _ = run(capsys, "fock", "verify", "--type", "B1", "--n", "2",
                        "--crystal-match")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "spin", "--type", "E8", "--n", "3"),
+    ("verify", "--suite", "spin", "--type", "B1", "--n", "1"),
+    ("verify", "--suite", "spin", "--diamond", "2,3", "--n", "3"),
+    ("verify", "--suite", "spin", "--diamond", "11,11", "--n", "3",
+     "--type", "D1"),
+    ("verify", "--suite", "spin", "--n", "3"),
+    ("verify", "--suite", "lem44", "--type", "A2odd", "--n", "3", "--k", "7"),
+    ("verify", "--suite", "prop41", "--type", "B1", "--n", "3"),
+    ("graph", "--type", "C1", "--n", "3", "--k", "2", "--l", "1", "--quotient"),
+    ("graph", "--type", "A2even", "--n", "3", "--k", "2", "--l", "2"),
+    ("graph", "--type", "B1", "--n", "3", "--k", "1"),
+    ("fock", "verify", "--type", "C1", "--n", "2", "--deltaword"),
+    ("fock", "verify", "--type", "C1", "--n", "0", "--relations"),
+])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")
+
+
+def test_internal_fault_exits_3(capsys, monkeypatch):
+    from wedge_crystal import fock
+
+    def broken(rep, indices=None):
+        raise ArithmeticError("singular change of basis")
+
+    monkeypatch.setattr(fock, "crystal_match", broken)
+    code, out, err = run(capsys, "fock", "verify", "--type", "B1", "--n", "2",
+                         "--crystal-match")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"internal_error": "ArithmeticError",
+                                    "message": "singular change of basis"}
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    from wedge_crystal import laurent
+
+    # the valuation of zero is an internal fault, not bad input
+    monkeypatch.setattr(crystal, "component",
+                        lambda t, x: laurent.LaurentScalar.zero().min_exp())
+    code, _, err = run(capsys, "graph", "--type", "C1", "--n", "2", "--k", "1",
+                       "--l", "0")
+    assert code == 3
+    assert json.loads(err)["internal_error"] == "ValueError"
+
+
+def test_fock_failure_prints_witness(capsys, monkeypatch):
+    from wedge_crystal import fock
+
+    build = fock.representation
+
+    def mutated(t):
+        rep = build(t)
+        rc = min(rep.f[1].entries)
+        rep.f[1].entries[rc] = {e: -v for e, v in rep.f[1].entries[rc].items()}
+        return rep
+
+    code, out, _ = run(capsys, "fock", "verify", "--type", "C1", "--n", "2",
+                       "--polarization")
+    assert code == 0 and "witness" not in out
+    monkeypatch.setattr(fock, "representation", mutated)
+    code, out, _ = run(capsys, "fock", "verify", "--type", "C1", "--n", "2",
+                       "--polarization")
+    assert code == 1
+    lines = out.splitlines()
+    at = lines.index("[FAIL] polarization e(1)")
+    assert lines[at + 1].startswith("  witness: entry (")
+    assert all(lines[k - 1].startswith("[FAIL]")
+               for k, line in enumerate(lines) if line.startswith("  witness:"))

@@ -1,5 +1,6 @@
 import pytest
 
+import fock_oracle as oracle
 from wedge_crystal.cartan import ALL_LABELS, from_label, \
     fundamental_weight_cl
 from wedge_crystal import crystal, fock, theorems
@@ -10,9 +11,9 @@ from wedge_crystal.fock import (SparseOperator, clifford_relation_checks,
                                 psi_star, representation, verify_null_shift,
                                 verify_polarization, verify_relations,
                                 verify_weight_compatibility)
-from wedge_crystal.laurent import LaurentScalar, RationalScalar
+from wedge_crystal.laurent import RationalScalar, rational
 
-ONE = RationalScalar.one()
+ONE = {0: 1}  # the unit of Z[qs^±1]
 
 
 def _vac(dim):
@@ -25,7 +26,7 @@ def test_vacuum_conditions():
         assert not psi_star(n, a).apply(_vac(8))
     for a in range(1, n + 1):
         w = omega(n, a, 1).apply(_vac(8))
-        assert w == {0: RationalScalar(LaurentScalar.qs(-1))}
+        assert w == {0: {-1: 1}}
 
 
 def test_creation_squares_to_zero():
@@ -44,14 +45,14 @@ def test_transit_identity_on_vacuum():
 @pytest.mark.parametrize("unit", (1, 2))
 def test_clifford_relations(unit):
     checks = clifford_relation_checks(2, unit)
-    assert all(ok for _, ok in checks), [name for name, ok in checks if not ok]
+    assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 def test_phases_anticommute():
     n = 3
     p = parity(n)
     for a in range(1, n + 1):
-        assert (p @ psi(n, a)) == (psi(n, a) @ p).scale(-ONE)
+        assert (p @ psi(n, a)) == (psi(n, a) @ p).scale({0: -1})
 
 
 def test_kron_index_convention():
@@ -99,7 +100,9 @@ def test_weight_compatibility(label):
 def test_kashiwara_string_calculus():
     rep = representation(from_label("C1", 2))
     for i in range(3):
-        et, ft = kashiwara_operators(rep, i)
+        # the modified operators have Q(qs) entries; multiply them as such
+        et, ft = (oracle.SparseOperator(rep.dim, op.entries)
+                  for op in kashiwara_operators(rep, i))
         # the two modified operators are mutually inverse along strings
         assert (et @ ft @ et) == et
         assert (ft @ et @ ft) == ft
@@ -139,7 +142,7 @@ def test_normalized_highest_vector():
     vec, ok, dim = normalized_highest_vector(rep, 1, 1)
     assert ok
     target = crystal.v_kl(t, 1, 1)
-    assert vec[target] == ONE
+    assert vec[target] == RationalScalar.one()
     other = crystal.v_kl(t, 1, 0)
     assert other not in vec or vec[other].eval_at_zero() == 0
 
@@ -156,3 +159,68 @@ def test_empty_weight_space():
     rep = representation(t)
     kernel, idxs = highest_vectors(rep, (5, 5, 5))
     assert kernel == [] and idxs == []
+
+
+# -- the integer formulation against the rational oracle ------------------------
+
+SUITES = ("verify_relations", "verify_weight_compatibility", "verify_polarization")
+
+
+def _verdicts(module, rep):
+    return [(c.name, c.ok) for name in SUITES for c in getattr(module, name)(rep)]
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_integer_formulation_matches_oracle(label, n):
+    t = from_label(label, n)
+    rep, ref = representation(t), oracle.representation(t)
+    for name in ("e", "f", "t", "tinv"):
+        for i in range(n + 1):
+            ours = {rc: rational(v) for rc, v in getattr(rep, name)[i].entries.items()}
+            assert ours == getattr(ref, name)[i].entries, (name, i)
+    verdicts = _verdicts(fock, rep)
+    assert verdicts == _verdicts(oracle, ref)
+    assert all(ok for _, ok in verdicts)
+
+
+@pytest.mark.parametrize("unit", (1, 2))
+@pytest.mark.parametrize("n", (2, 3))
+def test_clifford_checks_match_oracle(n, unit):
+    ours = [(c.name, c.ok) for c in clifford_relation_checks(n, unit)]
+    assert ours == oracle.clifford_relation_checks(n, unit)
+
+
+def _flip_first(op):
+    rc = min(op.entries)
+    op.entries[rc] = {e: -v for e, v in op.entries[rc].items()}
+    return rc
+
+
+@pytest.mark.parametrize("label", ("C1", "A2odd", "B1"))
+def test_sign_mutation_fails_the_same_checks(label):
+    t = from_label(label, 3)
+    rep, ref = representation(t), oracle.representation(t)
+    r, c = _flip_first(rep.f[1])
+    ref.f[1].entries[(r, c)] = -ref.f[1].entries[(r, c)]
+    ours, theirs = _verdicts(fock, rep), _verdicts(oracle, ref)
+    assert ours == theirs
+    failed = [name for name, ok in ours if not ok]
+    assert "polarization f(1)" in failed and "polarization e(1)" in failed
+    # the witnesses name the flipped entry and its transposed position
+    witness = {ch.name: ch.witness for ch in verify_polarization(rep)}
+    assert witness["polarization e(1)"].startswith(f"entry {(r, c)}: ")
+    assert witness["polarization f(1)"].startswith(f"entry {(c, r)}: ")
+    assert all(ch.witness is None for ch in verify_polarization(representation(t))
+               if ch.ok)
+
+
+def test_witness_shows_both_entries():
+    a = SparseOperator(4, {(1, 2): {1: 1}, (3, 0): {0: 2}})
+    b = SparseOperator(4, {(1, 2): {-1: -1}, (3, 0): {0: 2}})
+    check = fock._compare("demo", a, b)
+    assert not check.ok
+    assert check.witness == "entry (1, 2): lhs qs, rhs -qs^-1"
+    check = fock._compare("demo", a, SparseOperator(4, {(1, 2): {1: 1}}))
+    assert check.witness == "entry (3, 0): lhs 2, rhs 0"
+    assert fock._compare("demo", a, a) == fock.Check("demo", True)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wedge_crystal.laurent import (LaurentScalar, NotRegular, RationalScalar,
-                                   qfactorial, qint)
+                                   padd, pmul, qbinomial, qfactorial, qint,
+                                   rational)
 
 
 def L(d):
@@ -14,6 +15,8 @@ def L(d):
 coeffs = st.integers(-6, 6)
 exponents = st.integers(-5, 5)
 laurents = st.dictionaries(exponents, coeffs, max_size=4).map(LaurentScalar)
+# integer Laurent polynomials: no zero coefficients
+polys = st.dictionaries(exponents, coeffs.filter(bool), max_size=4)
 
 
 def test_basic_identities():
@@ -108,3 +111,32 @@ def test_qfactorial():
 def test_rendering():
     s = L({-2: 3, 3: Fraction(1, 2)})
     assert str(s) == "3*qs^-2 + 1/2*qs^3"
+
+
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_integer_helpers_match_laurent_arithmetic(a, b):
+    la, lb = LaurentScalar(a), LaurentScalar(b)
+    for got, want in ((padd(a, b), la + lb), (pmul(a, b), la * lb)):
+        assert all(got.values())  # canonical: no zero coefficients
+        assert LaurentScalar(got) == want
+    assert rational(a) == RationalScalar(la)
+    assert pmul(a, {}) == pmul({}, a) == {}
+
+
+def test_helpers_leave_arguments_alone():
+    a, b = {1: 2}, {-1: 3, 0: 1}
+    for fn in (padd, pmul):
+        fn(a, b)
+        fn(b, a)
+    assert a == {1: 2} and b == {-1: 3, 0: 1}
+
+
+@pytest.mark.parametrize("unit", (1, 2))
+def test_qbinomial_is_a_quotient_of_factorials(unit):
+    for m in range(6):
+        for k in range(m + 1):
+            ratio = RationalScalar(qfactorial(m, unit)) / (
+                RationalScalar(qfactorial(k, unit) * qfactorial(m - k, unit)))
+            assert rational(qbinomial(m, k, unit)) == ratio, (m, k)
+    assert qbinomial(3, 4, unit) == {} and qbinomial(3, -1, unit) == {}
