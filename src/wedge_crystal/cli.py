@@ -195,12 +195,14 @@ def cmd_verify(args) -> int:
             names = ["spin"]
     else:
         names = [args.suite]
-    results = []
     for name in names:
         try:
-            results.extend(_run_suite(name, t, args.k))
+            theorems.suite_ks(name, t, args.k)
         except ValueError as exc:
             raise UsageError(str(exc))
+    results = []
+    for name in names:
+        results.extend(_run_suite(name, t, args.k))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -17,7 +17,9 @@ hold integer Laurent polynomials (``laurent`` dicts, Z[qs^±1]) and the
 relation checks, stated with their denominators cleared, never leave that
 ring.  Only the extraction of modified root operators and highest vectors
 works in Q(qs): it converts a generator's entries with ``laurent.rational``
-where they enter a linear system or multiply a rational vector.
+where they enter a linear system or multiply a rational vector.  Every
+linear system there is solved by one sparse row reduction over Q(qs)
+(``_rref``), fed with the nonzero entries only.
 """
 
 from __future__ import annotations
@@ -85,12 +87,6 @@ class SparseOperator:
                 p = pmul(v1, v2)
                 out[r1, c2] = padd(out[r1, c2], p) if (r1, c2) in out else p
         return SparseOperator(self.dim, out)
-
-    def power(self, k: int) -> "SparseOperator":
-        out = SparseOperator.identity(self.dim)
-        for _ in range(k):
-            out = out @ self
-        return out
 
     def transpose(self) -> "SparseOperator":
         return SparseOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
@@ -433,63 +429,66 @@ def verify_polarization(rep: Representation):
     return checks
 
 
-# -- dense exact linear algebra (small blocks) ---------------------------------
+# -- exact sparse row reduction ------------------------------------------------
 
 
-def _nullspace(rows, ncols):
-    """Basis of the right kernel of the dense matrix (list of row lists)."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if not mat[r][c].is_zero:
-                pivot = r
-                break
-        if pivot is None:
+def _rref(rows) -> dict:
+    """Reduced row echelon form of sparse rows {column: RationalScalar}.
+
+    Columns are ordered integers.  Returns {pivot column: row}: each row has
+    a unit entry at its pivot, no entry left of it, and no entry at any
+    other pivot column.  That form is unique, so it does not depend on the
+    order of the rows.
+    """
+    red = {}
+    for row in rows:
+        for p, prow in red.items():
+            if p in row:
+                row = _sub_multiple(row, row[p], prow)
+        if not row:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][c].inverse()
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][c].is_zero:
-                factor = mat[r][c]
-                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [_ZERO] * ncols
-        vec[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
+        p = min(row)
+        inv = row[p].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        for q, qrow in red.items():
+            if p in qrow:
+                red[q] = _sub_multiple(qrow, qrow[p], row)
+        red[p] = row
+    return red
 
 
-def _solve_multi(a_rows, b_rows):
-    """Solve A X = B for square A; A and B given as row lists."""
-    size = len(a_rows)
-    width = len(b_rows[0]) if b_rows else 0
-    aug = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
-    for c in range(size):
-        pivot = None
-        for r in range(c, size):
-            if not aug[r][c].is_zero:
-                pivot = r
-                break
-        if pivot is None:
-            raise ArithmeticError("singular change of basis")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(size):
-            if r != c and not aug[r][c].is_zero:
-                factor = aug[r][c]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[c])]
-    return [row[size:size + width] for row in aug]
+def _sub_multiple(row: dict, factor: RationalScalar, prow: dict) -> dict:
+    """row - factor * prow, with zero entries dropped."""
+    out = dict(row)
+    for c, v in prow.items():
+        s = out.get(c)
+        s = -(factor * v) if s is None else s - factor * v
+        if s.is_zero:
+            del out[c]
+        else:
+            out[c] = s
+    return out
+
+
+def _kernel(rows, cols) -> list:
+    """Basis of the right kernel over the ordered columns ``cols``, one
+    vector per free column."""
+    red = _rref(rows)
+    return [{c: _ONE if c == free else -red[c][free] for c in cols
+             if c == free or free in red.get(c, ())}
+            for free in cols if free not in red]
+
+
+def _solve(rows, cols) -> dict:
+    """Reduce [A | B] where the columns ``cols`` of A form a square block.
+
+    The reduced row at each column c of ``cols`` then holds row c of A^-1 B
+    in the columns of B.
+    """
+    red = _rref(rows)
+    if any(c not in red for c in cols):
+        raise ArithmeticError("singular change of basis")
+    return red
 
 
 # -- modified root operators from the module -----------------------------------
@@ -512,15 +511,11 @@ def kashiwara_operators(rep: Representation, i: int):
     for m, cols in sorted(buckets.items(), reverse=True):
         if m < 0:
             continue
-        target = buckets.get(m + 2, [])
-        pos_of = {idx: p for p, idx in enumerate(target)}
-        rows = [[_ZERO] * len(cols) for _ in target]
-        for ci, cidx in enumerate(cols):
-            for r, v in by_col.get(cidx, ()):
-                rows[pos_of[r]][ci] = v
-        kernel = _nullspace(rows, len(cols))
-        for coeffs in kernel:
-            u = {cidx: v for cidx, v in zip(cols, coeffs) if not v.is_zero}
+        rows = {}
+        for c in cols:
+            for r, v in by_col.get(c, ()):
+                rows.setdefault(r, {})[c] = v
+        for u in _kernel(rows.values(), cols):
             chain = [u]
             w = u
             for _ in range(m):
@@ -538,38 +533,33 @@ def kashiwara_operators(rep: Representation, i: int):
     if total != dim:
         raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
 
-    # change of basis per weight value
+    # change of basis per weight value: one row per string vector, holding
+    # it over the basis ids, its image under the modified raising operator
+    # at dim + id and its image under the lowering one at 2 dim + id.  With
+    # S, E, F those vectors as columns, the reduced form is
+    # [I | (E S^-1)^T | (F S^-1)^T]: row c holds column c of both operators.
     by_weight = {}
-    for sidx, (m, vecs) in enumerate(strings):
+    for m, vecs in strings:
         for r, vec in enumerate(vecs):
-            by_weight.setdefault(m - 2 * r, []).append((sidx, r, vec))
+            row = dict(vec)
+            if r >= 1:
+                row.update((dim + k, v) for k, v in vecs[r - 1].items())
+            if r < m:
+                row.update((2 * dim + k, v) for k, v in vecs[r + 1].items())
+            by_weight.setdefault(m - 2 * r, []).append(row)
     et = SparseOperator(dim)
     ft = SparseOperator(dim)
-    for lam, cols in by_weight.items():
+    for lam, rows in by_weight.items():
         idxs = buckets[lam]
-        if len(cols) != len(idxs):
+        if len(rows) != len(idxs):
             raise ArithmeticError("weight space dimension mismatch")
-        a_rows = [[col[2].get(idx, _ZERO) for col in cols] for idx in idxs]
-        e_imgs = []
-        f_imgs = []
-        for sidx, r, _vec in cols:
-            m, vecs = strings[sidx]
-            e_imgs.append(vecs[r - 1] if r >= 1 else {})
-            f_imgs.append(vecs[r + 1] if r + 1 <= m else {})
-        for imgs, op, shift in ((e_imgs, et, 2), (f_imgs, ft, -2)):
-            rows_out = buckets.get(lam + shift, [])
-            if not rows_out or all(not img for img in imgs):
-                continue
-            b_rows = [[img.get(ridx, _ZERO) for img in imgs] for ridx in rows_out]
-            # solve X * A = B  <=>  A^T X^T = B^T
-            at = [[a_rows[r][c] for r in range(len(idxs))] for c in range(len(cols))]
-            bt = [[b_rows[r][c] for r in range(len(rows_out))] for c in range(len(cols))]
-            xt = _solve_multi(at, bt)
-            for ci, cidx in enumerate(idxs):
-                for ri, ridx in enumerate(rows_out):
-                    v = xt[ci][ri]
-                    if not v.is_zero:
-                        op.entries[(ridx, cidx)] = v
+        red = _solve(rows, idxs)
+        for c in idxs:
+            for k, v in red[c].items():
+                if k >= 2 * dim:
+                    ft.entries[(k - 2 * dim, c)] = v
+                elif k >= dim:
+                    et.entries[(k - dim, c)] = v
     return et, ft
 
 
@@ -615,19 +605,13 @@ def crystal_match(rep: Representation, indices=None):
 def highest_vectors(rep: Representation, weight_vec):
     """Exact basis of the joint kernel of the classical raising operators."""
     idxs = [idx for idx in range(rep.dim) if rep.weights[idx] == tuple(weight_vec)]
-    if not idxs:
-        return [], idxs
-    rows_idx = sorted({r for i in range(1, rep.type.n + 1)
-                       for (r, c) in rep.e[i].entries if c in set(idxs)})
-    rows = []
+    cols = set(idxs)
+    rows = {}
     for i in range(1, rep.type.n + 1):
-        e_i = rep.e[i].entries
-        for ridx in rows_idx:
-            rows.append([rational(e_i[(ridx, c)]) if (ridx, c) in e_i else _ZERO
-                         for c in idxs])
-    kernel = _nullspace(rows, len(idxs))
-    return [{idx: v for idx, v in zip(idxs, vec) if not v.is_zero}
-            for vec in kernel], idxs
+        for (r, c), v in rep.e[i].entries.items():
+            if c in cols:
+                rows.setdefault((i, r), {})[c] = rational(v)
+    return _kernel(rows.values(), idxs), idxs
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
@@ -654,22 +638,15 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     if len(kernel) != len(ids):
         raise ArithmeticError(
             f"kernel dimension {len(kernel)} differs from crystal count {len(ids)}")
-    order = [target] + [i for i in ids if i != target]
-    a_rows = [[vec.get(idx, _ZERO) for vec in kernel] for idx in order]
-    unit_col = [[_ONE if r == 0 else _ZERO] for r in range(len(order))]
-    coeffs = _solve_multi(a_rows, unit_col)
-    out = {}
-    for lam, vec in zip((c[0] for c in coeffs), kernel):
-        if lam.is_zero:
-            continue
-        for idx, v in vec.items():
-            s = out.get(idx)
-            p = lam * v
-            s = p if s is None else s + p
-            if s.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = s
+    # solve for the coefficients lam_j of the kernel vectors: sum_j lam_j
+    # v_j is 1 at the target and 0 at the other highest states
+    unit = len(kernel)
+    rows = [{j: vec[idx] for j, vec in enumerate(kernel) if idx in vec}
+            for idx in ids]
+    rows[ids.index(target)][unit] = _ONE
+    red = _solve(rows, range(unit))
+    coeffs = {j: red[j][unit] for j in range(unit) if unit in red[j]}
+    out = _apply_columns({j: list(vec.items()) for j, vec in enumerate(kernel)}, coeffs)
     ok = all(v.is_regular for v in out.values())
     if ok:
         for idx, v in out.items():
@@ -691,9 +668,11 @@ def apply_extremal_word(rep: Representation, vec: dict, elem, word):
     t = rep.type
     for i in word:
         m = crys.weight(t, elem)[i]
-        op = (rep.f[i] if m >= 0 else rep.e[i]).power(abs(m))
+        by_col = _rational_columns(rep.f[i] if m >= 0 else rep.e[i])
+        for _ in range(abs(m)):
+            vec = _apply_columns(by_col, vec)
         inv = RationalScalar(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()
-        vec = {idx: v * inv for idx, v in _apply_columns(_rational_columns(op), vec).items()}
+        vec = {idx: v * inv for idx, v in vec.items()}
         elem = crys.weyl_reflection(t, i, elem)
     return vec, elem
 

@@ -174,11 +174,47 @@ def decomposition_report(t: AffineType) -> DecompositionReport:
     return DecompositionReport(type=t, rows=rows, total=total)
 
 
+# the types a suite can need: a predicate and its description
+_MATRIX = (lambda t: t.doubled, "a matrix-crystal type")
+_COLUMN = (lambda t: not t.doubled, "a single-column type")
+_FORK = (lambda t: t.diamond == (FORK, DOUBLE), "the fork-plus-double type")
+
+# suite -> (its title, the type it needs, how far the top of its k range
+# lies below n, or None when it takes no k)
+_DOMAINS = {
+    "prop41": ("component partition", _MATRIX, None),
+    "thm42": ("branching", _MATRIX, None),
+    "lem44": ("sigma-range", _FORK, 1),
+    "prop46": ("involution", _FORK, 1),
+    "thm58": ("characterization", _MATRIX, 0),
+    "cor57": ("multiplicity", _MATRIX, None),
+    "spin": ("spin", _COLUMN, None),
+    "deltaword": ("delta-shift", _FORK, 1),
+}
+
+
+def suite_ks(name: str, t: AffineType, k: int | None = None) -> list:
+    """The k values the named suite runs over on ``t`` (all of its range
+    when ``k`` is None).
+
+    Raises ValueError, before anything is enumerated, when the suite does
+    not apply to the type or ``k`` lies outside its range.
+    """
+    title, (applies, kind), gap = _DOMAINS[name]
+    if not applies(t):
+        raise ValueError(f"{title} suite needs {kind}")
+    if gap is None:
+        return []
+    top = t.n - gap
+    if k is not None and not 1 <= k <= top:
+        raise ValueError(f"k must lie in 1..{top}, got {k}")
+    return list(range(1, top + 1)) if k is None else [k]
+
+
 def verify_component_partition(t: AffineType) -> SuiteResult:
     """The ground set splits into exactly the indexed components."""
     res = SuiteResult(name="prop41", passed=True)
-    if not t.doubled:
-        raise ValueError("component partition suite needs a matrix-crystal type")
+    suite_ks("prop41", t)
     uf, _ = partition_ids(t)
     pairs = h_diamond(t)
     reps = {pair: crystal.v_kl(t, *pair) for pair in pairs}
@@ -202,8 +238,7 @@ def verify_component_partition(t: AffineType) -> SuiteResult:
 def verify_classical_branching(t: AffineType) -> SuiteResult:
     """Within each component, the classically-highest weights are as listed."""
     res = SuiteResult(name="thm42", passed=True)
-    if not t.doubled:
-        raise ValueError("branching suite needs a matrix-crystal type")
+    suite_ks("thm42", t)
     uf, _ = partition_ids(t)
     classes = uf.classes()
     rs = crystal.rules(t)
@@ -242,20 +277,10 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
     return res
 
 
-def _middle_ks(t: AffineType, k: int | None):
-    ks = range(1, t.n) if k is None else [k]
-    for kk in ks:
-        if not 1 <= kk <= t.n - 1:
-            raise ValueError(f"k must lie in 1..{t.n - 1}, got {kk}")
-    return list(ks)
-
-
 def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
     """String positions across a shared component stay in the two allowed lanes."""
     res = SuiteResult(name="lem44", passed=True)
-    if t.diamond != (FORK, DOUBLE):
-        raise ValueError("sigma-range suite needs the fork-plus-double type")
-    for kk in _middle_ks(t, k):
+    for kk in suite_ks("lem44", t, k):
         g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
         allowed = set()
         for i in range(kk // 2 + 1):
@@ -276,10 +301,9 @@ def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
 def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResult:
     """The order-two symmetry commutes with every operator on its domain."""
     res = SuiteResult(name="prop46", passed=True)
-    if t.diamond != (FORK, DOUBLE):
-        raise ValueError("involution suite needs the fork-plus-double type")
+    ks = suite_ks("prop46", t, k)
     rs = tuple(enumerate(crystal.rules(t)))
-    for kk in _middle_ks(t, k):
+    for kk in ks:
         g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
         members = set(g.vertices)
         for x in g.vertices:
@@ -309,15 +333,11 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
 def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteResult:
     """Components coincide with their string-position level sets."""
     res = SuiteResult(name="thm58", passed=True)
-    if not t.doubled:
-        raise ValueError("characterization suite needs a matrix-crystal type")
+    ks = suite_ks("thm58", t, k)
     n = t.n
-    ks = range(1, n + 1) if k is None else [k]
     sig = {x: bicrystal.sigma(n, x) for x in crystal.all_elements(t)}
     d = t.diamond
     for kk in ks:
-        if not 1 <= kk <= n:
-            raise ValueError(f"k must lie in 1..{n}, got {kk}")
         if d == (DOUBLE, DOUBLE):
             comp = set(crystal.component(t, crystal.v_kl(t, kk, 0)).vertices)
             level = {i for i, s in sig.items() if s == (n - kk, 0)}
@@ -386,8 +406,7 @@ def isomorphic_components(g1, g2, root1: int, root2: int) -> bool:
 def verify_multiplicities(t: AffineType) -> SuiteResult:
     """Count how often each irreducible crystal shows up in the ground set."""
     res = SuiteResult(name="cor57", passed=True)
-    if not t.doubled:
-        raise ValueError("multiplicity suite needs a matrix-crystal type")
+    suite_ks("cor57", t)
     n = t.n
     d = t.diamond
     pairs = h_diamond(t)
@@ -445,8 +464,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
 def verify_spin_decomposition(t: AffineType) -> SuiteResult:
     """Single-column ground set: component count and weight multiplicities."""
     res = SuiteResult(name="spin", passed=True)
-    if t.doubled:
-        raise ValueError("spin suite needs a single-column type")
+    suite_ks("spin", t)
     n = t.n
     uf, _ = partition_ids(t)
     expected = 2 if t.diamond == (FORK, FORK) else 1
@@ -478,9 +496,7 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
 def verify_delta_shift(t: AffineType, k: int | None = None) -> SuiteResult:
     """The explicit reflection word swaps the two shared representatives."""
     res = SuiteResult(name="deltaword", passed=True)
-    if t.diamond != (FORK, DOUBLE):
-        raise ValueError("delta-shift suite needs the fork-plus-double type")
-    for kk in _middle_ks(t, k):
+    for kk in suite_ks("deltaword", t, k):
         word = crystal.delta_word(t, kk)
         va = crystal.v_kl(t, kk, t.n - kk)
         vb = crystal.v_kl(t, kk, t.n - kk - 1)

@@ -5,6 +5,10 @@ its generators and relation checks moved to integer Laurent entries: every
 entry is a canonical ``RationalScalar``, the string identity divides by
 q_i - q_i^-1 and the Serre relations use divided powers.  The tests compare
 the integer formulation against it, entry for entry and verdict for verdict.
+
+It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
+before its sparse row reduction; the tests compare the two on random
+matrices.
 """
 
 from __future__ import annotations
@@ -469,3 +473,61 @@ def verify_polarization(rep: Representation):
         checks.append(Check(f"polarization t({i})", rep.t[i].transpose() == rep.t[i]))
     return checks
 
+
+# -- dense exact linear algebra (small blocks) ---------------------------------
+
+
+def _nullspace(rows, ncols):
+    """Basis of the right kernel of the dense matrix (list of row lists)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for c in range(ncols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if not mat[r][c].is_zero:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = mat[rank][c].inverse()
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and not mat[r][c].is_zero:
+                factor = mat[r][c]
+                mat[r] = [v - factor * w for v, w in zip(mat[r], mat[rank])]
+        pivots.append(c)
+        rank += 1
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [_ZERO] * ncols
+        vec[fc] = _ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _solve_multi(a_rows, b_rows):
+    """Solve A X = B for square A; A and B given as row lists."""
+    size = len(a_rows)
+    width = len(b_rows[0]) if b_rows else 0
+    aug = [list(ar) + list(br) for ar, br in zip(a_rows, b_rows)]
+    for c in range(size):
+        pivot = None
+        for r in range(c, size):
+            if not aug[r][c].is_zero:
+                pivot = r
+                break
+        if pivot is None:
+            raise ArithmeticError("singular change of basis")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = aug[c][c].inverse()
+        aug[c] = [v * inv for v in aug[c]]
+        for r in range(size):
+            if r != c and not aug[r][c].is_zero:
+                factor = aug[r][c]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[c])]
+    return [row[size:size + width] for row in aug]

@@ -229,6 +229,22 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert json.loads(err)["internal_error"] == "ValueError"
 
 
+def test_internal_value_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatch):
+    from wedge_crystal import laurent, theorems
+
+    # suite input is validated before any suite runs, so a ValueError
+    # raised inside one is an internal fault
+    monkeypatch.setattr(theorems, "verify_spin_decomposition",
+                        lambda t: laurent.LaurentScalar.zero().min_exp())
+    code, out, err = run(capsys, "verify", "--suite", "spin", "--type", "B1",
+                         "--n", "2")
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"internal_error": "ValueError",
+                                    "message": "zero polynomial has no valuation"}
+
+
 def test_fock_failure_prints_witness(capsys, monkeypatch):
     from wedge_crystal import fock
 
