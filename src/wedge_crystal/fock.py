@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from . import crystal as crys
 from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
-from .laurent import LaurentScalar, RationalScalar, padd, pmul, qbinomial, \
+from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
 
 _ZERO = RationalScalar.zero()
@@ -188,8 +188,8 @@ def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> Check:
     if a == b:
         return Check(name, True)
     rc = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return Check(name, False, f"entry {rc}: lhs {LaurentScalar(a.get(rc))}, "
-                              f"rhs {LaurentScalar(b.get(rc))}")
+    return Check(name, False, f"entry {rc}: lhs {format_poly(a.get(rc, {}))}, "
+                              f"rhs {format_poly(b.get(rc, {}))}")
 
 
 def clifford_relation_checks(n: int, unit: int):
@@ -246,6 +246,8 @@ class Representation:
     t: dict
     tinv: dict
     weights: list = field(repr=False)  # basis index (= crystal id) -> coroot pairings
+    # weight -> highest_vectors(rep, weight), filled on first use
+    highest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _klein_target(t: AffineType) -> int | None:
@@ -474,9 +476,15 @@ def _kernel(rows, cols) -> list:
     """Basis of the right kernel over the ordered columns ``cols``, one
     vector per free column."""
     red = _rref(rows)
-    return [{c: _ONE if c == free else -red[c][free] for c in cols
-             if c == free or free in red.get(c, ())}
-            for free in cols if free not in red]
+    vecs = {free: {} for free in cols if free not in red}
+    for c in cols:
+        if c in vecs:
+            vecs[c][c] = _ONE
+        else:
+            for free, v in red[c].items():
+                if free in vecs:
+                    vecs[free][c] = -v
+    return list(vecs.values())
 
 
 def _solve(rows, cols) -> dict:
@@ -525,7 +533,7 @@ def kashiwara_operators(rep: Representation, i: int):
                 raise ArithmeticError(f"string through weight {m} does not close")
             vecs = []
             for r, w in enumerate(chain):
-                fact = RationalScalar(qfactorial(r, unit)).inverse()
+                fact = rational(qfactorial(r, unit)).inverse()
                 vecs.append({k: v * fact for k, v in w.items()})
             strings.append((m, vecs))
 
@@ -603,15 +611,23 @@ def crystal_match(rep: Representation, indices=None):
 
 
 def highest_vectors(rep: Representation, weight_vec):
-    """Exact basis of the joint kernel of the classical raising operators."""
-    idxs = [idx for idx in range(rep.dim) if rep.weights[idx] == tuple(weight_vec)]
+    """Exact basis of the joint kernel of the classical raising operators.
+
+    Computed once per weight and kept on ``rep``; callers must not mutate
+    the returned vectors.
+    """
+    weight_vec = tuple(weight_vec)
+    if weight_vec in rep.highest:
+        return rep.highest[weight_vec]
+    idxs = [idx for idx in range(rep.dim) if rep.weights[idx] == weight_vec]
     cols = set(idxs)
     rows = {}
     for i in range(1, rep.type.n + 1):
         for (r, c), v in rep.e[i].entries.items():
             if c in cols:
                 rows.setdefault((i, r), {})[c] = rational(v)
-    return _kernel(rows.values(), idxs), idxs
+    out = rep.highest[weight_vec] = _kernel(rows.values(), idxs), idxs
+    return out
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
@@ -671,7 +687,7 @@ def apply_extremal_word(rep: Representation, vec: dict, elem, word):
         by_col = _rational_columns(rep.f[i] if m >= 0 else rep.e[i])
         for _ in range(abs(m)):
             vec = _apply_columns(by_col, vec)
-        inv = RationalScalar(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()
+        inv = rational(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()
         vec = {idx: v * inv for idx, v in vec.items()}
         elem = crys.weyl_reflection(t, i, elem)
     return vec, elem

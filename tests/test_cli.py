@@ -218,11 +218,9 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
-    from wedge_crystal import laurent
-
-    # the valuation of zero is an internal fault, not bad input
-    monkeypatch.setattr(crystal, "component",
-                        lambda t, x: laurent.LaurentScalar.zero().min_exp())
+    # a delta word asked of a type that has none is an internal fault, not
+    # bad input
+    monkeypatch.setattr(crystal, "component", lambda t, x: crystal.delta_word(t, 1))
     code, _, err = run(capsys, "graph", "--type", "C1", "--n", "2", "--k", "1",
                        "--l", "0")
     assert code == 3
@@ -230,19 +228,19 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
 
 
 def test_internal_value_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatch):
-    from wedge_crystal import laurent, theorems
+    from wedge_crystal import theorems
 
     # suite input is validated before any suite runs, so a ValueError
     # raised inside one is an internal fault
     monkeypatch.setattr(theorems, "verify_spin_decomposition",
-                        lambda t: laurent.LaurentScalar.zero().min_exp())
+                        lambda t: crystal.delta_word(t, 1))
     code, out, err = run(capsys, "verify", "--suite", "spin", "--type", "B1",
                          "--n", "2")
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"internal_error": "ValueError",
-                                    "message": "zero polynomial has no valuation"}
+                                    "message": "delta word is only defined for 11,2 types"}
 
 
 def test_fock_failure_prints_witness(capsys, monkeypatch):

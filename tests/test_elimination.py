@@ -3,7 +3,9 @@
 Small random matrices with Z[qs^±1] entries, carried into Q(qs) by
 ``laurent.rational``, are reduced both ways: kernels by ``fock._kernel``
 against ``fock_oracle._nullspace``, square solves by ``fock._solve`` against
-``fock_oracle._solve_multi``.  Rank-deficient cases are built on purpose by
+``fock_oracle._solve_multi``.  The oracle works on the same entries carried
+into its ``Fraction`` scalars, so the comparison also checks the scalar
+arithmetic of the row reduction.  Rank-deficient cases are built on purpose by
 appending combinations of the drawn rows.
 """
 
@@ -60,13 +62,23 @@ def _sparse(row, cols):
     return {c: v for c, v in zip(cols, row) if not v.is_zero}
 
 
+def _scalars(x):
+    """Dense rows or a sparse vector, carried into the oracle's scalars."""
+    if isinstance(x, dict):
+        return {c: oracle.scalar(v) for c, v in x.items()}
+    return [[oracle.scalar(v) for v in row] for row in x]
+
+
 @SAMPLED
 @given(matrices())
 def test_kernel_matches_dense_oracle(case):
     rows, cols = case
     sparse = [_sparse(row, cols) for row in rows]
-    expected = [_sparse(vec, cols) for vec in oracle._nullspace(rows, len(cols))]
-    assert fock._kernel(sparse, cols) == expected
+    expected = [_sparse(vec, cols) for vec in oracle._nullspace(_scalars(rows), len(cols))]
+    kernel = fock._kernel(sparse, cols)
+    assert [_scalars(vec) for vec in kernel] == expected
+    # keys in column order, as the oracle's dense vectors have them
+    assert [list(vec) for vec in kernel] == [list(vec) for vec in expected]
     # reduced row echelon form does not depend on the order of the rows
     assert fock._rref(sparse) == fock._rref(reversed(sparse))
 
@@ -79,13 +91,13 @@ def test_solve_matches_dense_oracle(case):
     rows = [{**_sparse(ar, range(size)), **_sparse(br, range(size, size + width))}
             for ar, br in zip(a, b)]
     try:
-        expected = oracle._solve_multi(a, b)
+        expected = oracle._solve_multi(_scalars(a), _scalars(b))
     except ArithmeticError as exc:
         with pytest.raises(ArithmeticError, match=str(exc)):
             fock._solve(rows, range(size))
         return
     red = fock._solve(rows, range(size))
-    assert [[red[c].get(size + j, oracle._ZERO) for j in range(width)]
+    assert [[oracle.scalar(red[c].get(size + j, rational({}))) for j in range(width)]
             for c in range(size)] == expected
 
 

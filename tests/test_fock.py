@@ -101,7 +101,8 @@ def test_kashiwara_string_calculus():
     rep = representation(from_label("C1", 2))
     for i in range(3):
         # the modified operators have Q(qs) entries; multiply them as such
-        et, ft = (oracle.SparseOperator(rep.dim, op.entries)
+        et, ft = (oracle.SparseOperator(rep.dim, {rc: oracle.scalar(v)
+                                                  for rc, v in op.entries.items()})
                   for op in kashiwara_operators(rep, i))
         # the two modified operators are mutually inverse along strings
         assert (et @ ft @ et) == et
@@ -154,6 +155,28 @@ def test_null_shift(n):
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
+def test_highest_vectors_are_computed_once_per_weight(capsys, monkeypatch):
+    from wedge_crystal.cli import main
+
+    calls, kernels = [], []
+    highest, kernel = fock.highest_vectors, fock._kernel
+
+    def counted_highest(rep, weight_vec):
+        calls.append(tuple(weight_vec))
+        return highest(rep, weight_vec)
+
+    def counted_kernel(rows, cols):
+        kernels.append(cols)
+        return kernel(rows, cols)
+
+    monkeypatch.setattr(fock, "highest_vectors", counted_highest)
+    monkeypatch.setattr(fock, "_kernel", counted_kernel)
+    assert main(["fock", "verify", "--type", "A2odd", "--n", "4", "--highest",
+                 "--deltaword"]) == 0
+    # 18 requests for 5 weights, one elimination per weight
+    assert (len(calls), len(set(calls)), len(kernels)) == (18, 5, 5)
+
+
 def test_empty_weight_space():
     t = from_label("C1", 2)
     rep = representation(t)
@@ -177,7 +200,8 @@ def test_integer_formulation_matches_oracle(label, n):
     rep, ref = representation(t), oracle.representation(t)
     for name in ("e", "f", "t", "tinv"):
         for i in range(n + 1):
-            ours = {rc: rational(v) for rc, v in getattr(rep, name)[i].entries.items()}
+            ours = {rc: oracle.scalar(rational(v))
+                    for rc, v in getattr(rep, name)[i].entries.items()}
             assert ours == getattr(ref, name)[i].entries, (name, i)
     verdicts = _verdicts(fock, rep)
     assert verdicts == _verdicts(oracle, ref)
