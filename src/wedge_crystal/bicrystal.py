@@ -65,16 +65,6 @@ def sigma(n: int, x: int):
     return (len(minus), len(plus))
 
 
-def sigma_checked(n: int, x: int):
-    """String position computed two ways; raises if they ever disagree."""
-    by_rule = sigma(n, x)
-    closed = sigma_closed(n, x)
-    if by_rule != closed:
-        raise AssertionError(
-            f"string position mismatch at id {x}: {by_rule} vs {closed}")
-    return by_rule
-
-
 def sigma_by_strings(n: int, x: int):
     """Same statistic computed by iterating the operators (test oracle)."""
     eps = 0

@@ -104,10 +104,6 @@ class AffineType:
         return DOUBLE in _DIAMOND[self.label]
 
     @property
-    def index_set(self) -> range:
-        return range(self.n + 1)
-
-    @property
     def cli_token(self) -> str:
         return _CLI_TOKEN[self.label]
 

@@ -42,51 +42,42 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
     """Assemble the serializable form of one component graph."""
     header = {"type": t.label, "cli_type": t.cli_token, "n": t.n,
               "k": k, "l": l, "quotient": bool(quotient)}
-    if not t.doubled:
-        if k not in (t.n, t.n - 1):
-            raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
+    if t.doubled:
+        pairs = theorems.h_diamond(t)
+        if l is None:
+            candidates = [pair for pair in pairs if pair[0] == k]
+            if len(candidates) != 1:
+                raise UsageError(
+                    f"--l is required for {t.label} (candidates: {candidates})")
+            l = candidates[0][1]
+            header["l"] = l
+        if (k, l) not in pairs:
+            raise UsageError(f"(k,l)=({k},{l}) does not index a component of {t.label}")
+        g = crystal.component(t, crystal.v_kl(t, k, l))
+    elif k in (t.n, t.n - 1):
         g = crystal.component(t, crystal.v_spin(t, k))
-        vertices = [
-            {"id": x, "text": crystal.text(t, x),
-             "weight": list(g.weights[x]), "sigma": None}
-            for x in g.vertices
-        ]
-        edges = [{"src": s, "dst": d, "color": c} for s, d, c in g.edges]
-        return {"header": header, "vertices": vertices, "edges": edges}
-    pairs = theorems.h_diamond(t)
-    if l is None:
-        candidates = [pair for pair in pairs if pair[0] == k]
-        if len(candidates) != 1:
-            raise UsageError(
-                f"--l is required for {t.label} (candidates: {candidates})")
-        l = candidates[0][1]
-        header["l"] = l
-    if (k, l) not in pairs:
-        raise UsageError(f"(k,l)=({k},{l}) does not index a component of {t.label}")
-    g = crystal.component(t, crystal.v_kl(t, k, l))
-    if quotient:
+    else:
+        raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
+    if quotient and t.doubled:
         if t.diamond != (FORK, DOUBLE) or k in (0, t.n):
             raise UsageError("--quotient needs the fork-plus-double type "
                              "with 0 < k < n")
         q = bicrystal.quotient_graph(g, k)
-        vertices = []
-        for plus, minus in q.orbits:
-            oid = min(plus, minus)
-            vertices.append({
-                "id": oid,
-                "text": f"{crystal.text(t, plus)}+{crystal.text(t, minus)}",
-                "weight": list(q.weights[oid]),
-                "sigma": list(q.sigma_plus[oid]),
-            })
-        edges = [{"src": s, "dst": d, "color": c} for s, d, c in q.edges]
-        return {"header": header, "vertices": vertices, "edges": edges}
-    vertices = [
-        {"id": x, "text": crystal.text(t, x), "weight": list(g.weights[x]),
-         "sigma": list(g.sigma[x])}
-        for x in g.vertices
-    ]
-    edges = [{"src": s, "dst": d, "color": c} for s, d, c in g.edges]
-    return {"header": header, "vertices": vertices, "edges": edges}
+        vertices = [
+            {"id": oid, "text": f"{crystal.text(t, plus)}+{crystal.text(t, minus)}",
+             "weight": list(q.weights[oid]), "sigma": list(q.sigma_plus[oid])}
+            for oid, (plus, minus) in zip(q.ids, q.orbits)
+        ]
+        edges = q.edges
+    else:
+        vertices = [
+            {"id": x, "text": crystal.text(t, x), "weight": list(g.weights[x]),
+             "sigma": list(g.sigma[x]) if g.sigma else None}
+            for x in g.vertices
+        ]
+        edges = g.edges
+    return {"header": header, "vertices": vertices,
+            "edges": [{"src": s, "dst": d, "color": c} for s, d, c in edges]}
 
 
 def render_json(doc: dict) -> str:
@@ -160,39 +151,14 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-_SUITES = ("prop41", "thm42", "lem44", "prop46", "thm58", "cor57", "spin",
-           "deltaword", "all")
-
-
-def _run_suite(name, t, k):
-    if name == "prop41":
-        return [theorems.verify_component_partition(t)]
-    if name == "thm42":
-        return [theorems.verify_classical_branching(t)]
-    if name == "lem44":
-        return [theorems.verify_sigma_range(t, k)]
-    if name == "prop46":
-        return [theorems.verify_involution_commutes(t, k)]
-    if name == "thm58":
-        return [theorems.verify_sigma_characterization(t, k)]
-    if name == "cor57":
-        return [theorems.verify_multiplicities(t)]
-    if name == "spin":
-        return [theorems.verify_spin_decomposition(t)]
-    if name == "deltaword":
-        return [theorems.verify_delta_shift(t, k)]
-    raise UsageError(f"unknown suite {name}")
-
-
 def cmd_verify(args) -> int:
     t = _resolve_type(args)
+    table = theorems._DOMAINS
     if args.suite == "all":
-        if t.doubled:
-            names = ["prop41", "thm42", "thm58", "cor57"]
-            if t.diamond == (FORK, DOUBLE):
-                names += ["lem44", "prop46", "deltaword"]
-        else:
-            names = ["spin"]
+        # every suite whose type predicate holds, matrix suites before fork ones
+        names = sorted((name for name, (_, (applies, _), _, _) in table.items()
+                        if applies(t)),
+                       key=lambda name: table[name][1] is theorems._FORK)
     else:
         names = [args.suite]
     for name in names:
@@ -202,7 +168,9 @@ def cmd_verify(args) -> int:
             raise UsageError(str(exc))
     results = []
     for name in names:
-        results.extend(_run_suite(name, t, args.k))
+        _, _, gap, func = table[name]
+        run = getattr(theorems, func)
+        results.append(run(t) if gap is None else run(t, args.k))
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -299,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run exhaustive verification suites")
     add_type_args(v)
-    v.add_argument("--suite", choices=_SUITES, required=True)
+    v.add_argument("--suite", choices=(*theorems._DOMAINS, "all"),
+                   required=True)
     v.add_argument("--k", type=int, default=None)
     v.set_defaults(func=cmd_verify)
 

@@ -88,6 +88,11 @@ def step_f(rule, x):
     return None
 
 
+def is_classically_highest(rs, x: int) -> bool:
+    """No classical raising operator (index 1..n of the rules rs) applies."""
+    return all(step_e(rule, x) is None for rule in rs[1:])
+
+
 def _weight(rs, x):
     return tuple((x & m1 == pf1) - (x & m1 == pe1) + (x & m2 == pf2) - (x & m2 == pe2)
                  for m1, pf1, pe1, m2, pf2, pe2 in rs)

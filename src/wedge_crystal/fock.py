@@ -239,7 +239,6 @@ class Representation:
 
     type: AffineType
     cd: CartanData
-    copies: int  # 1 or 2
     dim: int
     e: dict
     f: dict
@@ -350,7 +349,7 @@ def representation(t: AffineType) -> Representation:
                 tt[i] = kron(t1, t1)
                 tinv[i] = kron(ti1, ti1)
     weights = [crys.weight(t, x) for x in range(dim)]
-    return Representation(type=t, cd=cd, copies=2 if t.doubled else 1, dim=dim,
+    return Representation(type=t, cd=cd, dim=dim,
                           e=e, f=f, t=tt, tinv=tinv, weights=weights)
 
 
@@ -444,9 +443,10 @@ def _rref(rows) -> dict:
     """
     red = {}
     for row in rows:
-        for p, prow in red.items():
-            if p in row:
-                row = _sub_multiple(row, row[p], prow)
+        # pivot rows are fully reduced: subtracting one leaves the row's
+        # entries at the other pivot columns as they are
+        for p in [c for c in row if c in red]:
+            row = _sub_multiple(row, row[p], red[p])
         if not row:
             continue
         p = min(row)
@@ -631,10 +631,10 @@ def highest_vectors(rep: Representation, weight_vec):
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
-    classical = crys.rules(rep.type)[1:]
+    rs = crys.rules(rep.type)
     return [x for x in range(rep.dim)
             if rep.weights[x] == tuple(weight_vec)
-            and all(crys.step_e(rule, x) is None for rule in classical)]
+            and crys.is_classically_highest(rs, x)]
 
 
 def normalized_highest_vector(rep: Representation, k: int, l: int):

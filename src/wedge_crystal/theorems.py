@@ -72,11 +72,13 @@ def h_diamond(t: AffineType):
     return sorted(pairs)
 
 
-def partition_ids(t: AffineType):
-    """Union-find closure of the full ground set under all operator edges."""
+def partition_ids(t: AffineType, rs=None):
+    """Union-find closure of the full ground set under the operator edges of
+    the rules ``rs`` (all of ``crystal.rules(t)`` when None)."""
     elements = crystal.all_elements(t)
     uf = UnionFind(len(elements))
-    rs = crystal.rules(t)
+    if rs is None:
+        rs = crystal.rules(t)
     for x in elements:
         for rule in rs:
             y = crystal.step_f(rule, x)
@@ -116,11 +118,6 @@ def expected_branching(t: AffineType, k: int, l: int):
     return sorted(out)
 
 
-def _is_classically_highest(rs, x: int) -> bool:
-    """No classical raising operator (index 1..n of the rules rs) applies."""
-    return all(crystal.step_e(rule, x) is None for rule in rs[1:])
-
-
 @dataclass
 class ComponentRow:
     key: tuple  # (k, l) for matrices, ("spin", k) for vectors
@@ -156,7 +153,7 @@ def decomposition_report(t: AffineType) -> DecompositionReport:
     for key in keys:
         rep = reps[key]
         members = classes[uf.find(rep)]
-        highest = [x for x in members if _is_classically_highest(rs, x)]
+        highest = [x for x in members if crystal.is_classically_highest(rs, x)]
         labels = sorted_labels(classify_weight(t, crystal.weight(t, x))
                                for x in highest)
         sig = bicrystal.sigma(t.n, rep) if t.doubled else None
@@ -180,16 +177,17 @@ _COLUMN = (lambda t: not t.doubled, "a single-column type")
 _FORK = (lambda t: t.diamond == (FORK, DOUBLE), "the fork-plus-double type")
 
 # suite -> (its title, the type it needs, how far the top of its k range
-# lies below n, or None when it takes no k)
+# lies below n or None when it takes no k, the function that runs it),
+# in the order of the CLI's --suite choices
 _DOMAINS = {
-    "prop41": ("component partition", _MATRIX, None),
-    "thm42": ("branching", _MATRIX, None),
-    "lem44": ("sigma-range", _FORK, 1),
-    "prop46": ("involution", _FORK, 1),
-    "thm58": ("characterization", _MATRIX, 0),
-    "cor57": ("multiplicity", _MATRIX, None),
-    "spin": ("spin", _COLUMN, None),
-    "deltaword": ("delta-shift", _FORK, 1),
+    "prop41": ("component partition", _MATRIX, None, "verify_component_partition"),
+    "thm42": ("branching", _MATRIX, None, "verify_classical_branching"),
+    "lem44": ("sigma-range", _FORK, 1, "verify_sigma_range"),
+    "prop46": ("involution", _FORK, 1, "verify_involution_commutes"),
+    "thm58": ("characterization", _MATRIX, 0, "verify_sigma_characterization"),
+    "cor57": ("multiplicity", _MATRIX, None, "verify_multiplicities"),
+    "spin": ("spin", _COLUMN, None, "verify_spin_decomposition"),
+    "deltaword": ("delta-shift", _FORK, 1, "verify_delta_shift"),
 }
 
 
@@ -200,7 +198,7 @@ def suite_ks(name: str, t: AffineType, k: int | None = None) -> list:
     Raises ValueError, before anything is enumerated, when the suite does
     not apply to the type or ``k`` lies outside its range.
     """
-    title, (applies, kind), gap = _DOMAINS[name]
+    title, (applies, kind), gap, _ = _DOMAINS[name]
     if not applies(t):
         raise ValueError(f"{title} suite needs {kind}")
     if gap is None:
@@ -242,9 +240,12 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
     uf, _ = partition_ids(t)
     classes = uf.classes()
     rs = crystal.rules(t)
+    # classical edges are a subset of all edges, so the classical partition
+    # of the ground set, restricted to a component, is that component's own
+    classical, _ = partition_ids(t, rs[1:])
     for (k, l) in h_diamond(t):
         members = classes[uf.find(crystal.v_kl(t, k, l))]
-        highest = [x for x in members if _is_classically_highest(rs, x)]
+        highest = [x for x in members if crystal.is_classically_highest(rs, x)]
         labels = []
         for x in highest:
             lab = classify_weight(t, crystal.weight(t, x))
@@ -256,21 +257,13 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
         if labels != expected_branching(t, k, l):
             res.note(f"({k},{l}): branching {labels} != expected "
                      f"{expected_branching(t, k, l)}")
-        # classical edges stay inside the component: a union-find over its members
-        slot = {x: p for p, x in enumerate(members)}
-        sub = UnionFind(len(members))
-        for x in members:
-            for rule in rs[1:]:
-                y = crystal.step_f(rule, x)
-                if y is not None:
-                    sub.union(slot[x], slot[y])
-        comp_roots = {sub.find(p) for p in range(len(members))}
+        comp_roots = {classical.find(x) for x in members}
         if len(comp_roots) != len(highest):
             res.note(f"({k},{l}): {len(comp_roots)} classical components for "
                      f"{len(highest)} highest elements")
         per = {}
         for x in highest:
-            root = sub.find(slot[x])
+            root = classical.find(x)
             per[root] = per.get(root, 0) + 1
         if any(c != 1 for c in per.values()) or len(per) != len(comp_roots):
             res.note(f"({k},{l}): classical components and highest elements do not biject")
@@ -305,22 +298,22 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     rs = tuple(enumerate(crystal.rules(t)))
     for kk in ks:
         g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
-        members = set(g.vertices)
-        for x in g.vertices:
-            mate = bicrystal.varsigma(t, kk, x)
-            if mate not in members:
+        # a step of a member stays in the component, so its mate is listed
+        mate = {x: bicrystal.varsigma(t, kk, x) for x in g.vertices}
+        for x, m in mate.items():
+            if m not in mate:
                 res.note(f"k={kk}: involution leaves the component at "
                          f"{crystal.text(t, x)}")
                 continue
-            if mate == x:
+            if m == x:
                 res.note(f"k={kk}: fixed point at {crystal.text(t, x)}")
-            if bicrystal.varsigma(t, kk, mate) != x:
+            if mate[m] != x:
                 res.note(f"k={kk}: involution not of order two at {crystal.text(t, x)}")
             for i, rule in rs:
                 for step in (crystal.step_e, crystal.step_f):
                     a = step(rule, x)
-                    lhs = None if a is None else bicrystal.varsigma(t, kk, a)
-                    b = step(rule, mate)
+                    lhs = None if a is None else mate[a]
+                    b = step(rule, m)
                     if (lhs is None) != (b is None):
                         res.note(f"k={kk}: commutation defined-ness fails at "
                                  f"{crystal.text(t, x)}, i={i}")

@@ -4,8 +4,8 @@ import crystal_oracle as oracle
 from wedge_crystal.cartan import from_label
 from wedge_crystal import crystal, theorems
 from wedge_crystal.bicrystal import (E_tilde, F_tilde, quotient_graph, sigma,
-                                     sigma_by_strings, sigma_checked,
-                                     sigma_closed, varsigma)
+                                     sigma_by_strings, sigma_closed,
+                                     varsigma)
 from wedge_crystal.crystal import all_elements, text, v_kl
 
 
@@ -40,7 +40,7 @@ def test_inverse_pairing():
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_sigma_three_ways(n):
     for x in all_elements(from_label("C1", n)):
-        assert sigma_checked(n, x) == sigma_by_strings(n, x)
+        assert sigma(n, x) == sigma_closed(n, x) == sigma_by_strings(n, x)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

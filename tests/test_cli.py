@@ -266,3 +266,77 @@ def test_fock_failure_prints_witness(capsys, monkeypatch):
     assert lines[at + 1].startswith("  witness: entry (")
     assert all(lines[k - 1].startswith("[FAIL]")
                for k, line in enumerate(lines) if line.startswith("  witness:"))
+
+
+# the function behind each --suite choice, in the order argparse lists them
+SUITE_FUNCTIONS = {
+    "prop41": "verify_component_partition",
+    "thm42": "verify_classical_branching",
+    "lem44": "verify_sigma_range",
+    "prop46": "verify_involution_commutes",
+    "thm58": "verify_sigma_characterization",
+    "cor57": "verify_multiplicities",
+    "spin": "verify_spin_decomposition",
+    "deltaword": "verify_delta_shift",
+}
+
+
+def _record_suites(monkeypatch):
+    """Replace every suite function by one that records its call and passes."""
+    from wedge_crystal import theorems
+
+    calls = []
+    for name, func in SUITE_FUNCTIONS.items():
+        def recording(t, *k, name=name):
+            calls.append((name, k))
+            return theorems.SuiteResult(name=name, passed=True)
+
+        monkeypatch.setattr(theorems, func, recording)
+    return calls
+
+
+@pytest.mark.parametrize("token, expected", [
+    ("B1", ["spin"]),
+    ("D1", ["spin"]),
+    ("D2", ["spin"]),
+    ("C1", ["prop41", "thm42", "thm58", "cor57"]),
+    ("A2even", ["prop41", "thm42", "thm58", "cor57"]),
+    ("A2evenDagger", ["prop41", "thm42", "thm58", "cor57"]),
+    ("A2odd", ["prop41", "thm42", "thm58", "cor57", "lem44", "prop46",
+               "deltaword"]),
+])
+def test_all_runs_the_applicable_suites_in_order(capsys, monkeypatch, token, expected):
+    from wedge_crystal import theorems
+    from wedge_crystal.cartan import from_label
+
+    t = from_label(token, 3)
+    applies = {name for name, (_, (holds, _), _, _) in theorems._DOMAINS.items()
+               if holds(t)}
+    assert set(expected) == applies
+    calls = _record_suites(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--type", token, "--n", "3")
+    assert code == 0
+    assert [name for name, _ in calls] == expected
+    assert out.splitlines() == [f"[{name}] PASS {t.label} n=3" for name in expected]
+
+
+@pytest.mark.parametrize("suite", SUITE_FUNCTIONS)
+def test_each_suite_choice_dispatches_to_its_function(capsys, monkeypatch, suite):
+    calls = _record_suites(monkeypatch)
+    token = {"spin": "B1", "lem44": "A2odd", "prop46": "A2odd",
+             "deltaword": "A2odd"}.get(suite, "C1")
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--type", token, "--n", "3")
+    assert code == 0
+    takes_k = suite in ("lem44", "prop46", "thm58", "deltaword")
+    assert calls == [(suite, (None,) if takes_k else ())]
+    calls.clear()
+    if takes_k:
+        run(capsys, "verify", "--suite", suite, "--type", token, "--n", "3", "--k", "2")
+        assert calls == [(suite, (2,))]
+
+
+def test_suite_choices_keep_their_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "bogus", "--type", "C1", "--n", "3"])
+    choices = ", ".join(f"'{name}'" for name in (*SUITE_FUNCTIONS, "all"))
+    assert f"(choose from {choices})" in capsys.readouterr().err

@@ -1,0 +1,110 @@
+"""Byte-identical CLI output, pinned as sha256 digests.
+
+``tests/golden_cli.json`` maps each case (its argv joined by spaces) to the
+exit code and the sha256 of stdout and stderr of one ``cli.main`` call.
+The cases are the ``verify`` suites, ``decompose`` and ``graph`` renders
+listed in ``golden_cases``, and the usage errors that the program itself
+raises; argparse's own messages are left out, because their wrapping
+follows the terminal width.  Regenerate the file only when an output
+change is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+import time
+
+from wedge_crystal.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
+
+LABELS = ("B1", "C1", "D1", "A2even", "A2evenDagger", "A2odd", "D2")
+COLUMN = ("B1", "D1", "D2")
+MATRIX_SUITES = ("prop41", "thm42", "thm58", "cor57")
+FORK_SUITES = ("lem44", "prop46", "deltaword")
+
+
+def _pairs(label: str, n: int):
+    """The (k, l) index of every component of a matrix labeling."""
+    if label == "C1":
+        return [(k, l) for k in range(n + 1) for l in range(n - k + 1)]
+    if label == "A2even":
+        return [(k, n - k) for k in range(n + 1)]
+    if label == "A2evenDagger":
+        return [(k, 0) for k in range(n + 1)]
+    return sorted([(k, n - k) for k in range(n + 1)] + [(0, n - 1)])
+
+
+def golden_cases():
+    cases = []
+    for label in LABELS:
+        for n in (2, 3, 4):
+            base = ["--type", label, "--n", str(n)]
+            if label in COLUMN:
+                suites = ("spin",)
+            else:
+                suites = MATRIX_SUITES + (FORK_SUITES if label == "A2odd" else ())
+            for suite in suites + ("all",):
+                cases.append(["verify", "--suite", suite, *base])
+            for fmt in ("table", "json"):
+                cases.append(["decompose", *base, "--format", fmt])
+        for n in (2, 3):
+            base = ["graph", "--type", label, "--n", str(n)]
+            if label in COLUMN:
+                comps = [["--k", str(k)] for k in (n, n - 1)]
+            else:
+                comps = [["--k", str(k), "--l", str(l)] for k, l in _pairs(label, n)]
+            if label == "A2odd":
+                comps += [["--k", str(k), "--l", str(n - k), "--quotient"]
+                          for k in range(1, n)]
+            for comp in comps:
+                for fmt in ("json", "dot"):
+                    cases.append([*base, *comp, "--format", fmt])
+    # usage errors raised by the program, not by argparse
+    cases += [
+        ["verify", "--suite", "lem44", "--type", "A2odd", "--n", "3", "--k", "0"],
+        ["verify", "--suite", "prop46", "--type", "A2odd", "--n", "3", "--k", "3"],
+        ["verify", "--suite", "thm58", "--type", "C1", "--n", "3", "--k", "4"],
+        ["verify", "--suite", "all", "--type", "A2odd", "--n", "3", "--k", "-1"],
+        ["verify", "--suite", "prop41", "--type", "B1", "--n", "3"],
+        ["verify", "--suite", "spin", "--type", "C1", "--n", "3"],
+        ["verify", "--suite", "lem44", "--type", "A2even", "--n", "3"],
+        ["verify", "--suite", "deltaword", "--type", "D1", "--n", "3"],
+        ["graph", "--type", "C1", "--n", "3", "--k", "2", "--l", "1", "--quotient"],
+        ["graph", "--type", "A2even", "--n", "3", "--k", "2", "--l", "2"],
+        ["graph", "--type", "B1", "--n", "3", "--k", "1"],
+    ]
+    return cases
+
+
+def digest(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"code": code,
+            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+
+
+def test_cli_output_matches_the_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    cases = golden_cases()
+    assert sorted(golden) == sorted(" ".join(argv) for argv in cases)
+    start = time.perf_counter()
+    differ = [" ".join(argv) for argv in cases
+              if digest(argv) != golden[" ".join(argv)]]
+    elapsed = time.perf_counter() - start
+    assert differ == []
+    assert elapsed < 3.0
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(
+        {" ".join(argv): digest(argv) for argv in golden_cases()},
+        indent=1, sort_keys=True) + "\n")

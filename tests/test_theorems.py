@@ -1,7 +1,7 @@
 import pytest
 
 from wedge_crystal.cartan import from_label
-from wedge_crystal import crystal
+from wedge_crystal import bicrystal, crystal
 from wedge_crystal import theorems
 from wedge_crystal.theorems import (decomposition_report, expected_branching,
                                     h_diamond, isomorphic_components,
@@ -119,6 +119,21 @@ def test_sigma_range_and_involution(n):
     t = from_label("A2odd", n)
     assert verify_sigma_range(t).passed
     assert verify_involution_commutes(t).passed
+
+
+def test_involution_computes_one_mate_per_vertex(monkeypatch):
+    calls = []
+    varsigma = bicrystal.varsigma
+
+    def counting(t, k, x):
+        calls.append((k, x))
+        return varsigma(t, k, x)
+
+    monkeypatch.setattr(bicrystal, "varsigma", counting)
+    t = from_label("A2odd", 4)
+    assert verify_involution_commutes(t).passed
+    assert calls == [(k, x) for k in (1, 2, 3)
+                     for x in crystal.component(t, crystal.v_kl(t, k, 4 - k)).vertices]
 
 
 @pytest.mark.parametrize("token", DOUBLED)
