@@ -124,8 +124,6 @@ class QuotientGraph:
     k: int
     orbits: tuple  # ((plus_id, minus_id), ...)
     edges: tuple  # (src_orbit_id, dst_orbit_id, color)
-    weights: dict
-    sigma_plus: dict
 
     @property
     def ids(self):
@@ -144,7 +142,7 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
         mate = varsigma(t, k, x)
         if mate == x:
             raise RuntimeError("involution has a fixed point; invalid domain")
-        plus, minus = (x, mate) if g.sigma[x][1] == n - k else (mate, x)
+        plus, minus = (x, mate) if sigma(n, x)[1] == n - k else (mate, x)
         oid = min(x, mate)
         orbits[oid] = (plus, minus)
         orbit_of[x] = oid
@@ -158,7 +156,4 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
         edge_map[key] = dst
     edges = tuple(sorted((s, d, c) for (s, c), d in edge_map.items()))
     ordered = tuple(orbits[oid] for oid in sorted(orbits))
-    weights = {oid: g.weights[orbits[oid][0]] for oid in sorted(orbits)}
-    sigma_plus = {oid: g.sigma[orbits[oid][0]] for oid in sorted(orbits)}
-    return QuotientGraph(type=t, k=k, orbits=ordered, edges=edges,
-                         weights=weights, sigma_plus=sigma_plus)
+    return QuotientGraph(type=t, k=k, orbits=ordered, edges=edges)

@@ -58,21 +58,24 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
         g = crystal.component(t, crystal.v_spin(t, k))
     else:
         raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
-    if quotient and t.doubled:
+    rs = crystal.rules(t)
+    if quotient:
         if t.diamond != (FORK, DOUBLE) or k in (0, t.n):
             raise UsageError("--quotient needs the fork-plus-double type "
                              "with 0 < k < n")
         q = bicrystal.quotient_graph(g, k)
         vertices = [
             {"id": oid, "text": f"{crystal.text(t, plus)}+{crystal.text(t, minus)}",
-             "weight": list(q.weights[oid]), "sigma": list(q.sigma_plus[oid])}
+             "weight": list(crystal.rule_weight(rs, plus)),
+             "sigma": list(bicrystal.sigma(t.n, plus))}
             for oid, (plus, minus) in zip(q.ids, q.orbits)
         ]
         edges = q.edges
     else:
         vertices = [
-            {"id": x, "text": crystal.text(t, x), "weight": list(g.weights[x]),
-             "sigma": list(g.sigma[x]) if g.sigma else None}
+            {"id": x, "text": crystal.text(t, x),
+             "weight": list(crystal.rule_weight(rs, x)),
+             "sigma": list(bicrystal.sigma(t.n, x)) if t.doubled else None}
             for x in g.vertices
         ]
         edges = g.edges

@@ -26,7 +26,7 @@ column string has length at most one, so the rule compares truth values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import AffineType, DOUBLE, FORK
@@ -93,7 +93,8 @@ def is_classically_highest(rs, x: int) -> bool:
     return all(step_e(rule, x) is None for rule in rs[1:])
 
 
-def _weight(rs, x):
+def rule_weight(rs, x):
+    """:func:`weight` from the rule table ``rs``, without argument checks."""
     return tuple((x & m1 == pf1) - (x & m1 == pe1) + (x & m2 == pf2) - (x & m2 == pe2)
                  for m1, pf1, pe1, m2, pf2, pe2 in rs)
 
@@ -145,7 +146,7 @@ def weight(t: AffineType, x):
     [f applies] - [e applies].
     """
     _check(t, x)
-    return _weight(rules(t), x)
+    return rule_weight(rules(t), x)
 
 
 def text(t: AffineType, x: int) -> str:
@@ -185,7 +186,7 @@ def all_elements(t: AffineType) -> range:
 
 @dataclass
 class CrystalGraph:
-    """A connected component with its colored edges and vertex annotations.
+    """A connected component with its colored edges.
 
     Edges record the lowering direction: (src, dst, i) means index i lowers
     src to dst (equivalently raises dst to src).  Vertices are sorted ids.
@@ -194,8 +195,6 @@ class CrystalGraph:
     type: AffineType
     vertices: tuple
     edges: tuple  # (src_id, dst_id, color)
-    weights: dict = field(repr=False)
-    sigma: dict = field(repr=False, default=None)
 
     def out_edges(self):
         out = {}
@@ -212,11 +211,8 @@ class CrystalGraph:
 
 def component(t: AffineType, x: int) -> CrystalGraph:
     """Closure of x under all raising and lowering operators (graph search)."""
-    from . import bicrystal  # local import; sigma annotations on matrices
-
     _check(t, x)
-    rs = rules(t)
-    indexed = tuple(enumerate(rs))
+    indexed = tuple(enumerate(rules(t)))
     seen = {x}
     todo = [x]
     edges = []
@@ -233,14 +229,8 @@ def component(t: AffineType, x: int) -> CrystalGraph:
             if y is not None and y not in seen:
                 seen.add(y)
                 todo.append(y)
-    vertices = tuple(sorted(seen))
     edges.sort()
-    weights = {c: _weight(rs, c) for c in vertices}
-    sigma = None
-    if t.doubled:
-        sigma = {c: bicrystal.sigma(t.n, c) for c in vertices}
-    return CrystalGraph(type=t, vertices=vertices, edges=tuple(edges),
-                        weights=weights, sigma=sigma)
+    return CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))
 
 
 def weyl_reflection(t: AffineType, i: int, x: int) -> int:

@@ -114,7 +114,7 @@ def kron(low: SparseOperator, high: SparseOperator) -> SparseOperator:
 
 
 def _rational_columns(op: SparseOperator) -> dict:
-    """col -> [(row, RationalScalar)]: a generator's entries, converted once."""
+    """col -> [(row, RationalScalar)]: a generator's entries over Q(qs)."""
     by_col = {}
     for (r, c), v in op.entries.items():
         by_col.setdefault(c, []).append((r, rational(v)))
@@ -247,6 +247,15 @@ class Representation:
     weights: list = field(repr=False)  # basis index (= crystal id) -> coroot pairings
     # weight -> highest_vectors(rep, weight), filled on first use
     highest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ("e" or "f", i) -> _rational_columns of that generator, filled on first use
+    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _columns(rep: Representation, kind: str, i: int) -> dict:
+    """The Q(qs) column form of ``rep.e[i]`` or ``rep.f[i]``, converted once."""
+    if (kind, i) not in rep.columns:
+        rep.columns[kind, i] = _rational_columns(getattr(rep, kind)[i])
+    return rep.columns[kind, i]
 
 
 def _klein_target(t: AffineType) -> int | None:
@@ -506,14 +515,13 @@ def kashiwara_operators(rep: Representation, i: int):
     """(raising, lowering) operators extracted per i-weight space."""
     dim = rep.dim
     unit = rep.cd.qi_exp[i]
-    ei, fi = rep.e[i], rep.f[i]
     buckets = {}
     for idx in range(dim):
         buckets.setdefault(rep.weights[idx][i], []).append(idx)
-    for r, c in ei.entries:
+    for r, c in rep.e[i].entries:
         if rep.weights[r][i] != rep.weights[c][i] + 2:
             raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
-    by_col, f_cols = _rational_columns(ei), _rational_columns(fi)
+    by_col, f_cols = _columns(rep, "e", i), _columns(rep, "f", i)
 
     strings = []  # (top_weight m, [w_r dicts for r = 0..m])
     for m, cols in sorted(buckets.items(), reverse=True):
@@ -620,12 +628,12 @@ def highest_vectors(rep: Representation, weight_vec):
     if weight_vec in rep.highest:
         return rep.highest[weight_vec]
     idxs = [idx for idx in range(rep.dim) if rep.weights[idx] == weight_vec]
-    cols = set(idxs)
     rows = {}
     for i in range(1, rep.type.n + 1):
-        for (r, c), v in rep.e[i].entries.items():
-            if c in cols:
-                rows.setdefault((i, r), {})[c] = rational(v)
+        by_col = _columns(rep, "e", i)
+        for c in idxs:
+            for r, v in by_col.get(c, ()):
+                rows.setdefault((i, r), {})[c] = v
     out = rep.highest[weight_vec] = _kernel(rows.values(), idxs), idxs
     return out
 
@@ -684,7 +692,7 @@ def apply_extremal_word(rep: Representation, vec: dict, elem, word):
     t = rep.type
     for i in word:
         m = crys.weight(t, elem)[i]
-        by_col = _rational_columns(rep.f[i] if m >= 0 else rep.e[i])
+        by_col = _columns(rep, "f" if m >= 0 else "e", i)
         for _ in range(abs(m)):
             vec = _apply_columns(by_col, vec)
         inv = rational(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()

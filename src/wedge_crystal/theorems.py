@@ -9,7 +9,10 @@ component builder, so the two implementations cross-check each other.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import bicrystal, crystal
 from .cartan import AffineType, DOUBLE, FORK, SINGLE, fundamental_weight_cl
@@ -20,7 +23,6 @@ class UnionFind:
 
     def __init__(self, size: int):
         self.parent = list(range(size))
-        self.count = size
 
     def find(self, x: int) -> int:
         root = x
@@ -34,13 +36,6 @@ class UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
-            self.count -= 1
-
-    def classes(self) -> dict:
-        out = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return out
 
 
 @dataclass
@@ -72,9 +67,24 @@ def h_diamond(t: AffineType):
     return sorted(pairs)
 
 
-def partition_ids(t: AffineType, rs=None):
+@dataclass(frozen=True)
+class Partition:
+    """The components of a ground set, numbered in order of their smallest id."""
+
+    label: array  # id -> component number
+    members: tuple  # component number -> its ids, increasing
+
+    def class_of(self, x: int) -> array:
+        return self.members[self.label[x]]
+
+
+@lru_cache(maxsize=2)  # one type's full and classical partitions
+def partition_ids(t: AffineType, rs=None) -> Partition:
     """Union-find closure of the full ground set under the operator edges of
-    the rules ``rs`` (all of ``crystal.rules(t)`` when None)."""
+    the rules ``rs`` (all of ``crystal.rules(t)`` when None).
+
+    Computed once and shared by every suite; callers must not mutate it.
+    """
     elements = crystal.all_elements(t)
     uf = UnionFind(len(elements))
     if rs is None:
@@ -84,7 +94,12 @@ def partition_ids(t: AffineType, rs=None):
             y = crystal.step_f(rule, x)
             if y is not None:
                 uf.union(x, y)
-    return uf, elements
+    number = {}  # union-find root -> component number
+    label = array("I", (number.setdefault(uf.find(x), len(number)) for x in elements))
+    members = tuple(array("I") for _ in number)
+    for x, c in enumerate(label):
+        members[c].append(x)
+    return Partition(label=label, members=members)
 
 
 def classify_weight(t: AffineType, w) -> int | None:
@@ -138,21 +153,16 @@ class DecompositionReport:
 
 
 def decomposition_report(t: AffineType) -> DecompositionReport:
-    uf, _ = partition_ids(t)
-    classes = uf.classes()
+    p = partition_ids(t)
     rs = crystal.rules(t)
     rows = []
     if t.doubled:
-        keys = [(k, l) for (k, l) in h_diamond(t)]
-        reps = {key: crystal.v_kl(t, *key) for key in keys}
+        reps = {key: crystal.v_kl(t, *key) for key in h_diamond(t)}
     else:
-        keys = [("spin", t.n), ("spin", t.n - 1)]
-        reps = {key: crystal.v_spin(t, key[1]) for key in keys}
-        if t.diamond != (FORK, FORK):
-            keys = [("spin", t.n)]
-    for key in keys:
-        rep = reps[key]
-        members = classes[uf.find(rep)]
+        ks = (t.n, t.n - 1) if t.diamond == (FORK, FORK) else (t.n,)
+        reps = {("spin", k): crystal.v_spin(t, k) for k in ks}
+    for key, rep in reps.items():
+        members = p.class_of(rep)
         highest = [x for x in members if crystal.is_classically_highest(rs, x)]
         labels = sorted_labels(classify_weight(t, crystal.weight(t, x))
                                for x in highest)
@@ -213,22 +223,21 @@ def verify_component_partition(t: AffineType) -> SuiteResult:
     """The ground set splits into exactly the indexed components."""
     res = SuiteResult(name="prop41", passed=True)
     suite_ks("prop41", t)
-    uf, _ = partition_ids(t)
+    p = partition_ids(t)
     pairs = h_diamond(t)
-    reps = {pair: crystal.v_kl(t, *pair) for pair in pairs}
-    roots = {pair: uf.find(rep) for pair, rep in reps.items()}
-    if len(set(roots.values())) != len(pairs):
+    labels = {pair: p.label[crystal.v_kl(t, *pair)] for pair in pairs}
+    if len(set(labels.values())) != len(pairs):
         res.note("representatives are not in pairwise distinct components")
-    if uf.count != len(pairs):
-        res.note(f"{uf.count} components found, expected {len(pairs)}")
-    sizes = {root: len(ids) for root, ids in uf.classes().items()}
-    total = sum(sizes.values())
+    count = len(p.members)
+    if count != len(pairs):
+        res.note(f"{count} components found, expected {len(pairs)}")
+    total = sum(len(ids) for ids in p.members)
     if total != 4 ** t.n:
         res.note(f"component sizes sum to {total}, expected {4 ** t.n}")
     res.stats = {
-        "components": uf.count,
+        "components": count,
         "expected": len(pairs),
-        "sizes": {str(pair): sizes[roots[pair]] for pair in pairs},
+        "sizes": {str(pair): len(p.members[labels[pair]]) for pair in pairs},
     }
     return res
 
@@ -237,14 +246,13 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
     """Within each component, the classically-highest weights are as listed."""
     res = SuiteResult(name="thm42", passed=True)
     suite_ks("thm42", t)
-    uf, _ = partition_ids(t)
-    classes = uf.classes()
+    p = partition_ids(t)
     rs = crystal.rules(t)
     # classical edges are a subset of all edges, so the classical partition
     # of the ground set, restricted to a component, is that component's own
-    classical, _ = partition_ids(t, rs[1:])
+    classical = partition_ids(t, rs[1:]).label
     for (k, l) in h_diamond(t):
-        members = classes[uf.find(crystal.v_kl(t, k, l))]
+        members = p.class_of(crystal.v_kl(t, k, l))
         highest = [x for x in members if crystal.is_classically_highest(rs, x)]
         labels = []
         for x in highest:
@@ -257,14 +265,11 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
         if labels != expected_branching(t, k, l):
             res.note(f"({k},{l}): branching {labels} != expected "
                      f"{expected_branching(t, k, l)}")
-        comp_roots = {classical.find(x) for x in members}
+        comp_roots = {classical[x] for x in members}
         if len(comp_roots) != len(highest):
             res.note(f"({k},{l}): {len(comp_roots)} classical components for "
                      f"{len(highest)} highest elements")
-        per = {}
-        for x in highest:
-            root = classical.find(x)
-            per[root] = per.get(root, 0) + 1
+        per = Counter(classical[x] for x in highest)
         if any(c != 1 for c in per.values()) or len(per) != len(comp_roots):
             res.note(f"({k},{l}): classical components and highest elements do not biject")
     return res
@@ -273,21 +278,24 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
 def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
     """String positions across a shared component stay in the two allowed lanes."""
     res = SuiteResult(name="lem44", passed=True)
-    for kk in suite_ks("lem44", t, k):
-        g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
+    ks = suite_ks("lem44", t, k)
+    p = partition_ids(t)
+    for kk in ks:
+        members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
         allowed = set()
         for i in range(kk // 2 + 1):
             allowed.add((2 * i, t.n - kk))
             allowed.add((2 * i + 1, t.n - kk - 1))
-        for x in g.vertices:
-            if g.sigma[x] not in allowed:
-                res.note(f"k={kk}: sigma{g.sigma[x]} of {crystal.text(t, x)} out of range")
-        plus = [x for x in g.vertices if g.sigma[x][1] == t.n - kk]
-        if any(g.sigma[x][0] % 2 for x in plus):
+        sig = [bicrystal.sigma(t.n, x) for x in members]
+        for x, s in zip(members, sig):
+            if s not in allowed:
+                res.note(f"k={kk}: sigma{s} of {crystal.text(t, x)} out of range")
+        plus = [s for s in sig if s[1] == t.n - kk]
+        if any(s[0] % 2 for s in plus):
             res.note(f"k={kk}: odd raise-count in the long-phi half")
-        if 2 * len(plus) != len(g.vertices):
+        if 2 * len(plus) != len(members):
             res.note(f"k={kk}: halves have sizes {len(plus)} and "
-                     f"{len(g.vertices) - len(plus)}")
+                     f"{len(members) - len(plus)}")
     return res
 
 
@@ -296,10 +304,11 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     res = SuiteResult(name="prop46", passed=True)
     ks = suite_ks("prop46", t, k)
     rs = tuple(enumerate(crystal.rules(t)))
+    p = partition_ids(t)
     for kk in ks:
-        g = crystal.component(t, crystal.v_kl(t, kk, t.n - kk))
+        members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
         # a step of a member stays in the component, so its mate is listed
-        mate = {x: bicrystal.varsigma(t, kk, x) for x in g.vertices}
+        mate = {x: bicrystal.varsigma(t, kk, x) for x in members}
         for x, m in mate.items():
             if m not in mate:
                 res.note(f"k={kk}: involution leaves the component at "
@@ -328,43 +337,36 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
     res = SuiteResult(name="thm58", passed=True)
     ks = suite_ks("thm58", t, k)
     n = t.n
-    sig = {x: bicrystal.sigma(n, x) for x in crystal.all_elements(t)}
+    p = partition_ids(t)
+    by_sigma = {}  # sigma -> the ids with that string position
+    for x in crystal.all_elements(t):
+        by_sigma.setdefault(bicrystal.sigma(n, x), array("I")).append(x)
     d = t.diamond
     for kk in ks:
         if d == (DOUBLE, DOUBLE):
-            comp = set(crystal.component(t, crystal.v_kl(t, kk, 0)).vertices)
-            level = {i for i, s in sig.items() if s == (n - kk, 0)}
+            pair, holds = (kk, 0), lambda s: s == (n - kk, 0)
         elif d == (SINGLE, DOUBLE):
-            comp = set(crystal.component(t, crystal.v_kl(t, kk, n - kk)).vertices)
-            level = {i for i, s in sig.items()
-                     if s[1] == n - kk and 0 <= kk - s[0] <= kk}
+            pair, holds = (kk, n - kk), lambda s: s[1] == n - kk and 0 <= kk - s[0] <= kk
         elif d == (DOUBLE, SINGLE):
-            comp = set(crystal.component(t, crystal.v_kl(t, kk, 0)).vertices)
-            level = {i for i, s in sig.items() if s[0] == n - kk and s[1] <= kk}
-        else:  # fork-plus-double
-            if kk == n:
-                comp = set(crystal.component(t, crystal.v_kl(t, n, 0)).vertices)
-                level = {i for i, s in sig.items() if s[1] == 0 and s[0] % 2 == 0}
-            else:
-                g = crystal.component(t, crystal.v_kl(t, kk, n - kk))
-                q = bicrystal.quotient_graph(g, kk)
-                comp_orbits = {frozenset(pair) for pair in q.orbits}
-                level_orbits = set()
-                for i, s in sig.items():
-                    if s[1] == n - kk and s[0] % 2 == 0:
-                        level_orbits.add(frozenset((i, bicrystal.varsigma(t, kk, i))))
-                if comp_orbits != level_orbits:
-                    res.note(f"k={kk}: orbit sets differ "
-                             f"({len(comp_orbits)} vs {len(level_orbits)})")
-                continue
+            pair, holds = (kk, 0), lambda s: s[0] == n - kk and s[1] <= kk
+        elif kk == n:  # fork-plus-double from here on
+            pair, holds = (n, 0), lambda s: s[1] == 0 and s[0] % 2 == 0
+        else:
+            pair, holds = None, lambda s: s[1] == n - kk and s[0] % 2 == 0
+        level = {x for s, ids in by_sigma.items() if holds(s) for x in ids}
+        if pair is None:
+            g = crystal.component(t, crystal.v_kl(t, kk, n - kk))
+            comp_orbits = {frozenset(o) for o in bicrystal.quotient_graph(g, kk).orbits}
+            level_orbits = {frozenset((x, bicrystal.varsigma(t, kk, x))) for x in level}
+            if comp_orbits != level_orbits:
+                res.note(f"k={kk}: orbit sets differ "
+                         f"({len(comp_orbits)} vs {len(level_orbits)})")
+            continue
+        comp = set(p.class_of(crystal.v_kl(t, *pair)))
         if comp != level:
             res.note(f"k={kk}: component has {len(comp)} elements, level set "
                      f"{len(level)}; difference {sorted(comp ^ level)[:4]}")
     return res
-
-
-def _graph_root(g, target_weight):
-    return [x for x in g.vertices if g.weights[x] == tuple(target_weight)]
 
 
 def isomorphic_components(g1, g2, root1: int, root2: int) -> bool:
@@ -403,6 +405,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
     n = t.n
     d = t.diamond
     pairs = h_diamond(t)
+    rs = crystal.rules(t)
     if d == (DOUBLE, DOUBLE):
         for k in range(n + 1):
             ls = [l for (kk, l) in pairs if kk == k]
@@ -414,7 +417,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
             target = fundamental_weight_cl(t, k)
             roots = []
             for g, l in zip(graphs, ls):
-                hits = _graph_root(g, target)
+                hits = [x for x in g.vertices if crystal.rule_weight(rs, x) == target]
                 if len(hits) != 1:
                     res.note(f"(k,l)=({k},{l}): weight multiplicity "
                              f"{len(hits)} at the extremal weight")
@@ -459,30 +462,30 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
     res = SuiteResult(name="spin", passed=True)
     suite_ks("spin", t)
     n = t.n
-    uf, _ = partition_ids(t)
+    p = partition_ids(t)
+    count = len(p.members)
     expected = 2 if t.diamond == (FORK, FORK) else 1
-    if uf.count != expected:
-        res.note(f"{uf.count} components, expected {expected}")
+    if count != expected:
+        res.note(f"{count} components, expected {expected}")
     top = crystal.v_spin(t, n)
     second = crystal.v_spin(t, n - 1)
-    if expected == 2 and uf.find(top) == uf.find(second):
+    if expected == 2 and p.label[top] == p.label[second]:
         res.note("the two canonical representatives share a component")
-    if expected == 1 and uf.find(top) != uf.find(second):
+    if expected == 1 and p.label[top] != p.label[second]:
         res.note("expected a single component containing both representatives")
-    classes = uf.classes()
-    sizes = sorted(len(ids) for ids in classes.values())
+    sizes = sorted(len(ids) for ids in p.members)
     if sum(sizes) != 2 ** n:
         res.note(f"sizes {sizes} do not sum to {2 ** n}")
-    for root, ids in classes.items():
+    for ids in p.members:
         weights = [crystal.weight(t, i) for i in ids]
         if len(set(weights)) != len(weights):
-            res.note(f"repeated weight inside component of {crystal.text(t, root)}")
+            res.note(f"repeated weight inside component of {crystal.text(t, ids[0])}")
     reps = [top] if expected == 1 else [top, second]
     for k, rep in zip((n, n - 1), reps):
         if crystal.weight(t, rep) != fundamental_weight_cl(t, k):
             res.note(f"weight of the k={k} representative is "
                      f"{crystal.weight(t, rep)}")
-    res.stats = {"components": uf.count, "sizes": sizes}
+    res.stats = {"components": count, "sizes": sizes}
     return res
 
 

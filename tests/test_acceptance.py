@@ -127,9 +127,10 @@ def test_criterion_10_figures():
     # first figure: all-double type, (k,l) = (2,1) at n=3
     t = from_label("C1", 3)
     doc = graph_document(t, 2, 1)
-    uf, elements = theorems.partition_ids(t)
-    root = uf.find(crystal.v_kl(t, 2, 1))
-    brute = {x for x in elements if uf.find(x) == root}
+    elements = crystal.all_elements(t)
+    label = theorems.partition_ids(t).label
+    root = label[crystal.v_kl(t, 2, 1)]
+    brute = {x for x in elements if label[x] == root}
     ids = {v["id"] for v in doc["vertices"]}
     ok = ok and ids == brute
     level = {x for x in elements if bicrystal.sigma(3, x) == (0, 1)}
@@ -144,9 +145,10 @@ def test_criterion_10_figures():
     doc = graph_document(t, 2, None)
     ok = ok and doc["header"]["l"] == 1
     ids = {v["id"] for v in doc["vertices"]}
-    uf, elements = theorems.partition_ids(t)
-    root = uf.find(crystal.v_kl(t, 2, 1))
-    ok = ok and ids == {x for x in elements if uf.find(x) == root}
+    elements = crystal.all_elements(t)
+    label = theorems.partition_ids(t).label
+    root = label[crystal.v_kl(t, 2, 1)]
+    ok = ok and ids == {x for x in elements if label[x] == root}
     level = {x for x in elements
              if bicrystal.sigma(3, x) in {(2, 1), (1, 1), (0, 1)}}
     ok = ok and ids == level

@@ -194,6 +194,7 @@ def test_fock_verify_crystal_match(capsys):
     ("graph", "--type", "B1", "--n", "3", "--k", "1"),
     ("fock", "verify", "--type", "C1", "--n", "2", "--deltaword"),
     ("fock", "verify", "--type", "C1", "--n", "0", "--relations"),
+    ("graph", "--type", "D1", "--n", "3", "--k", "3", "--quotient"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -214,14 +214,26 @@ def test_component_against_union_find():
 
     t = from_label("C1", 3)
     g = component(t, v_kl(t, 2, 1))
-    uf, elements = theorems.partition_ids(t)
-    root = uf.find(v_kl(t, 2, 1))
-    members = {x for x in elements if uf.find(x) == root}
+    label = theorems.partition_ids(t).label
+    root = label[v_kl(t, 2, 1)]
+    members = {x for x in all_elements(t) if label[x] == root}
     assert set(g.vertices) == members
     # edge pairing invariant inside the graph
     out = g.out_edges()
     for (src, color), dst in out.items():
         assert f_tilde(t, color, src) == dst
+    # the search from every representative finds exactly its partition class
+    for token in DOUBLED + SINGLE_COL:
+        for n in range(2, 6):
+            t = from_label(token, n)
+            p = theorems.partition_ids(t)
+            if t.doubled:
+                reps = [v_kl(t, k, l) for k, l in theorems.h_diamond(t)]
+            else:
+                reps = [v_spin(t, n), v_spin(t, n - 1)]
+            reps += [ids[0] for ids in p.members]
+            for x in reps:
+                assert component(t, x).vertices == tuple(p.members[p.label[x]])
 
 
 def test_component_determinism():

@@ -177,6 +177,23 @@ def test_highest_vectors_are_computed_once_per_weight(capsys, monkeypatch):
     assert (len(calls), len(set(calls)), len(kernels)) == (18, 5, 5)
 
 
+def test_generators_are_converted_once(capsys, monkeypatch):
+    from wedge_crystal.cli import main
+
+    converted = []
+    columns = fock._rational_columns
+
+    def counted(op):
+        converted.append(id(op))
+        return columns(op)
+
+    monkeypatch.setattr(fock, "_rational_columns", counted)
+    assert main(["fock", "verify", "--crystal-match", "--highest", "--deltaword",
+                 "--type", "A2odd", "--n", "4"]) == 0
+    # each of e_0..e_4 and f_0..f_4 at most once
+    assert len(converted) == len(set(converted)) <= 2 * 5
+
+
 def test_empty_weight_space():
     t = from_label("C1", 2)
     rep = representation(t)

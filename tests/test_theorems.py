@@ -1,8 +1,9 @@
 import pytest
 
-from wedge_crystal.cartan import from_label
+from wedge_crystal.cartan import ALL_LABELS, from_label
 from wedge_crystal import bicrystal, crystal
 from wedge_crystal import theorems
+from wedge_crystal.cli import main
 from wedge_crystal.theorems import (decomposition_report, expected_branching,
                                     h_diamond, isomorphic_components,
                                     partition_ids, sorted_labels,
@@ -43,10 +44,10 @@ def test_component_partition(token, n):
 
 def test_same_component_for_the_shared_pair():
     t = from_label("A2odd", 3)
-    uf, _ = partition_ids(t)
+    label = partition_ids(t).label
     for k in (1, 2):
-        assert uf.find(crystal.v_kl(t, k, 3 - k)) == \
-            uf.find(crystal.v_kl(t, k, 2 - k))
+        assert label[crystal.v_kl(t, k, 3 - k)] == \
+            label[crystal.v_kl(t, k, 2 - k)]
 
 
 @pytest.mark.parametrize("token", DOUBLED)
@@ -97,7 +98,8 @@ def test_unmatched_labels_are_reported_not_raised(monkeypatch):
     assert any("unexpected weight" in d for d in res.discrepancies)
 
 
-def test_branching_union_find_covers_each_state_once(monkeypatch):
+def _record_union_finds(monkeypatch):
+    """Record the size of every UnionFind allocated from now on."""
     sizes = []
     init = theorems.UnionFind.__init__
 
@@ -106,12 +108,46 @@ def test_branching_union_find_covers_each_state_once(monkeypatch):
         init(self, size)
 
     monkeypatch.setattr(theorems.UnionFind, "__init__", recording)
+    return sizes
+
+
+def test_branching_union_find_covers_each_state_once(monkeypatch):
+    sizes = _record_union_finds(monkeypatch)
     for token in DOUBLED:
         sizes.clear()
+        partition_ids.cache_clear()
         assert verify_classical_branching(from_label(token, 3)).passed
-        # one partition of the ground set, then one slot per component member
+        # the full partition of the ground set, then its classical partition
+        assert len(sizes) == 2
         assert sizes[0] == 4 ** 3
         assert sum(sizes[1:]) == 4 ** 3
+
+
+@pytest.mark.parametrize("token", ALL_LABELS)
+def test_verify_all_partitions_each_ground_set_once(capsys, monkeypatch, token):
+    # one full partition per type, shared by every suite, plus the
+    # classical one on matrices
+    sizes = _record_union_finds(monkeypatch)
+    partition_ids.cache_clear()
+    assert main(["verify", "--suite", "all", "--type", token, "--n", "3"]) == 0
+    t = from_label(token, 3)
+    assert sizes == [crystal.ground_size(t)] * (2 if t.doubled else 1)
+
+
+@pytest.mark.parametrize("token, searches", [("A2odd", 8), ("C1", 10)])
+def test_verify_all_component_searches(capsys, monkeypatch, token, searches):
+    # only cor57 and the fork-plus-double quotients of thm58 search
+    calls = []
+    component = crystal.component
+
+    def counting(t, x):
+        calls.append(x)
+        return component(t, x)
+
+    monkeypatch.setattr(crystal, "component", counting)
+    partition_ids.cache_clear()
+    assert main(["verify", "--suite", "all", "--type", token, "--n", "4"]) == 0
+    assert len(calls) == searches
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -162,13 +198,13 @@ def test_component_isomorphism_between_level_sets():
     from wedge_crystal.cartan import fundamental_weight_cl
 
     target = fundamental_weight_cl(t, 1)
-    r1 = [v for v in g1.vertices if g1.weights[v] == target]
-    r2 = [v for v in g2.vertices if g2.weights[v] == target]
+    r1 = [v for v in g1.vertices if crystal.weight(t, v) == target]
+    r2 = [v for v in g2.vertices if crystal.weight(t, v) == target]
     assert len(r1) == len(r2) == 1
     assert isomorphic_components(g1, g2, r1[0], r2[0])
     g3 = crystal.component(t, crystal.v_kl(t, 2, 0))
     r3 = [v for v in g3.vertices
-          if g3.weights[v] == fundamental_weight_cl(t, 2)]
+          if crystal.weight(t, v) == fundamental_weight_cl(t, 2)]
     assert not isomorphic_components(g1, g3, r1[0], r3[0])
 
 
