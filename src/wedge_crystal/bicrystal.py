@@ -60,9 +60,24 @@ def F_tilde(n: int, x: int):
 
 
 def sigma(n: int, x: int):
-    """String position (epsilon, phi) of the matrix x under the row operators."""
-    minus, plus = _signature(n, x)
-    return (len(minus), len(plus))
+    """String position (epsilon, phi) of the matrix x under the row operators.
+
+    Counts what :func:`_signature` collects: only rows whose two bits differ
+    take part, visited in reading order, from the top bit of column one.
+    """
+    col1 = x & ((1 << n) - 1)
+    differ = col1 ^ (x >> n)
+    eps = phi = 0
+    while differ:
+        row = 1 << (differ.bit_length() - 1)
+        differ ^= row
+        if col1 & row:  # [1 0]
+            phi += 1
+        elif phi:  # [0 1] cancels the latest unmatched [1 0]
+            phi -= 1
+        else:
+            eps += 1
+    return (eps, phi)
 
 
 def sigma_by_strings(n: int, x: int):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _string
 
 from . import bicrystal, crystal, fock, theorems
 from .cartan import DOUBLE, FORK, from_label, fundamental_weight_cl
@@ -54,6 +55,8 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
         if (k, l) not in pairs:
             raise UsageError(f"(k,l)=({k},{l}) does not index a component of {t.label}")
         g = crystal.component(t, crystal.v_kl(t, k, l))
+    elif l is not None:
+        raise UsageError(f"--l needs a two-column type, not {t.label}")
     elif k in (t.n, t.n - 1):
         g = crystal.component(t, crystal.v_spin(t, k))
     else:
@@ -83,8 +86,46 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
             "edges": [{"src": s, "dst": d, "color": c} for s, d, c in edges]}
 
 
+def _dumps(obj) -> str:
+    """Sorted, indented JSON for the small documents: reports and dumps."""
+    return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": "))
+
+
+# list items of a vertex record, and the list's closing line
+_ITEM = ",\n        "
+_OPEN = "[\n        "
+_CLOSE = "\n      ]"
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+    """A graph document, byte for byte as :func:`_dumps` writes it.
+
+    ``json.dumps`` with ``indent`` runs CPython's pure-Python encoder, so the
+    fixed shape of :func:`graph_document` is written from one template per
+    record instead; strings go through the C string encoder.
+    """
+    h = doc["header"]
+    header = (
+        f'{{\n    "cli_type": {_string(h["cli_type"])},\n    "k": {h["k"]},\n'
+        f'    "l": {"null" if h["l"] is None else h["l"]},\n    "n": {h["n"]},\n'
+        f'    "quotient": {"true" if h["quotient"] else "false"},\n'
+        f'    "type": {_string(h["type"])}\n  }}')
+    vertices = []
+    for v in doc["vertices"]:
+        s = v["sigma"]
+        sigma = ("null" if s is None
+                 else _OPEN + _ITEM.join(map(int.__repr__, s)) + _CLOSE)
+        vertices.append(
+            f'    {{\n      "id": {v["id"]},\n      "sigma": {sigma},\n'
+            f'      "text": {_string(v["text"])},\n      "weight": {_OPEN}'
+            f'{_ITEM.join(map(int.__repr__, v["weight"]))}{_CLOSE}\n    }}')
+    edges = ",\n".join(
+        f'    {{\n      "color": {e["color"]},\n      "dst": {e["dst"]},\n'
+        f'      "src": {e["src"]}\n    }}' for e in doc["edges"])
+    edges = f"[\n{edges}\n  ]" if edges else "[]"
+    vertices = ",\n".join(vertices)
+    return (f'{{\n  "edges": {edges},\n  "header": {header},\n'
+            f'  "vertices": [\n{vertices}\n  ]\n}}')
 
 
 def render_dot(doc: dict) -> str:
@@ -139,7 +180,7 @@ def cmd_decompose(args) -> int:
     t = _resolve_type(args)
     data = _report_rows(t)
     if args.format == "json":
-        print(render_json(data))
+        print(_dumps(data))
         return 0
     head = f"{'key':>10} {'rep':>14} {'size':>6}  {'branching':<18} sigma split"
     print(f"# {t.label} n={t.n}, {data['total']} elements")
@@ -181,7 +222,7 @@ def cmd_verify(args) -> int:
     if failed:
         dump = [{"suite": r.name, "discrepancies": r.discrepancies,
                  "stats": r.stats} for r in failed]
-        print(render_json({"type": t.label, "n": t.n, "failures": dump}))
+        print(_dumps({"type": t.label, "n": t.n, "failures": dump}))
         return 1
     return 0
 

@@ -152,10 +152,13 @@ def weight(t: AffineType, x):
 def text(t: AffineType, x: int) -> str:
     """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``."""
     n = t.n
+    width = f"0{n}b"
+    # a column's binary form lists bit n-1 (row 1-bar) first; reversed, it
+    # lists its rows from n-bar down to 1-bar
+    col1 = format(x & ((1 << n) - 1), width)[::-1]
     if t.doubled:
-        return "/".join(f"{x >> (n - j) & 1}{x >> (2 * n - j) & 1}"
-                        for j in range(n, 0, -1))
-    return "/".join(str(x >> (n - j) & 1) for j in range(n, 0, -1))
+        return "/".join(map(str.__add__, col1, format(x >> n, width)[::-1]))
+    return "/".join(col1)
 
 
 def v_kl(t: AffineType, k: int, l: int) -> int:

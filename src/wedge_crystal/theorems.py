@@ -231,9 +231,6 @@ def verify_component_partition(t: AffineType) -> SuiteResult:
     count = len(p.members)
     if count != len(pairs):
         res.note(f"{count} components found, expected {len(pairs)}")
-    total = sum(len(ids) for ids in p.members)
-    if total != 4 ** t.n:
-        res.note(f"component sizes sum to {total}, expected {4 ** t.n}")
     res.stats = {
         "components": count,
         "expected": len(pairs),

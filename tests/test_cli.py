@@ -25,6 +25,50 @@ def test_graph_json_deterministic(capsys):
     assert render_json(json.loads(out1)) + "\n" == out1
 
 
+def _oracle(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+
+
+def _documents(token, n):
+    """Every component of one labeling, with every fork-plus-double quotient."""
+    from wedge_crystal.cartan import DOUBLE, FORK, from_label
+    from wedge_crystal.theorems import h_diamond
+
+    t = from_label(token, n)
+    if not t.doubled:
+        return [graph_document(t, k) for k in (n, n - 1)]
+    docs = [graph_document(t, k, l) for k, l in h_diamond(t)]
+    if t.diamond == (FORK, DOUBLE):
+        docs += [graph_document(t, k, n - k, True) for k in range(1, n)]
+    return docs
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("token", ("B1", "C1", "D1", "A2even", "A2evenDagger",
+                                   "A2odd", "D2"))
+def test_render_json_equals_json_dumps(token, n):
+    docs = _documents(token, n)
+    for doc in docs:
+        assert render_json(doc) == _oracle(doc)
+    shapes = {(not doc["edges"], doc["vertices"][0]["sigma"] is None,
+               doc["header"]["quotient"]) for doc in docs}
+    if token in ("B1", "D1", "D2"):
+        assert shapes == {(False, True, False)}
+    elif token == "A2odd":
+        # the size-one components (0, n) and (0, n-1) have no edges
+        assert shapes == {(True, False, False), (False, False, False),
+                          (False, False, True)}
+
+
+def test_render_json_equals_json_dumps_on_export_graphs():
+    from wedge_crystal.cartan import from_label
+
+    c1, a2odd = from_label("C1", 8), from_label("A2odd", 8)
+    for doc in (graph_document(c1, 4, 0), graph_document(a2odd, 4, 4),
+                graph_document(a2odd, 4, 4, True)):
+        assert render_json(doc) == _oracle(doc)
+
+
 def test_graph_vertices_match_sigma_description():
     from wedge_crystal.cartan import from_label
     from wedge_crystal import bicrystal, crystal
@@ -195,6 +239,9 @@ def test_fock_verify_crystal_match(capsys):
     ("fock", "verify", "--type", "C1", "--n", "2", "--deltaword"),
     ("fock", "verify", "--type", "C1", "--n", "0", "--relations"),
     ("graph", "--type", "D1", "--n", "3", "--k", "3", "--quotient"),
+    ("graph", "--type", "B1", "--n", "3", "--k", "3", "--l", "1"),
+    ("graph", "--type", "D2", "--n", "3", "--k", "2", "--l", "0",
+     "--format", "json"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

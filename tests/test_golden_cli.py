@@ -66,6 +66,13 @@ def golden_cases():
             for comp in comps:
                 for fmt in ("json", "dot"):
                     cases.append([*base, *comp, "--format", fmt])
+    # the benchmark's export graphs, at n = 8
+    for label, l in (("C1", 0), ("A2odd", 4)):
+        for fmt in ("json", "dot"):
+            cases.append(["graph", "--type", label, "--n", "8", "--k", "4",
+                          "--l", str(l), "--format", fmt])
+    cases.append(["graph", "--type", "A2odd", "--n", "8", "--k", "4", "--l", "4",
+                  "--quotient", "--format", "json"])
     # usage errors raised by the program, not by argparse
     cases += [
         ["verify", "--suite", "lem44", "--type", "A2odd", "--n", "3", "--k", "0"],

@@ -102,3 +102,22 @@ def test_sigma_signature_closed_form_and_strings(case):
     assert s == oracle.sigma(obj)
     assert bicrystal.E_tilde(n, x) == _id(oracle.E_tilde(obj))
     assert bicrystal.F_tilde(n, x) == _id(oracle.F_tilde(obj))
+
+
+@st.composite
+def short_columns(draw):
+    """An id whose columns each have a drawn bit length, so that their rows
+    from 1-bar upwards are often zero."""
+    t = from_label(draw(st.sampled_from(TOKENS)), draw(st.integers(2, MAX_N)))
+    x = 0
+    for shift in ((0, t.n) if t.doubled else (0,)):
+        bits = draw(st.integers(0, t.n))
+        x |= draw(st.integers(0, (1 << bits) - 1)) << shift
+    return t, x
+
+
+@SAMPLED
+@given(st.one_of(elements(), short_columns()))
+def test_text_matches_oracle(case):
+    t, x = case
+    assert crystal.text(t, x) == _object(t, x).text

@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from wedge_crystal.cartan import ALL_LABELS, from_label
@@ -40,6 +42,28 @@ def test_component_partition_counts():
 @pytest.mark.parametrize("n", (2, 3))
 def test_component_partition(token, n):
     assert verify_component_partition(from_label(token, n)).passed
+
+
+def test_component_count_check_can_fail(capsys, monkeypatch):
+    # split one id that represents no component off into a class of its own
+    t = from_label("C1", 2)
+    whole = partition_ids(t)
+    reps = {crystal.v_kl(t, *pair) for pair in h_diamond(t)}
+    x = next(y for y in crystal.all_elements(t) if y not in reps)
+    label = array("I", whole.label)
+    label[x] = len(whole.members)
+    members = tuple(array("I", (y for y in ids if y != x))
+                    for ids in whole.members) + (array("I", [x]),)
+    monkeypatch.setattr(theorems, "partition_ids",
+                        lambda t, rs=None: theorems.Partition(label, members))
+    res = verify_component_partition(t)
+    assert not res.passed
+    assert res.discrepancies == ["7 components found, expected 6"]
+    assert res.stats["components"] == 7
+    assert main(["verify", "--suite", "prop41", "--type", "C1", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("[prop41] FAIL C_n^(1) n=2\n")
+    assert "7 components found, expected 6" in out
 
 
 def test_same_component_for_the_shared_pair():
