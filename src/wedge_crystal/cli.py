@@ -44,6 +44,8 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
     header = {"type": t.label, "cli_type": t.cli_token, "n": t.n,
               "k": k, "l": l, "quotient": bool(quotient)}
     if t.doubled:
+        if not 0 <= k <= t.n:
+            raise UsageError(f"k must lie in 0..{t.n}, got {k}")
         pairs = theorems.h_diamond(t)
         if l is None:
             candidates = [pair for pair in pairs if pair[0] == k]
@@ -210,6 +212,9 @@ def cmd_verify(args) -> int:
             theorems.suite_ks(name, t, args.k)
         except ValueError as exc:
             raise UsageError(str(exc))
+    # under "all", --k bounds only the suites that take one
+    if args.suite != "all" and args.k is not None and table[args.suite][2] is None:
+        raise UsageError(f"the {table[args.suite][0]} suite takes no --k")
     results = []
     for name in names:
         _, _, gap, func = table[name]

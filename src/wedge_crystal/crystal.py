@@ -199,18 +199,6 @@ class CrystalGraph:
     vertices: tuple
     edges: tuple  # (src_id, dst_id, color)
 
-    def out_edges(self):
-        out = {}
-        for s, d, c in self.edges:
-            out[(s, c)] = d
-        return out
-
-    def in_edges(self):
-        inc = {}
-        for s, d, c in self.edges:
-            inc[(d, c)] = s
-        return inc
-
 
 def component(t: AffineType, x: int) -> CrystalGraph:
     """Closure of x under all raising and lowering operators (graph search)."""

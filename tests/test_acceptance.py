@@ -86,20 +86,20 @@ def test_criterion_6_delta_shift():
 def test_criterion_7_sigma_characterization():
     ok = True
     for token in DOUBLED:
-        for n in range(2, 7):
+        for n in range(2, 8):
             r = theorems.verify_sigma_characterization(from_label(token, n))
             ok = ok and r.passed
     _report(7, ok, "components equal their string-position level sets, "
-                   "four doubled types, n=2..6")
+                   "four doubled types, n=2..7")
 
 
 def test_criterion_8_multiplicities():
     ok = True
     for token in DOUBLED:
-        for n in range(2, 7):
+        for n in range(2, 8):
             r = theorems.verify_multiplicities(from_label(token, n))
             ok = ok and r.passed
-    _report(8, ok, "irreducible multiplicities in the full ground set, n=2..6")
+    _report(8, ok, "irreducible multiplicities in the full ground set, n=2..7")
 
 
 def test_criterion_9_symbolic_module():

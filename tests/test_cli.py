@@ -242,11 +242,27 @@ def test_fock_verify_crystal_match(capsys):
     ("graph", "--type", "B1", "--n", "3", "--k", "3", "--l", "1"),
     ("graph", "--type", "D2", "--n", "3", "--k", "2", "--l", "0",
      "--format", "json"),
+    # an explicit suite without a k range refuses --k
+    ("verify", "--suite", "cor57", "--type", "C1", "--n", "3", "--k", "99"),
+    ("verify", "--suite", "prop41", "--type", "C1", "--n", "3", "--k", "1"),
+    ("verify", "--suite", "thm42", "--type", "A2odd", "--n", "3", "--k", "1"),
+    ("verify", "--suite", "spin", "--type", "B1", "--n", "3", "--k", "3"),
+    # a two-column k outside 0..n, with and without --l
+    ("graph", "--type", "C1", "--n", "3", "--k", "7"),
+    ("graph", "--type", "A2odd", "--n", "3", "--k", "-1", "--l", "0"),
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ")
+
+
+def test_usage_errors_name_the_bad_k(capsys):
+    assert run(capsys, "graph", "--type", "C1", "--n", "3", "--k", "7")[2] == \
+        "usage error: k must lie in 0..3, got 7\n"
+    assert run(capsys, "verify", "--suite", "cor57", "--type", "C1", "--n", "3",
+               "--k", "99")[2] == \
+        "usage error: the multiplicity suite takes no --k\n"
 
 
 def test_internal_fault_exits_3(capsys, monkeypatch):

@@ -219,8 +219,7 @@ def test_component_against_union_find():
     members = {x for x in all_elements(t) if label[x] == root}
     assert set(g.vertices) == members
     # edge pairing invariant inside the graph
-    out = g.out_edges()
-    for (src, color), dst in out.items():
+    for src, dst, color in g.edges:
         assert f_tilde(t, color, src) == dst
     # the search from every representative finds exactly its partition class
     for token in DOUBLED + SINGLE_COL:

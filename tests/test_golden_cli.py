@@ -73,6 +73,11 @@ def golden_cases():
                           "--l", str(l), "--format", fmt])
     cases.append(["graph", "--type", "A2odd", "--n", "8", "--k", "4", "--l", "4",
                   "--quotient", "--format", "json"])
+    # the benchmark's suites at its rank, n = 5, on the matrix labelings
+    for label in ("C1", "A2even", "A2evenDagger", "A2odd"):
+        base = ["--type", label, "--n", "5"]
+        cases.append(["verify", "--suite", "all", *base])
+        cases.append(["decompose", *base, "--format", "json"])
     # usage errors raised by the program, not by argparse
     cases += [
         ["verify", "--suite", "lem44", "--type", "A2odd", "--n", "3", "--k", "0"],

@@ -44,18 +44,24 @@ def test_component_partition(token, n):
     assert verify_component_partition(from_label(token, n)).passed
 
 
-def test_component_count_check_can_fail(capsys, monkeypatch):
-    # split one id that represents no component off into a class of its own
-    t = from_label("C1", 2)
+def _split_off(monkeypatch, t, x):
+    """Make ``partition_ids`` answer the partition of ``t`` with ``x`` moved
+    into a class of its own."""
     whole = partition_ids(t)
-    reps = {crystal.v_kl(t, *pair) for pair in h_diamond(t)}
-    x = next(y for y in crystal.all_elements(t) if y not in reps)
     label = array("I", whole.label)
     label[x] = len(whole.members)
     members = tuple(array("I", (y for y in ids if y != x))
                     for ids in whole.members) + (array("I", [x]),)
     monkeypatch.setattr(theorems, "partition_ids",
                         lambda t, rs=None: theorems.Partition(label, members))
+
+
+def test_component_count_check_can_fail(capsys, monkeypatch):
+    # split one id that represents no component off into a class of its own
+    t = from_label("C1", 2)
+    reps = {crystal.v_kl(t, *pair) for pair in h_diamond(t)}
+    _split_off(monkeypatch, t, next(y for y in crystal.all_elements(t)
+                                    if y not in reps))
     res = verify_component_partition(t)
     assert not res.passed
     assert res.discrepancies == ["7 components found, expected 6"]
@@ -64,6 +70,24 @@ def test_component_count_check_can_fail(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.startswith("[prop41] FAIL C_n^(1) n=2\n")
     assert "7 components found, expected 6" in out
+
+
+def test_shared_component_checks_can_fail(monkeypatch):
+    # split one id of the shared k=1 component off: that component is no
+    # longer its level set, and no longer a union of involution orbits
+    t = from_label("A2odd", 4)
+    reps = {crystal.v_kl(t, *pair) for pair in h_diamond(t)}
+    shared = partition_ids(t).class_of(crystal.v_kl(t, 1, 3))
+    assert len(shared) == 16
+    _split_off(monkeypatch, t, next(y for y in shared if y not in reps))
+    res = verify_sigma_characterization(t)
+    assert not res.passed
+    assert len(res.discrepancies) == 1
+    assert res.discrepancies[0].startswith(
+        "k=1: component has 15 elements, level set 16; difference ")
+    res = verify_multiplicities(t)
+    assert not res.passed
+    assert res.discrepancies == ["k=1: quotient size 8 does not halve 15"]
 
 
 def test_same_component_for_the_shared_pair():
@@ -158,20 +182,27 @@ def test_verify_all_partitions_each_ground_set_once(capsys, monkeypatch, token):
     assert sizes == [crystal.ground_size(t)] * (2 if t.doubled else 1)
 
 
-@pytest.mark.parametrize("token, searches", [("A2odd", 8), ("C1", 10)])
-def test_verify_all_component_searches(capsys, monkeypatch, token, searches):
-    # only cor57 and the fork-plus-double quotients of thm58 search
+# the ids keep the names of the runs that, before the suites read the shared
+# partition, made 8 and 10 component searches
+@pytest.mark.parametrize("token", ("A2odd", "C1"), ids=("A2odd-8", "C1-10"))
+def test_verify_all_component_searches(capsys, monkeypatch, token):
+    # no suite searches a component or builds a quotient graph
     calls = []
-    component = crystal.component
+    component, quotient_graph = crystal.component, bicrystal.quotient_graph
 
     def counting(t, x):
         calls.append(x)
         return component(t, x)
 
+    def counting_quotient(g, k):
+        calls.append(k)
+        return quotient_graph(g, k)
+
     monkeypatch.setattr(crystal, "component", counting)
+    monkeypatch.setattr(bicrystal, "quotient_graph", counting_quotient)
     partition_ids.cache_clear()
     assert main(["verify", "--suite", "all", "--type", token, "--n", "4"]) == 0
-    assert len(calls) == searches
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -214,22 +245,28 @@ def test_sigma_level_sets_are_components():
         assert comp == level
 
 
-def test_component_isomorphism_between_level_sets():
+def test_component_isomorphism_between_level_sets(monkeypatch):
     # same k, different l: isomorphic colored digraphs
     t = from_label("C1", 3)
-    g1 = crystal.component(t, crystal.v_kl(t, 1, 0))
-    g2 = crystal.component(t, crystal.v_kl(t, 1, 2))
     from wedge_crystal.cartan import fundamental_weight_cl
 
-    target = fundamental_weight_cl(t, 1)
-    r1 = [v for v in g1.vertices if crystal.weight(t, v) == target]
-    r2 = [v for v in g2.vertices if crystal.weight(t, v) == target]
-    assert len(r1) == len(r2) == 1
-    assert isomorphic_components(g1, g2, r1[0], r2[0])
-    g3 = crystal.component(t, crystal.v_kl(t, 2, 0))
-    r3 = [v for v in g3.vertices
-          if crystal.weight(t, v) == fundamental_weight_cl(t, 2)]
-    assert not isomorphic_components(g1, g3, r1[0], r3[0])
+    def roots(k, l):
+        target = fundamental_weight_cl(t, k)
+        return [v for v in partition_ids(t).class_of(crystal.v_kl(t, k, l))
+                if crystal.weight(t, v) == target]
+
+    r1, r2, r3 = roots(1, 0), roots(1, 2), roots(2, 0)
+    assert len(r1) == len(r2) == len(r3) == 1
+    assert isomorphic_components(t, r1[0], r2[0])
+    assert not isomorphic_components(t, r1[0], r3[0])
+    # a match must cover both partition classes: with one id of the l=2
+    # component split off, the walk covers more than its class
+    comp = partition_ids(t).class_of(crystal.v_kl(t, 1, 2))
+    _split_off(monkeypatch, t, next(y for y in comp
+                                    if y not in (r2[0], crystal.v_kl(t, 1, 2))))
+    assert not isomorphic_components(t, r1[0], r2[0])
+    assert verify_multiplicities(t).discrepancies == [
+        "k=1: component at l=2 not isomorphic to l=0"]
 
 
 @pytest.mark.parametrize("token", DOUBLED)
