@@ -4,18 +4,19 @@ All output is deterministic: vertices are ordered by id, edges by
 (source, target, color), and JSON is emitted with sorted keys, so repeated
 invocations are byte-identical.  Exit codes: 0 all checks pass, 1 a check
 failed (a JSON discrepancy dump goes to stdout), 2 usage error, 3 internal
-fault (one JSON line on stderr).
+fault (one JSON line on stderr), 141 the reader closed stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _string
 
 from . import bicrystal, crystal, fock, theorems
-from .cartan import DOUBLE, FORK, from_label, fundamental_weight_cl
+from .cartan import DOUBLE, FORK, from_label
 
 # fixed edge palette, cycled by color index; documented in the README
 PALETTE = (
@@ -161,26 +162,9 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _report_rows(t):
-    report = theorems.decomposition_report(t)
-    rows = []
-    for row in report.rows:
-        rows.append({
-            "key": list(row.key),
-            "representative": row.rep_text,
-            "rep_id": row.rep_id,
-            "size": row.size,
-            "weight": list(row.weight),
-            "branching": [b for b in row.branching],
-            "sigma": list(row.sigma) if row.sigma else None,
-            "split": list(row.split) if row.split else None,
-        })
-    return {"type": t.label, "n": t.n, "total": report.total, "components": rows}
-
-
 def cmd_decompose(args) -> int:
     t = _resolve_type(args)
-    data = _report_rows(t)
+    data = theorems.decomposition_report(t)
     if args.format == "json":
         print(_dumps(data))
         return 0
@@ -199,27 +183,11 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     t = _resolve_type(args)
-    table = theorems._DOMAINS
-    if args.suite == "all":
-        # every suite whose type predicate holds, matrix suites before fork ones
-        names = sorted((name for name, (_, (applies, _), _, _) in table.items()
-                        if applies(t)),
-                       key=lambda name: table[name][1] is theorems._FORK)
-    else:
-        names = [args.suite]
-    for name in names:
-        try:
-            theorems.suite_ks(name, t, args.k)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-    # under "all", --k bounds only the suites that take one
-    if args.suite != "all" and args.k is not None and table[args.suite][2] is None:
-        raise UsageError(f"the {table[args.suite][0]} suite takes no --k")
-    results = []
-    for name in names:
-        _, _, gap, func = table[name]
-        run = getattr(theorems, func)
-        results.append(run(t) if gap is None else run(t, args.k))
+    try:
+        names = theorems.select_suites(t, args.suite, args.k)
+    except ValueError as exc:
+        raise UsageError(str(exc))
+    results = [theorems.run_suite(name, t, args.k) for name in names]
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -232,34 +200,23 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _flag(group: str) -> str:
+    return "--" + group.replace("_", "-")
+
+
 def cmd_fock_verify(args) -> int:
     t = _resolve_type(args)
-    wanted = {
-        "relations": args.relations,
-        "polarization": args.polarization,
-        "crystal_match": args.crystal_match,
-        "highest": args.highest,
-        "deltaword": args.deltaword,
-    }
-    if not any(wanted.values()):
-        wanted = {k: True for k in wanted}
-        wanted["deltaword"] = t.diamond == (FORK, DOUBLE)
-    if wanted["deltaword"] and t.diamond != (FORK, DOUBLE):
-        raise UsageError("--deltaword needs the fork-plus-double type")
+    groups = fock.GROUPS
+    wanted = [name for name in groups if getattr(args, name)]
+    for name in wanted:
+        applies, kind = groups[name][1]
+        if not applies(t):
+            raise UsageError(f"{_flag(name)} needs {kind}")
+    if not wanted:
+        wanted = [name for name, (_, (applies, _)) in groups.items() if applies(t)]
     rep = fock.representation(t)
-    checks = []
-    if wanted["relations"]:
-        checks += fock.verify_relations(rep)
-        checks += fock.verify_weight_compatibility(rep)
-    if wanted["polarization"]:
-        checks += fock.verify_polarization(rep)
-    if wanted["crystal_match"]:
-        match_checks, _signs = fock.crystal_match(rep)
-        checks += match_checks
-    if wanted["highest"]:
-        checks += _highest_checks(rep)
-    if wanted["deltaword"]:
-        checks += fock.verify_null_shift(rep)
+    checks = [check for name in wanted for func in groups[name][0]
+              for check in getattr(fock, func)(rep)]
     bad = [c for c in checks if not c.ok]
     for c in checks:
         print(f"[{'ok' if c.ok else 'FAIL'}] {c.name}")
@@ -268,23 +225,6 @@ def cmd_fock_verify(args) -> int:
     print(f"{len(checks) - len(bad)}/{len(checks)} checks passed "
           f"for {t.label} n={t.n}")
     return 0 if not bad else 1
-
-
-def _highest_checks(rep):
-    t = rep.type
-    checks = []
-    if not t.doubled:
-        return checks
-    for (k, l) in theorems.h_diamond(t):
-        wvec = fundamental_weight_cl(t, k)
-        kernel, _ = fock.highest_vectors(rep, wvec)
-        expected = len(fock._highest_crystal_ids(rep, wvec))
-        checks.append(fock.Check(
-            f"highest-vector count at weight index {k}",
-            len(kernel) == expected))
-        _, ok, _dim = fock.normalized_highest_vector(rep, k, l)
-        checks.append(fock.Check(f"normalized highest vector ({k},{l})", ok))
-    return checks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run exhaustive verification suites")
     add_type_args(v)
-    v.add_argument("--suite", choices=(*theorems._DOMAINS, "all"),
+    v.add_argument("--suite", choices=(*theorems.SUITES, "all"),
                    required=True)
     v.add_argument("--k", type=int, default=None)
     v.set_defaults(func=cmd_verify)
@@ -326,11 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     fv = fksub.add_parser("verify", help="relations, polarization, "
                                          "crystal match, highest vectors")
     add_type_args(fv)
-    fv.add_argument("--relations", action="store_true")
-    fv.add_argument("--polarization", action="store_true")
-    fv.add_argument("--crystal-match", dest="crystal_match", action="store_true")
-    fv.add_argument("--highest", action="store_true")
-    fv.add_argument("--deltaword", action="store_true")
+    for group in fock.GROUPS:
+        fv.add_argument(_flag(group), action="store_true")
     fv.set_defaults(func=cmd_fock_verify)
 
     return parser
@@ -340,7 +277,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: end quietly, as SIGPIPE would, with
+        # what is still buffered sent to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

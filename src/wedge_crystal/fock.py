@@ -31,6 +31,7 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
+from .theorems import FORK_TYPE, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
@@ -190,44 +191,6 @@ def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> Check:
     rc = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     return Check(name, False, f"entry {rc}: lhs {format_poly(a.get(rc, {}))}, "
                               f"rhs {format_poly(b.get(rc, {}))}")
-
-
-def clifford_relation_checks(n: int, unit: int):
-    """Exact checks of the generator relations on the 2^n-dimensional space.
-
-    The diagonal identities are multiplied through by q - q^-1.
-    """
-    checks = []
-    dim = 1 << n
-    ident, zero = SparseOperator.identity(dim), SparseOperator(dim)
-    qdiff = {unit: 1, -unit: -1}
-    for a in range(1, n + 1):
-        pa, psa = psi(n, a), psi_star(n, a)
-        oa = omega(n, a, unit)
-        oai = omega(n, a, unit, power=-1)
-        checks.append(_compare(f"omega({a}) invertible", oa @ oai, ident))
-        checks.append(_compare(f"psi({a})psi*({a}) diagonal identity",
-                               (pa @ psa).scale(qdiff),
-                               oa.scale({unit: 1}) - oai.scale({-unit: 1})))
-        checks.append(_compare(f"psi*({a})psi({a}) diagonal identity",
-                               (psa @ pa).scale(qdiff), oai - oa))
-        for b in range(1, n + 1):
-            pb, psb = psi(n, b), psi_star(n, b)
-            checks.append(_compare(f"psi({a})psi({b}) anticommute",
-                                   pa @ pb + pb @ pa, zero))
-            checks.append(_compare(f"psi*({a})psi*({b}) anticommute",
-                                   psa @ psb + psb @ psa, zero))
-            if a != b:
-                checks.append(_compare(f"psi({a})psi*({b}) anticommute",
-                                       pa @ psb + psb @ pa, zero))
-            ob = omega(n, b, unit)
-            obi = omega(n, b, unit, power=-1)
-            shift = unit if a == b else 0
-            checks.append(_compare(f"omega({b})psi({a}) gauge",
-                                   ob @ pa @ obi, pa.scale({shift: 1})))
-            checks.append(_compare(f"omega({b})psi*({a}) gauge",
-                                   ob @ psa @ obi, psa.scale({-shift: 1})))
-    return checks
 
 
 # -- the generator family ------------------------------------------------------
@@ -579,12 +542,11 @@ def kashiwara_operators(rep: Representation, i: int):
     return et, ft
 
 
-def crystal_match(rep: Representation, indices=None):
+def crystal_match(rep: Representation):
     """Specialize the modified operators at qs = 0 and compare adjacency."""
     t = rep.type
     checks = []
-    signs = {}
-    for i in (range(t.n + 1) if indices is None else indices):
+    for i in range(t.n + 1):
         et, ft = kashiwara_operators(rep, i)
         rule = crys.rules(t)[i]
         for name, op, step in ((f"e~({i})", et, crys.step_e),
@@ -611,8 +573,7 @@ def crystal_match(rep: Representation, indices=None):
                 cols[c] = cols.get(c, 0) + 1
             checks.append(Check(f"{name} single-valued columns",
                                 all(v == 1 for v in cols.values())))
-            signs[name] = {rc: (1 if v > 0 else -1) for rc, v in reduced.items()}
-    return checks, signs
+    return checks
 
 
 # -- highest vectors and the null-root shift -----------------------------------
@@ -683,6 +644,24 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     return out, ok, len(kernel)
 
 
+def verify_highest(rep: Representation):
+    """Per component (k, l) of a matrix type: the classical highest vectors
+    at its weight are as many as the crystal's classically-highest states,
+    and the normalized highest vector at (k, l) exists."""
+    t = rep.type
+    checks = []
+    if not t.doubled:
+        return checks
+    for (k, l) in h_diamond(t):
+        wvec = fundamental_weight_cl(t, k)
+        kernel, _ = highest_vectors(rep, wvec)
+        checks.append(Check(f"highest-vector count at weight index {k}",
+                            len(kernel) == len(_highest_crystal_ids(rep, wvec))))
+        _, ok, _ = normalized_highest_vector(rep, k, l)
+        checks.append(Check(f"normalized highest vector ({k},{l})", ok))
+    return checks
+
+
 def apply_extremal_word(rep: Representation, vec: dict, elem, word):
     """Divided-power word application tracking the crystal element.
 
@@ -747,3 +726,18 @@ def verify_null_shift(rep: Representation):
             checks.append(Check(f"k={k} signed swap on the two-dimensional space",
                                 swapped))
     return checks
+
+
+# -- check groups --------------------------------------------------------------
+
+_ANY_TYPE = (lambda t: True, "any type")
+
+# check group -> (the functions that run it, in order; the type it needs),
+# in the order of the CLI's flags, which run every applicable group by default
+GROUPS = {
+    "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE),
+    "polarization": (("verify_polarization",), _ANY_TYPE),
+    "crystal_match": (("crystal_match",), _ANY_TYPE),
+    "highest": (("verify_highest",), _ANY_TYPE),
+    "deltaword": (("verify_null_shift",), FORK_TYPE),
+}

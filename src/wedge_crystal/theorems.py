@@ -133,26 +133,9 @@ def expected_branching(t: AffineType, k: int, l: int):
     return sorted(out)
 
 
-@dataclass
-class ComponentRow:
-    key: tuple  # (k, l) for matrices, ("spin", k) for vectors
-    rep_id: int
-    rep_text: str
-    size: int
-    weight: tuple
-    branching: list
-    sigma: tuple | None = None
-    split: tuple | None = None  # (|plus half|, |minus half|) where defined
-
-
-@dataclass
-class DecompositionReport:
-    type: AffineType
-    rows: list
-    total: int
-
-
-def decomposition_report(t: AffineType) -> DecompositionReport:
+def decomposition_report(t: AffineType) -> dict:
+    """The document ``decompose`` prints: one row per component, keyed by
+    (k, l) on matrices and ("spin", k) on vectors."""
     p = partition_ids(t)
     rs = crystal.rules(t)
     rows = []
@@ -164,40 +147,42 @@ def decomposition_report(t: AffineType) -> DecompositionReport:
     for key, rep in reps.items():
         members = p.class_of(rep)
         highest = [x for x in members if crystal.is_classically_highest(rs, x)]
-        labels = sorted_labels(classify_weight(t, crystal.weight(t, x))
-                               for x in highest)
-        sig = bicrystal.sigma(t.n, rep) if t.doubled else None
-        split = None
-        if t.diamond == (FORK, DOUBLE) and isinstance(key[0], int) and 1 <= key[0] <= t.n - 1 and key[1] == t.n - key[0]:
-            k = key[0]
-            plus = sum(1 for x in members if bicrystal.sigma(t.n, x)[1] == t.n - k)
-            split = (plus, len(members) - plus)
-        rows.append(ComponentRow(
-            key=key, rep_id=rep, rep_text=crystal.text(t, rep), size=len(members),
-            weight=crystal.weight(t, rep), branching=labels, sigma=sig,
-            split=split,
-        ))
-    total = sum(r.size for r in rows)
-    return DecompositionReport(type=t, rows=rows, total=total)
+        split = None  # [|plus half|, |minus half|] of a shared component
+        if t.diamond == (FORK, DOUBLE) and 0 < key[0] < t.n and key[1] == t.n - key[0]:
+            plus = sum(1 for x in members if bicrystal.sigma(t.n, x)[1] == key[1])
+            split = [plus, len(members) - plus]
+        rows.append({
+            "key": list(key),
+            "representative": crystal.text(t, rep),
+            "rep_id": rep,
+            "size": len(members),
+            "weight": list(crystal.weight(t, rep)),
+            "branching": sorted_labels(classify_weight(t, crystal.weight(t, x))
+                                       for x in highest),
+            "sigma": list(bicrystal.sigma(t.n, rep)) if t.doubled else None,
+            "split": split,
+        })
+    return {"type": t.label, "n": t.n, "total": sum(r["size"] for r in rows),
+            "components": rows}
 
 
-# the types a suite can need: a predicate and its description
-_MATRIX = (lambda t: t.doubled, "a matrix-crystal type")
-_COLUMN = (lambda t: not t.doubled, "a single-column type")
-_FORK = (lambda t: t.diamond == (FORK, DOUBLE), "the fork-plus-double type")
+# the types a suite or a check group can need: a predicate and its description
+MATRIX_TYPE = (lambda t: t.doubled, "a matrix-crystal type")
+COLUMN_TYPE = (lambda t: not t.doubled, "a single-column type")
+FORK_TYPE = (lambda t: t.diamond == (FORK, DOUBLE), "the fork-plus-double type")
 
 # suite -> (its title, the type it needs, how far the top of its k range
 # lies below n or None when it takes no k, the function that runs it),
 # in the order of the CLI's --suite choices
-_DOMAINS = {
-    "prop41": ("component partition", _MATRIX, None, "verify_component_partition"),
-    "thm42": ("branching", _MATRIX, None, "verify_classical_branching"),
-    "lem44": ("sigma-range", _FORK, 1, "verify_sigma_range"),
-    "prop46": ("involution", _FORK, 1, "verify_involution_commutes"),
-    "thm58": ("characterization", _MATRIX, 0, "verify_sigma_characterization"),
-    "cor57": ("multiplicity", _MATRIX, None, "verify_multiplicities"),
-    "spin": ("spin", _COLUMN, None, "verify_spin_decomposition"),
-    "deltaword": ("delta-shift", _FORK, 1, "verify_delta_shift"),
+SUITES = {
+    "prop41": ("component partition", MATRIX_TYPE, None, "verify_component_partition"),
+    "thm42": ("branching", MATRIX_TYPE, None, "verify_classical_branching"),
+    "lem44": ("sigma-range", FORK_TYPE, 1, "verify_sigma_range"),
+    "prop46": ("involution", FORK_TYPE, 1, "verify_involution_commutes"),
+    "thm58": ("characterization", MATRIX_TYPE, 0, "verify_sigma_characterization"),
+    "cor57": ("multiplicity", MATRIX_TYPE, None, "verify_multiplicities"),
+    "spin": ("spin", COLUMN_TYPE, None, "verify_spin_decomposition"),
+    "deltaword": ("delta-shift", FORK_TYPE, 1, "verify_delta_shift"),
 }
 
 
@@ -208,7 +193,7 @@ def suite_ks(name: str, t: AffineType, k: int | None = None) -> list:
     Raises ValueError, before anything is enumerated, when the suite does
     not apply to the type or ``k`` lies outside its range.
     """
-    title, (applies, kind), gap, _ = _DOMAINS[name]
+    title, (applies, kind), gap, _ = SUITES[name]
     if not applies(t):
         raise ValueError(f"{title} suite needs {kind}")
     if gap is None:
@@ -217,6 +202,35 @@ def suite_ks(name: str, t: AffineType, k: int | None = None) -> list:
     if k is not None and not 1 <= k <= top:
         raise ValueError(f"k must lie in 1..{top}, got {k}")
     return list(range(1, top + 1)) if k is None else [k]
+
+
+def select_suites(t: AffineType, suite: str, k: int | None) -> list:
+    """The suites that ``suite`` names on ``t``, in the order they run: the
+    one named, or for "all" every suite whose type predicate holds, matrix
+    suites before fork-plus-double ones.
+
+    Raises ValueError, before anything is enumerated, when a suite does not
+    apply to the type, ``k`` lies outside a suite's range, or a suite named
+    alone takes no k; under "all", ``k`` bounds only the suites that take one.
+    """
+    if suite == "all":
+        names = sorted((name for name, (_, (applies, _), _, _) in SUITES.items()
+                        if applies(t)),
+                       key=lambda name: SUITES[name][1] is FORK_TYPE)
+    else:
+        names = [suite]
+    for name in names:
+        suite_ks(name, t, k)
+    if suite != "all" and k is not None and SUITES[suite][2] is None:
+        raise ValueError(f"the {SUITES[suite][0]} suite takes no --k")
+    return names
+
+
+def run_suite(name: str, t: AffineType, k: int | None) -> SuiteResult:
+    """Run the named suite, looked up by its function's module attribute."""
+    _, _, gap, func = SUITES[name]
+    run = globals()[func]
+    return run(t) if gap is None else run(t, k)
 
 
 def verify_component_partition(t: AffineType) -> SuiteResult:

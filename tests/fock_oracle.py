@@ -6,6 +6,10 @@ entry is a canonical ``RationalScalar``, the string identity divides by
 q_i - q_i^-1 and the Serre relations use divided powers.  The tests compare
 the integer formulation against it, entry for entry and verdict for verdict.
 
+Next to its Clifford relation checks sit the same checks on the integer
+operators of ``fock`` (``integer_clifford_relation_checks``), which the
+package itself never runs.
+
 It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
 before its sparse row reduction; the tests compare the two on random
 matrices.
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from wedge_crystal import crystal as crys
+from wedge_crystal import fock
 from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from wedge_crystal.laurent import NotRegular
@@ -592,6 +597,46 @@ def clifford_relation_checks(n: int, unit: int):
                            (ob @ pa @ obi) == pa.scale(scale)))
             checks.append((f"omega({b})psi*({a}) gauge",
                            (ob @ psa @ obi) == psa.scale(scale.inverse())))
+    return checks
+
+
+def integer_clifford_relation_checks(n: int, unit: int):
+    """The same checks on ``fock``'s integer operators, as ``fock.Check``s.
+
+    The diagonal identities are multiplied through by q - q^-1, so every
+    check stays in Z[qs^±1].
+    """
+    checks = []
+    dim = 1 << n
+    ident, zero = fock.SparseOperator.identity(dim), fock.SparseOperator(dim)
+    qdiff = {unit: 1, -unit: -1}
+    compare = fock._compare
+    for a in range(1, n + 1):
+        pa, psa = fock.psi(n, a), fock.psi_star(n, a)
+        oa = fock.omega(n, a, unit)
+        oai = fock.omega(n, a, unit, power=-1)
+        checks.append(compare(f"omega({a}) invertible", oa @ oai, ident))
+        checks.append(compare(f"psi({a})psi*({a}) diagonal identity",
+                              (pa @ psa).scale(qdiff),
+                              oa.scale({unit: 1}) - oai.scale({-unit: 1})))
+        checks.append(compare(f"psi*({a})psi({a}) diagonal identity",
+                              (psa @ pa).scale(qdiff), oai - oa))
+        for b in range(1, n + 1):
+            pb, psb = fock.psi(n, b), fock.psi_star(n, b)
+            checks.append(compare(f"psi({a})psi({b}) anticommute",
+                                  pa @ pb + pb @ pa, zero))
+            checks.append(compare(f"psi*({a})psi*({b}) anticommute",
+                                  psa @ psb + psb @ psa, zero))
+            if a != b:
+                checks.append(compare(f"psi({a})psi*({b}) anticommute",
+                                      pa @ psb + psb @ pa, zero))
+            ob = fock.omega(n, b, unit)
+            obi = fock.omega(n, b, unit, power=-1)
+            shift = unit if a == b else 0
+            checks.append(compare(f"omega({b})psi({a}) gauge",
+                                  ob @ pa @ obi, pa.scale({shift: 1})))
+            checks.append(compare(f"omega({b})psi*({a}) gauge",
+                                  ob @ psa @ obi, psa.scale({-shift: 1})))
     return checks
 
 

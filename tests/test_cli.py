@@ -3,6 +3,7 @@ import json
 import pytest
 
 from wedge_crystal import crystal
+from wedge_crystal.cartan import from_label
 from wedge_crystal.cli import graph_document, main, render_json
 
 
@@ -61,8 +62,6 @@ def test_render_json_equals_json_dumps(token, n):
 
 
 def test_render_json_equals_json_dumps_on_export_graphs():
-    from wedge_crystal.cartan import from_label
-
     c1, a2odd = from_label("C1", 8), from_label("A2odd", 8)
     for doc in (graph_document(c1, 4, 0), graph_document(a2odd, 4, 4),
                 graph_document(a2odd, 4, 4, True)):
@@ -70,7 +69,6 @@ def test_render_json_equals_json_dumps_on_export_graphs():
 
 
 def test_graph_vertices_match_sigma_description():
-    from wedge_crystal.cartan import from_label
     from wedge_crystal import bicrystal, crystal
 
     t = from_label("A2even", 3)
@@ -371,12 +369,8 @@ def _record_suites(monkeypatch):
 ])
 def test_all_runs_the_applicable_suites_in_order(capsys, monkeypatch, token, expected):
     from wedge_crystal import theorems
-    from wedge_crystal.cartan import from_label
-
     t = from_label(token, 3)
-    applies = {name for name, (_, (holds, _), _, _) in theorems._DOMAINS.items()
-               if holds(t)}
-    assert set(expected) == applies
+    assert theorems.select_suites(t, "all", None) == expected
     calls = _record_suites(monkeypatch)
     code, out, _ = run(capsys, "verify", "--suite", "all", "--type", token, "--n", "3")
     assert code == 0
@@ -404,3 +398,100 @@ def test_suite_choices_keep_their_order(capsys):
         main(["verify", "--suite", "bogus", "--type", "C1", "--n", "3"])
     choices = ", ".join(f"'{name}'" for name in (*SUITE_FUNCTIONS, "all"))
     assert f"(choose from {choices})" in capsys.readouterr().err
+
+
+# the functions behind each fock verify flag, in the order argparse lists them
+GROUP_FUNCTIONS = {
+    "--relations": ("verify_relations", "verify_weight_compatibility"),
+    "--polarization": ("verify_polarization",),
+    "--crystal-match": ("crystal_match",),
+    "--highest": ("verify_highest",),
+    "--deltaword": ("verify_null_shift",),
+}
+
+
+def _record_checks(monkeypatch):
+    """Replace every check function by one that records its call and passes."""
+    from wedge_crystal import fock
+
+    calls = []
+    for funcs in GROUP_FUNCTIONS.values():
+        for func in funcs:
+            def recording(rep, func=func):
+                calls.append(func)
+                return [fock.Check(func, True)]
+
+            monkeypatch.setattr(fock, func, recording)
+    return calls
+
+
+def _passed(calls, label, n):
+    return [f"[ok] {func}" for func in calls] + \
+        [f"{len(calls)}/{len(calls)} checks passed for {label} n={n}"]
+
+
+@pytest.mark.parametrize("flag", GROUP_FUNCTIONS)
+def test_each_fock_flag_dispatches_to_its_functions(capsys, monkeypatch, flag):
+    calls = _record_checks(monkeypatch)
+    code, out, _ = run(capsys, "fock", "verify", "--type", "A2odd", "--n", "2", flag)
+    assert code == 0
+    assert calls == list(GROUP_FUNCTIONS[flag])
+    assert out.splitlines() == _passed(calls, from_label("A2odd", 2).label, 2)
+
+
+@pytest.mark.parametrize("token", ("B1", "C1", "D1", "A2even", "A2evenDagger",
+                                   "A2odd", "D2"))
+def test_fock_default_runs_the_applicable_groups_in_order(capsys, monkeypatch, token):
+    calls = _record_checks(monkeypatch)
+    code, out, _ = run(capsys, "fock", "verify", "--type", token, "--n", "2")
+    assert code == 0
+    # --deltaword needs the fork-plus-double type; every other group applies
+    assert calls == [func for flag, funcs in GROUP_FUNCTIONS.items()
+                     if flag != "--deltaword" or token == "A2odd" for func in funcs]
+    assert out.splitlines() == _passed(calls, from_label(token, 2).label, 2)
+
+
+def test_fock_flags_keep_their_order(capsys):
+    with pytest.raises(SystemExit):
+        main(["fock", "verify", "--help"])
+    options = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+               if line.startswith("  --")]
+    assert [opt for opt in options if opt in GROUP_FUNCTIONS] == list(GROUP_FUNCTIONS)
+
+
+def test_cli_reads_no_private_attribute_of_the_library():
+    import ast
+    import pathlib
+
+    from wedge_crystal import cli
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in ("theorems", "fock", "crystal", "bicrystal")
+               and node.attr.startswith("_")]
+    assert private == []
+
+
+def test_broken_pipe_ends_quietly():
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import wedge_crystal
+
+    src = str(pathlib.Path(wedge_crystal.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    # about 750 kB of JSON, far more than a pipe buffers, so the writer is
+    # still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wedge_crystal", "graph", "--type", "C1", "--n", "8",
+         "--k", "4", "--l", "0", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert err == b""

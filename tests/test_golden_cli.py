@@ -3,8 +3,8 @@
 ``tests/golden_cli.json`` maps each case (its argv joined by spaces) to the
 exit code and the sha256 of stdout and stderr of one ``cli.main`` call.
 The cases are the ``verify`` suites, ``decompose`` and ``graph`` renders
-listed in ``golden_cases``, and the usage errors that the program itself
-raises; argparse's own messages are left out, because their wrapping
+and ``fock verify`` check groups listed in ``golden_cases``, and the usage
+errors that the program itself raises; argparse's own messages are left out, because their wrapping
 follows the terminal width.  Regenerate the file only when an output
 change is intended:
 
@@ -28,6 +28,8 @@ LABELS = ("B1", "C1", "D1", "A2even", "A2evenDagger", "A2odd", "D2")
 COLUMN = ("B1", "D1", "D2")
 MATRIX_SUITES = ("prop41", "thm42", "thm58", "cor57")
 FORK_SUITES = ("lem44", "prop46", "deltaword")
+FOCK_FLAGS = ("--relations", "--polarization", "--crystal-match", "--highest",
+              "--deltaword")
 
 
 def _pairs(label: str, n: int):
@@ -66,6 +68,13 @@ def golden_cases():
             for comp in comps:
                 for fmt in ("json", "dot"):
                     cases.append([*base, *comp, "--format", fmt])
+    # fock verify with the default groups and with each flag alone; --deltaword
+    # is a usage error on every labeling but A2odd
+    for label in LABELS:
+        for n in (2, 3):
+            for flags in ((), *((flag,) for flag in FOCK_FLAGS)):
+                cases.append(["fock", "verify", "--type", label, "--n", str(n),
+                              *flags])
     # the benchmark's export graphs, at n = 8
     for label, l in (("C1", 0), ("A2odd", 4)):
         for fmt in ("json", "dot"):

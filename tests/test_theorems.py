@@ -108,22 +108,22 @@ def test_branching_shapes():
     # one classical summand per component for the all-double labeling
     t = from_label("C1", 3)
     rep = decomposition_report(t)
-    for row in rep.rows:
-        k = row.key[0]
-        assert row.branching == [k]
+    for row in rep["components"]:
+        k = row["key"][0]
+        assert row["branching"] == [k]
     # staircase for the mixed labeling
     t = from_label("A2even", 3)
     rep = decomposition_report(t)
-    for row in rep.rows:
-        k = row.key[0]
-        assert row.branching == list(range(k + 1))
+    for row in rep["components"]:
+        k = row["key"][0]
+        assert row["branching"] == list(range(k + 1))
     # doubled ladder for the fork labeling, simple ladder at the top index
     t = from_label("A2odd", 3)
     rep = decomposition_report(t)
-    by_key = {row.key: row for row in rep.rows}
-    assert by_key[(2, 1)].branching == [0, 0, 2, 2]
-    assert by_key[(3, 0)].branching == [1, 3]
-    assert by_key[(1, 2)].branching == [1, 1]
+    by_key = {tuple(row["key"]): row for row in rep["components"]}
+    assert by_key[(2, 1)]["branching"] == [0, 0, 2, 2]
+    assert by_key[(3, 0)]["branching"] == [1, 3]
+    assert by_key[(1, 2)]["branching"] == [1, 1]
 
 
 @pytest.mark.parametrize("token", ("A2even", "A2odd"))
@@ -140,7 +140,7 @@ def test_unmatched_labels_are_reported_not_raised(monkeypatch):
     t = from_label("A2even", 3)
     monkeypatch.setattr(theorems, "classify_weight", lambda t, w: None)
     rep = decomposition_report(t)
-    assert rep.rows[-1].branching == [None] * 4
+    assert rep["components"][-1]["branching"] == [None] * 4
     res = verify_classical_branching(t)
     assert not res.passed
     assert any("unexpected weight" in d for d in res.discrepancies)
@@ -297,10 +297,10 @@ def test_report_sizes_sum():
     for token in DOUBLED:
         t = from_label(token, 3)
         rep = decomposition_report(t)
-        assert rep.total == 4 ** 3
+        assert rep["total"] == 4 ** 3
     rep = decomposition_report(from_label("D1", 3))
-    assert rep.total == 2 ** 3
-    assert [row.size for row in rep.rows] == [4, 4]
+    assert rep["total"] == 2 ** 3
+    assert [row["size"] for row in rep["components"]] == [4, 4]
 
 
 def test_suite_type_guards():
