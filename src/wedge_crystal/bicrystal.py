@@ -16,68 +16,53 @@ from .cartan import AffineType, DOUBLE, FORK
 from .crystal import CrystalGraph
 
 
-def _row(n: int, j: int) -> int:
-    """Both bits of row j-bar of a matrix id."""
-    return 1 << (n - j) | 1 << (2 * n - j)
-
-
 def _signature(n: int, x: int):
-    """Surviving raise/lower rows after cancellation.
+    """One reading of the rows of x: (epsilon, phi, raise_row, lower_row).
 
-    Returns (minus_rows, plus_rows): rows whose [0 1] survive (raisable)
-    and rows whose [1 0] survive (lowerable), in reading order 1-bar..n-bar.
-    Every surviving [0 1] precedes every surviving [1 0], so a [0 1] row
-    cancels the latest unmatched [1 0] row, if there is one.
-    """
-    minus, plus = [], []
-    for j in range(1, n + 1):
-        a = x >> (n - j) & 1
-        b = x >> (2 * n - j) & 1
-        if a > b:
-            plus.append(j)
-        elif b > a:
-            if plus:
-                plus.pop()
-            else:
-                minus.append(j)
-    return minus, plus
-
-
-def E_tilde(n: int, x: int):
-    """Row-wise raising operator: flips the last surviving [0 1] row."""
-    minus, _ = _signature(n, x)
-    if not minus:
-        return None
-    return x ^ _row(n, minus[-1])
-
-
-def F_tilde(n: int, x: int):
-    """Row-wise lowering operator: flips the first surviving [1 0] row."""
-    _, plus = _signature(n, x)
-    if not plus:
-        return None
-    return x ^ _row(n, plus[0])
-
-
-def sigma(n: int, x: int):
-    """String position (epsilon, phi) of the matrix x under the row operators.
-
-    Counts what :func:`_signature` collects: only rows whose two bits differ
-    take part, visited in reading order, from the top bit of column one.
+    Only rows whose two bits differ take part, visited in reading order from
+    the top bit of column one.  A [0 1] row cancels the latest unmatched
+    [1 0] row, if there is one, so every surviving [0 1] precedes every
+    surviving [1 0].  raise_row is the column-one bit of the last surviving
+    [0 1] row and lower_row that of the first surviving [1 0] row, 0 when
+    there is none.
     """
     col1 = x & ((1 << n) - 1)
     differ = col1 ^ (x >> n)
-    eps = phi = 0
+    eps = phi = raise_row = lower_row = 0
     while differ:
         row = 1 << (differ.bit_length() - 1)
         differ ^= row
         if col1 & row:  # [1 0]
+            if not phi:  # starts a new run of unmatched [1 0] rows
+                lower_row = row
             phi += 1
-        elif phi:  # [0 1] cancels the latest unmatched [1 0]
+        elif phi:
             phi -= 1
         else:
             eps += 1
-    return (eps, phi)
+            raise_row = row
+    # a run cancelled back to zero leaves no surviving [1 0] row
+    return eps, phi, raise_row, lower_row if phi else 0
+
+
+def _flip(n: int, x: int, row: int):
+    """x with the two bits of the given row swapped, or None for row 0."""
+    return x ^ (row | row << n) if row else None
+
+
+def E_tilde(n: int, x: int):
+    """Row-wise raising operator: flips the last surviving [0 1] row."""
+    return _flip(n, x, _signature(n, x)[2])
+
+
+def F_tilde(n: int, x: int):
+    """Row-wise lowering operator: flips the first surviving [1 0] row."""
+    return _flip(n, x, _signature(n, x)[3])
+
+
+def sigma(n: int, x: int):
+    """String position (epsilon, phi) of the matrix x under the row operators."""
+    return _signature(n, x)[:2]
 
 
 def sigma_by_strings(n: int, x: int):
@@ -115,11 +100,11 @@ def varsigma(t: AffineType, k: int, x: int) -> int:
         raise ValueError("the involution exists only for fork-plus-double types")
     if not 1 <= k <= t.n - 1:
         raise ValueError(f"k must lie in 1..{t.n - 1}, got {k}")
-    phi = sigma(t.n, x)[1]
+    _, phi, raise_row, lower_row = _signature(t.n, x)
     if phi == t.n - k:
-        out = F_tilde(t.n, x)
+        out = _flip(t.n, x, lower_row)
     elif phi == t.n - k - 1:
-        out = E_tilde(t.n, x)
+        out = _flip(t.n, x, raise_row)
     else:
         raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
     if out is None:
@@ -135,8 +120,6 @@ class QuotientGraph:
     longer-phi member first; the orbit id is the smaller member id.
     """
 
-    type: AffineType
-    k: int
     orbits: tuple  # ((plus_id, minus_id), ...)
     edges: tuple  # (src_orbit_id, dst_orbit_id, color)
 
@@ -171,4 +154,4 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
         edge_map[key] = dst
     edges = tuple(sorted((s, d, c) for (s, c), d in edge_map.items()))
     ordered = tuple(orbits[oid] for oid in sorted(orbits))
-    return QuotientGraph(type=t, k=k, orbits=ordered, edges=edges)
+    return QuotientGraph(orbits=ordered, edges=edges)

@@ -30,12 +30,8 @@ class UsageError(Exception):
 
 
 def _resolve_type(args):
-    if args.diamond and args.type:
-        raise UsageError("give either --type or --diamond, not both")
-    if not (args.diamond or args.type):
-        raise UsageError("one of --type or --diamond is required")
     try:
-        return from_label(args.diamond or args.type, args.n)
+        return from_label(args.type, args.n)
     except ValueError as exc:
         raise UsageError(str(exc))
 
@@ -236,9 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_type_args(p):
-        p.add_argument("--type", help="label: B1, C1, D1, A2even, "
-                                      "A2evenDagger, A2odd, D2, or a Kac label")
-        p.add_argument("--diamond", help="end-shape pair such as 2,2 or (11,2)")
+        p.add_argument("--type", required=True,
+                       help="label: B1, C1, D1, A2even, A2evenDagger, A2odd, "
+                            "D2, a Kac label, or an end-shape pair such as "
+                            "2,2 or (11,2)")
         p.add_argument("--n", type=int, required=True, help="rank, at least 2")
 
     g = sub.add_parser("graph", help="emit one component as DOT or JSON")

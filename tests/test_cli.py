@@ -204,9 +204,13 @@ def test_verify_spin(capsys):
 
 
 def test_diamond_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "spin", "--diamond",
+    # --type also takes the end-shape pair, bare or in parentheses
+    code, out, _ = run(capsys, "verify", "--suite", "spin", "--type",
                        "11,11", "--n", "3")
     assert code == 0
+    assert run(capsys, "verify", "--suite", "spin", "--type", "(11,11)",
+               "--n", "3") == (code, out, "")
+    assert out == "[spin] PASS D_n^(1) n=3\n"
 
 
 def test_fock_verify(capsys):
@@ -225,10 +229,10 @@ def test_fock_verify_crystal_match(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "spin", "--type", "E8", "--n", "3"),
     ("verify", "--suite", "spin", "--type", "B1", "--n", "1"),
-    ("verify", "--suite", "spin", "--diamond", "2,3", "--n", "3"),
-    ("verify", "--suite", "spin", "--diamond", "11,11", "--n", "3",
-     "--type", "D1"),
-    ("verify", "--suite", "spin", "--n", "3"),
+    ("verify", "--suite", "spin", "--type", "2,3", "--n", "3"),
+    # end shapes that no labeling has, in parentheses and bare
+    ("decompose", "--type", "(1,11)", "--n", "3"),
+    ("graph", "--type", "2,11", "--n", "3", "--k", "3"),
     ("verify", "--suite", "lem44", "--type", "A2odd", "--n", "3", "--k", "7"),
     ("verify", "--suite", "prop41", "--type", "B1", "--n", "3"),
     ("graph", "--type", "C1", "--n", "3", "--k", "2", "--l", "1", "--quotient"),
@@ -253,6 +257,23 @@ def test_usage_errors_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", "--n", "3", "--k", "3"),
+    ("decompose", "--n", "3"),
+    ("verify", "--suite", "spin", "--n", "3"),
+    ("fock", "verify", "--n", "2"),
+    # the pair goes to --type; there is no second spelling
+    ("verify", "--suite", "spin", "--diamond", "11,11", "--n", "3"),
+])
+def test_missing_type_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.endswith("error: the following arguments are required: --type\n")
 
 
 def test_usage_errors_name_the_bad_k(capsys):

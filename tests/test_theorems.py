@@ -1,3 +1,4 @@
+import json
 from array import array
 
 import pytest
@@ -44,14 +45,15 @@ def test_component_partition(token, n):
     assert verify_component_partition(from_label(token, n)).passed
 
 
-def _split_off(monkeypatch, t, x):
+def _split_off(monkeypatch, t, x, into=None):
     """Make ``partition_ids`` answer the partition of ``t`` with ``x`` moved
-    into a class of its own."""
+    into a class of its own, or into the class of the id ``into``."""
     whole = partition_ids(t)
     label = array("I", whole.label)
-    label[x] = len(whole.members)
-    members = tuple(array("I", (y for y in ids if y != x))
-                    for ids in whole.members) + (array("I", [x]),)
+    label[x] = len(whole.members) if into is None else whole.label[into]
+    members = tuple(array("I") for _ in range(max(label) + 1))
+    for y, c in enumerate(label):
+        members[c].append(y)
     monkeypatch.setattr(theorems, "partition_ids",
                         lambda t, rs=None: theorems.Partition(label, members))
 
@@ -312,3 +314,136 @@ def test_suite_type_guards():
         verify_sigma_range(from_label("C1", 3))
     with pytest.raises(ValueError):
         verify_delta_shift(from_label("A2even", 3))
+
+
+def _id(t, text):
+    """The id of the element with the given display form."""
+    return next(x for x in crystal.all_elements(t) if crystal.text(t, x) == text)
+
+
+def _patch_at(monkeypatch, module, name, x, result):
+    """Make ``module.name`` answer ``result`` for the id ``x``, its last
+    argument, and what it answered before for every other id."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: result if args[-1] == x else real(*args))
+
+
+def _failures(capsys, suite, token, n, k=None):
+    """Run one suite through the CLI, check that it FAILs, and return its
+    discrepancies."""
+    argv = ["verify", "--suite", suite, "--type", token, "--n", str(n)]
+    if k is not None:
+        argv += ["--k", str(k)]
+    assert main(argv) == 1
+    head, _, dump = capsys.readouterr().out.partition("\n")
+    assert head == f"[{suite}] FAIL {from_label(token, n).label} n={n}"
+    (failure,) = json.loads(dump)["failures"]
+    return failure["discrepancies"]
+
+
+# on the shared k=1 component of A2odd at n=3, 10/10/00 has sigma (0, 2) and
+# mate 10/01/00, and 10/01/00 has sigma (1, 1)
+@pytest.mark.parametrize("x, s, expected", [
+    ("10/01/00", (0, 3), ["k=1: sigma(0, 3) of 10/01/00 out of range"]),
+    ("10/10/00", (1, 2), ["k=1: sigma(1, 2) of 10/10/00 out of range",
+                          "k=1: odd raise-count in the long-phi half"]),
+    # an allowed sigma, but in the other half
+    ("10/10/00", (1, 1), ["k=1: halves have sizes 5 and 7"]),
+], ids=("out-of-range", "odd-raise-count", "halves"))
+def test_sigma_range_messages(capsys, monkeypatch, x, s, expected):
+    t = from_label("A2odd", 3)
+    _patch_at(monkeypatch, bicrystal, "sigma", _id(t, x), s)
+    assert _failures(capsys, "lem44", "A2odd", 3, 1) == expected
+
+
+@pytest.mark.parametrize("x, mate, expected", [
+    ("11/10/10", "00/00/00", ["k=1: involution leaves the component at 11/10/10"]),
+    ("11/10/10", "11/10/10", ["k=1: fixed point at 11/10/10",
+                              "k=1: commutation fails at 11/10/10, i=2",
+                              "k=1: commutation fails at 11/10/10, i=3"]),
+    # the mate of another orbit's member
+    ("10/10/00", "10/00/10", ["k=1: involution not of order two at 10/10/00",
+                              "k=1: commutation fails at 10/10/00, i=0",
+                              "k=1: commutation defined-ness fails at 10/10/00, i=1",
+                              "k=1: commutation defined-ness fails at 10/10/00, i=1",
+                              "k=1: commutation defined-ness fails at 10/10/00, i=2"]),
+], ids=("leaves", "fixed-point", "order-commutation-definedness"))
+def test_involution_messages(capsys, monkeypatch, x, mate, expected):
+    t = from_label("A2odd", 3)
+    _patch_at(monkeypatch, bicrystal, "varsigma", _id(t, x),
+              _id(t, mate))
+    found = _failures(capsys, "prop46", "A2odd", 3, 1)
+    assert [d for d in found if f" at {x}" in d] == expected
+
+
+def test_involution_names_a_commutation_failure_once_per_orbit(monkeypatch):
+    # swap the mates of two orbits: still of order two and without fixed
+    # points, but no longer commuting with the operators
+    t = from_label("A2odd", 3)
+    real = bicrystal.varsigma
+    a, b = _id(t, "10/10/00"), _id(t, "10/00/10")
+    swapped = {a: real(t, 1, b), real(t, 1, b): a, b: real(t, 1, a), real(t, 1, a): b}
+    mate = {x: swapped.get(x, real(t, 1, x))
+            for x in partition_ids(t).class_of(crystal.v_kl(t, 1, 2))}
+    monkeypatch.setattr(bicrystal, "varsigma", lambda t, k, x: mate[x])
+    res = verify_involution_commutes(t, 1)
+    assert not res.passed
+    named = {_id(t, d.split(" at ")[1].split(",")[0])
+             for d in res.discrepancies}
+    assert all(d.startswith("k=1: commutation") for d in res.discrepancies)
+    # each orbit's statement is checked, and named, at its smaller member
+    assert named and all(x < mate[x] for x in named)
+
+
+@pytest.mark.parametrize("token, move, expected", [
+    ("D1", ("1/1/1", None), ["3 components, expected 2"]),
+    ("D1", ("1/0/0", "0/0/0"), ["the two canonical representatives share a component"]),
+    ("B1", ("1/0/0", None), ["2 components, expected 1",
+                           "expected a single component containing both "
+                           "representatives"]),
+], ids=("count", "shared", "split"))
+def test_spin_component_messages(capsys, monkeypatch, token, move, expected):
+    t = from_label(token, 3)
+    x, into = (None if y is None else _id(t, y) for y in move)
+    _split_off(monkeypatch, t, x, into)
+    assert _failures(capsys, "spin", token, 3) == expected
+
+
+def test_spin_weight_messages(capsys, monkeypatch):
+    t = from_label("B1", 3)
+    top = crystal.v_spin(t, 3)
+    assert top == 0 and crystal.text(t, 7) == "1/1/1"
+    # the top representative, first in the one component, takes the weight
+    # of another member
+    _patch_at(monkeypatch, crystal, "weight", top, crystal.weight(t, 7))
+    assert _failures(capsys, "spin", "B1", 3) == [
+        f"repeated weight inside component of {crystal.text(t, top)}",
+        "weight of the k=3 representative is (1, 0, 0, -1)"]
+    monkeypatch.undo()
+    _patch_at(monkeypatch, crystal, "weight", top, (0, 0, 0, 0))
+    assert _failures(capsys, "spin", "B1", 3) == [
+        "weight of the k=3 representative is (0, 0, 0, 0)"]
+
+
+@pytest.mark.parametrize("x, result, expected", [
+    ("10/10/00", RuntimeError("f string ended early at index 2"),
+     ["k=1: f string ended early at index 2"]),
+    ("10/10/00", "10/10/00", ["k=1: word sends 10/10/00 to 10/10/00, wanted 10/01/00"]),
+    ("10/01/00", "10/01/00", ["k=1: word sends 10/01/00 to 10/01/00, wanted 10/10/00"]),
+], ids=("string-ends", "forward", "back"))
+def test_delta_shift_messages(capsys, monkeypatch, x, result, expected):
+    # the word of k=1 should swap 10/10/00 and 10/01/00
+    t = from_label("A2odd", 3)
+    x = _id(t, x)
+    real = crystal.weyl_action
+
+    def action(t, word, y):
+        if y != x:
+            return real(t, word, y)
+        if isinstance(result, Exception):
+            raise result
+        return _id(t, result)
+
+    monkeypatch.setattr(crystal, "weyl_action", action)
+    assert _failures(capsys, "deltaword", "A2odd", 3, 1) == expected
