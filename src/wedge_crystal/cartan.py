@@ -152,6 +152,10 @@ def _edge(a, i, j, aij, aji):
     a[j][i] = aji
 
 
+# end shape -> (distance from the end node to its neighbour, a_end,nb, a_nb,end)
+_END_EDGE = {SINGLE: (1, -2, -1), DOUBLE: (1, -1, -2), FORK: (2, -1, -1)}
+
+
 def _cartan_matrix(d0: str, dn: str, n: int):
     a = [[2 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     for i in range(1, n - 1):
@@ -172,18 +176,10 @@ def _cartan_matrix(d0: str, dn: str, n: int):
         for i, j in ((0, 2), (1, 2), (1, 3), (0, 3)):
             _edge(a, i, j, -1, -1)
         return tuple(tuple(r) for r in a)
-    if d0 == SINGLE:
-        _edge(a, 0, 1, -2, -1)
-    elif d0 == DOUBLE:
-        _edge(a, 0, 1, -1, -2)
-    else:
-        _edge(a, 0, 2, -1, -1)
-    if dn == SINGLE:
-        _edge(a, n, n - 1, -2, -1)
-    elif dn == DOUBLE:
-        _edge(a, n, n - 1, -1, -2)
-    else:
-        _edge(a, n, n - 2, -1, -1)
+    # end n is end 0 seen from the other side
+    for i, shape, step in ((0, d0, 1), (n, dn, -1)):
+        dist, a_end, a_nb = _END_EDGE[shape]
+        _edge(a, i, i + step * dist, a_end, a_nb)
     return tuple(tuple(r) for r in a)
 
 
@@ -226,8 +222,8 @@ def _comarks(label: str, n: int):
 
 
 @lru_cache(maxsize=None)
-def _cartan_data(label: str, n: int) -> CartanData:
-    t = AffineType(label, n)
+def cartan_data(t: AffineType) -> CartanData:
+    label, n = t.label, t.n
     a = _cartan_matrix(t.end0, t.end_n, n)
     marks = _marks(label, n)
     comarks = _comarks(label, n)
@@ -251,10 +247,6 @@ def _cartan_data(label: str, n: int) -> CartanData:
         d=d,
         qi_exp=qi_exp,
     )
-
-
-def cartan_data(t: AffineType) -> CartanData:
-    return _cartan_data(t.label, t.n)
 
 
 def fundamental_weight_cl(t: AffineType, k: int):

@@ -31,7 +31,7 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
-from .theorems import FORK_TYPE, h_diamond
+from .theorems import FORK_TYPE, MATRIX_TYPE, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
@@ -58,10 +58,6 @@ class SparseOperator:
     @classmethod
     def diagonal(cls, dim: int, values) -> "SparseOperator":
         return cls(dim, {(i, i): v for i, v in enumerate(values)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def scale(self, p: dict) -> "SparseOperator":
         return SparseOperator(self.dim, {rc: pmul(v, p) for rc, v in self.entries.items()})
@@ -91,11 +87,6 @@ class SparseOperator:
 
     def transpose(self) -> "SparseOperator":
         return SparseOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
-    def apply(self, vec: dict) -> dict:
-        """Image of a column vector {index: Z[qs^±1] dict}."""
-        col = SparseOperator(self.dim, {(c, 0): v for c, v in vec.items()})
-        return {r: v for (r, _), v in (self @ col).entries.items()}
 
     def __eq__(self, other):
         return isinstance(other, SparseOperator) and self.dim == other.dim \
@@ -237,37 +228,31 @@ def _klein_target(t: AffineType) -> int | None:
     return None
 
 
-def _end_ops_single(t: AffineType, cd: CartanData):
-    """Raw end-node operators on the single space (no doubled ends here)."""
+def _end_ops(t: AffineType, cd: CartanData, i: int):
+    """Raw (e, f, t, t^-1) of end node i, for i = 0 or n.
+
+    End n is end 0 mirrored: rows 1, 2 become n, n-1, creation and
+    annihilation swap, and every gauge power and q-scale changes sign.  A
+    DOUBLE end acts on the square directly; the other shapes act on one
+    factor.
+    """
     n = t.n
     unit = cd.qi_exp[1]
-    ops = {}
-    q0, q0i = {cd.qi_exp[0]: 1}, {-cd.qi_exp[0]: 1}
-    qn, qni = {cd.qi_exp[n]: 1}, {-cd.qi_exp[n]: 1}
-    if t.end0 == SINGLE:
-        ops[0] = (psi(n, 1), psi_star(n, 1),
-                  omega(n, 1, unit).scale(q0),
-                  omega(n, 1, unit, power=-1).scale(q0i))
-    elif t.end0 == FORK:
-        o = omega(n, 1, unit) @ omega(n, 2, unit)
-        oi = omega(n, 1, unit, power=-1) @ omega(n, 2, unit, power=-1)
-        ops[0] = (psi(n, 1) @ psi(n, 2), psi_star(n, 2) @ psi_star(n, 1),
-                  o.scale(q0), oi.scale(q0i))
-    if t.end_n == SINGLE:
-        ops[n] = (psi_star(n, n), psi(n, n),
-                  omega(n, n, unit, power=-1).scale(qni),
-                  omega(n, n, unit).scale(qn))
-    elif t.end_n == FORK:
-        o = omega(n, n, unit, power=-1) @ omega(n, n - 1, unit, power=-1)
-        oi = omega(n, n, unit) @ omega(n, n - 1, unit)
-        ops[n] = (psi_star(n, n) @ psi_star(n, n - 1), psi(n, n - 1) @ psi(n, n),
-                  o.scale(qni), oi.scale(qn))
-    target = _klein_target(t)
-    if target in ops:
-        p = parity(n)
-        e, f, tt, ti = ops[target]
-        ops[target] = (e @ p, p @ f, tt, ti)
-    return ops
+    if i == 0:
+        shape, a, b, up, down, s = t.end0, 1, 2, psi, psi_star, 1
+    else:
+        shape, a, b, up, down, s = t.end_n, n, n - 1, psi_star, psi, -1
+    q, qinv = {s * cd.qi_exp[i]: 1}, {-s * cd.qi_exp[i]: 1}
+    if shape == SINGLE:
+        return (up(n, a), down(n, a),
+                omega(n, a, unit, s).scale(q), omega(n, a, unit, -s).scale(qinv))
+    if shape == FORK:
+        return (up(n, a) @ up(n, b), down(n, b) @ down(n, a),
+                (omega(n, a, unit, s) @ omega(n, b, unit, s)).scale(q),
+                (omega(n, a, unit, -s) @ omega(n, b, unit, -s)).scale(qinv))
+    o, oi = omega(n, a, unit, 2 * s), omega(n, a, unit, -2 * s)
+    return (kron(up(n, a), up(n, a)), kron(down(n, a), down(n, a)),
+            kron(o, o).scale(q), kron(oi, oi).scale(qinv))
 
 
 def representation(t: AffineType) -> Representation:
@@ -275,7 +260,7 @@ def representation(t: AffineType) -> Representation:
     cd = cartan_data(t)
     n = t.n
     unit = cd.qi_exp[1]
-    single = {}
+    ops = {0: _end_ops(t, cd, 0)}
     for i in range(1, n):
         e_i = psi(n, i + 1) @ psi_star(n, i)
         # creation factor first; the anticommutation phase then makes the
@@ -283,43 +268,24 @@ def representation(t: AffineType) -> Representation:
         f_i = psi(n, i) @ psi_star(n, i + 1)
         t_i = omega(n, i + 1, unit) @ omega(n, i, unit, power=-1)
         ti_i = omega(n, i + 1, unit, power=-1) @ omega(n, i, unit)
-        single[i] = (e_i, f_i, t_i, ti_i)
-    single.update(_end_ops_single(t, cd))
-
-    if not t.doubled:
-        dim = 1 << n
-        e = {i: single[i][0] for i in range(n + 1)}
-        f = {i: single[i][1] for i in range(n + 1)}
-        tt = {i: single[i][2] for i in range(n + 1)}
-        tinv = {i: single[i][3] for i in range(n + 1)}
-    else:
-        dim = 1 << (2 * n)
-        half = 1 << n
-        ident = SparseOperator.identity(half)
-        e, f, tt, tinv = {}, {}, {}, {}
+        ops[i] = (e_i, f_i, t_i, ti_i)
+    ops[n] = _end_ops(t, cd, n)
+    target = _klein_target(t)
+    if target is not None:
+        p = parity(n)
+        e1, f1, t1, ti1 = ops[target]
+        ops[target] = (e1 @ p, p @ f1, t1, ti1)
+    dim = 1 << n
+    if t.doubled:
+        ident = SparseOperator.identity(dim)
+        squared = {i for i, shape in zip((0, n), t.diamond) if shape == DOUBLE}
         for i in range(n + 1):
-            if (i == 0 and t.end0 == DOUBLE) or (i == n and t.end_n == DOUBLE):
-                q_end, q_end_inv = {cd.qi_exp[i]: 1}, {-cd.qi_exp[i]: 1}
-                if i == 0:
-                    e[i] = kron(psi(n, 1), psi(n, 1))
-                    f[i] = kron(psi_star(n, 1), psi_star(n, 1))
-                    o2 = omega(n, 1, unit, power=2)
-                    o2i = omega(n, 1, unit, power=-2)
-                    tt[i] = kron(o2, o2).scale(q_end)
-                    tinv[i] = kron(o2i, o2i).scale(q_end_inv)
-                else:
-                    e[i] = kron(psi_star(n, n), psi_star(n, n))
-                    f[i] = kron(psi(n, n), psi(n, n))
-                    o2 = omega(n, n, unit, power=2)
-                    o2i = omega(n, n, unit, power=-2)
-                    tt[i] = kron(o2i, o2i).scale(q_end_inv)
-                    tinv[i] = kron(o2, o2).scale(q_end)
-            else:
-                e1, f1, t1, ti1 = single[i]
-                e[i] = kron(e1, ti1) + kron(ident, e1)
-                f[i] = kron(f1, ident) + kron(t1, f1)
-                tt[i] = kron(t1, t1)
-                tinv[i] = kron(ti1, ti1)
+            if i not in squared:
+                e1, f1, t1, ti1 = ops[i]
+                ops[i] = (kron(e1, ti1) + kron(ident, e1), kron(f1, ident) + kron(t1, f1),
+                          kron(t1, t1), kron(ti1, ti1))
+        dim *= dim
+    e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
     weights = [crys.weight(t, x) for x in range(dim)]
     return Representation(type=t, cd=cd, dim=dim,
                           e=e, f=f, t=tt, tinv=tinv, weights=weights)
@@ -595,8 +561,8 @@ def highest_vectors(rep: Representation, weight_vec):
         for c in idxs:
             for r, v in by_col.get(c, ()):
                 rows.setdefault((i, r), {})[c] = v
-    out = rep.highest[weight_vec] = _kernel(rows.values(), idxs), idxs
-    return out
+    kernel = rep.highest[weight_vec] = _kernel(rows.values(), idxs)
+    return kernel
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
@@ -616,7 +582,7 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     t = rep.type
     target = crys.v_kl(t, k, l)
     wvec = fundamental_weight_cl(t, k)
-    kernel, _ = highest_vectors(rep, wvec)
+    kernel = highest_vectors(rep, wvec)
     ids = _highest_crystal_ids(rep, wvec)
     if target not in ids:
         raise ValueError(f"({k},{l}) does not index a classically-highest state")
@@ -650,11 +616,9 @@ def verify_highest(rep: Representation):
     and the normalized highest vector at (k, l) exists."""
     t = rep.type
     checks = []
-    if not t.doubled:
-        return checks
     for (k, l) in h_diamond(t):
         wvec = fundamental_weight_cl(t, k)
-        kernel, _ = highest_vectors(rep, wvec)
+        kernel = highest_vectors(rep, wvec)
         checks.append(Check(f"highest-vector count at weight index {k}",
                             len(kernel) == len(_highest_crystal_ids(rep, wvec))))
         _, ok, _ = normalized_highest_vector(rep, k, l)
@@ -738,6 +702,6 @@ GROUPS = {
     "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE),
     "polarization": (("verify_polarization",), _ANY_TYPE),
     "crystal_match": (("crystal_match",), _ANY_TYPE),
-    "highest": (("verify_highest",), _ANY_TYPE),
+    "highest": (("verify_highest",), MATRIX_TYPE),
     "deltaword": (("verify_null_shift",), FORK_TYPE),
 }

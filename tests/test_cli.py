@@ -239,6 +239,7 @@ def test_fock_verify_crystal_match(capsys):
     ("graph", "--type", "A2even", "--n", "3", "--k", "2", "--l", "2"),
     ("graph", "--type", "B1", "--n", "3", "--k", "1"),
     ("fock", "verify", "--type", "C1", "--n", "2", "--deltaword"),
+    ("fock", "verify", "--type", "B1", "--n", "2", "--highest"),
     ("fock", "verify", "--type", "C1", "--n", "0", "--relations"),
     ("graph", "--type", "D1", "--n", "3", "--k", "3", "--quotient"),
     ("graph", "--type", "B1", "--n", "3", "--k", "3", "--l", "1"),
@@ -466,10 +467,13 @@ def test_fock_default_runs_the_applicable_groups_in_order(capsys, monkeypatch, t
     calls = _record_checks(monkeypatch)
     code, out, _ = run(capsys, "fock", "verify", "--type", token, "--n", "2")
     assert code == 0
-    # --deltaword needs the fork-plus-double type; every other group applies
+    # --deltaword needs the fork-plus-double type and --highest a matrix type;
+    # every other group applies everywhere
+    t = from_label(token, 2)
+    skipped = {"--deltaword": token != "A2odd", "--highest": not t.doubled}
     assert calls == [func for flag, funcs in GROUP_FUNCTIONS.items()
-                     if flag != "--deltaword" or token == "A2odd" for func in funcs]
-    assert out.splitlines() == _passed(calls, from_label(token, 2).label, 2)
+                     if not skipped.get(flag) for func in funcs]
+    assert out.splitlines() == _passed(calls, t.label, 2)
 
 
 def test_fock_flags_keep_their_order(capsys):

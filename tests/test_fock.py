@@ -15,30 +15,35 @@ from wedge_crystal.laurent import RationalScalar, rational
 ONE = {0: 1}  # the unit of Z[qs^±1]
 
 
+def _column(dim, vec):
+    """The vector {index: Z[qs^±1] dict} as a one-column operator."""
+    return SparseOperator(dim, {(r, 0): v for r, v in vec.items()})
+
+
 def _vac(dim):
-    return {0: ONE}
+    return _column(dim, {0: ONE})
 
 
 def test_vacuum_conditions():
     n = 3
     for a in range(1, n + 1):
-        assert not psi_star(n, a).apply(_vac(8))
+        assert not (psi_star(n, a) @ _vac(8)).entries
     for a in range(1, n + 1):
-        w = omega(n, a, 1).apply(_vac(8))
-        assert w == {0: {-1: 1}}
+        w = (omega(n, a, 1) @ _vac(8)).entries
+        assert w == {(0, 0): {-1: 1}}
 
 
 def test_creation_squares_to_zero():
     n = 3
     for a in range(1, n + 1):
-        assert (psi(n, a) @ psi(n, a)).is_zero
-        assert (psi_star(n, a) @ psi_star(n, a)).is_zero
+        assert not (psi(n, a) @ psi(n, a)).entries
+        assert not (psi_star(n, a) @ psi_star(n, a)).entries
 
 
 def test_transit_identity_on_vacuum():
     n = 2
-    out = (psi_star(n, 1) @ psi(n, 1)).apply(_vac(4))
-    assert out == {0: ONE}
+    out = (psi_star(n, 1) @ psi(n, 1) @ _vac(4)).entries
+    assert out == {(0, 0): ONE}
 
 
 @pytest.mark.parametrize("unit", (1, 2))
@@ -64,16 +69,16 @@ def test_kron_index_convention():
 def test_middle_action_example():
     rep = representation(from_label("B1", 2))  # single space, n = 2
     # raising moves the occupied bottom row to the top row
-    vec = {2: ONE}  # state with only row 1-bar occupied
-    out = rep.e[1].apply(vec)
-    assert out == {1: ONE}
+    vec = _column(rep.dim, {2: ONE})  # state with only row 1-bar occupied
+    out = (rep.e[1] @ vec).entries
+    assert out == {(1, 0): ONE}
 
 
 def test_doubled_bottom_end_on_vacuum():
     rep = representation(from_label("C1", 2))
-    out = rep.f[2].apply({0: ONE})
+    out = (rep.f[2] @ _vac(rep.dim)).entries
     # both factors gain their top-row state (id 1 each)
-    assert out == {1 + (1 << 2): ONE}
+    assert out == {(1 + (1 << 2), 0): ONE}
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -123,7 +128,7 @@ def test_highest_vector_counts():
     rep = representation(t)
     for (k, l) in theorems.h_diamond(t):
         wvec = fundamental_weight_cl(t, k)
-        kernel, _ = highest_vectors(rep, wvec)
+        kernel = highest_vectors(rep, wvec)
         expected = len(fock._highest_crystal_ids(rep, wvec))
         assert len(kernel) == expected
 
@@ -132,7 +137,7 @@ def test_vacuum_pair_is_classically_highest():
     t = from_label("A2even", 2)
     rep = representation(t)
     for i in range(1, t.n + 1):
-        assert not rep.e[i].apply({0: ONE})
+        assert not (rep.e[i] @ _vac(rep.dim)).entries
 
 
 def test_normalized_highest_vector():
@@ -195,8 +200,7 @@ def test_generators_are_converted_once(capsys, monkeypatch):
 def test_empty_weight_space():
     t = from_label("C1", 2)
     rep = representation(t)
-    kernel, idxs = highest_vectors(rep, (5, 5, 5))
-    assert kernel == [] and idxs == []
+    assert highest_vectors(rep, (5, 5, 5)) == []
 
 
 # -- the integer formulation against the rational oracle ------------------------
@@ -208,7 +212,7 @@ def _verdicts(module, rep):
     return [(c.name, c.ok) for name in SUITES for c in getattr(module, name)(rep)]
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_formulation_matches_oracle(label, n):
     t = from_label(label, n)
@@ -218,6 +222,11 @@ def test_integer_formulation_matches_oracle(label, n):
             ours = {rc: oracle.scalar(rational(v))
                     for rc, v in getattr(rep, name)[i].entries.items()}
             assert ours == getattr(ref, name)[i].entries, (name, i)
+    # n = 2, 3 reach only the small-rank collisions of the two ends (the
+    # fork rows overlap for D1 at n = 3); the mirrored ends' general case
+    # starts at n = 4, where the generators alone are compared
+    if n == 4:
+        return
     verdicts = _verdicts(fock, rep)
     assert verdicts == _verdicts(oracle, ref)
     assert all(ok for _, ok in verdicts)

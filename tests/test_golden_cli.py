@@ -69,7 +69,7 @@ def golden_cases():
                 for fmt in ("json", "dot"):
                     cases.append([*base, *comp, "--format", fmt])
     # fock verify with the default groups and with each flag alone; --deltaword
-    # is a usage error on every labeling but A2odd
+    # is a usage error on every labeling but A2odd, and --highest on B1, D1, D2
     for label in LABELS:
         for n in (2, 3):
             for flags in ((), *((flag,) for flag in FOCK_FLAGS)):
