@@ -20,6 +20,19 @@ works in Q(qs): it converts a generator's entries with ``laurent.rational``
 where they enter a linear system or multiply a rational vector.  Every
 linear system there is solved by one sparse row reduction over Q(qs)
 (``_rref``), fed with the nonzero entries only.
+
+The relation checks build only the products they need.  When t_i and
+t_i^-1 are diagonal with one-term entries, t_i x t_i^-1 = qs^k x is decided
+on each nonzero entry x[r, c] as one integer test: the exponents of t_i[r]
+and t_i^-1[c] sum to k and their coefficients multiply to 1.  That is exact,
+because Z[qs^±1] is an integral domain and x[r, c] cancels; the gauge checks
+and t_i t_i^-1 = 1 are decided so, and two diagonal t's commute.  A t_i of
+any other form, or a failed entrywise test, falls back to the full product
+and ``_compare``, whose witness names the first differing entry.  The
+Serre sums are taken in Horner form (``_serre_sides``), and serre(i, j) and
+serre(j, i) share their two products.  Matrix products take a fast path
+when one factor is diagonal, multiply one-term entries inline, and index
+each generator once per ``verify_relations`` call.
 """
 
 from __future__ import annotations
@@ -69,21 +82,26 @@ class SparseOperator:
         return SparseOperator(self.dim, e)
 
     def __neg__(self) -> "SparseOperator":
-        return self.scale({0: -1})
+        return SparseOperator(self.dim, {rc: {k: -s for k, s in v.items()}
+                                         for rc, v in self.entries.items()})
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         return self + (-other)
 
+    def is_diagonal(self) -> bool:
+        return all(r == c for r, c in self.entries)
+
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        by_col = {}
-        for (r, c), v in self.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        out = {}
-        for (r2, c2), v2 in other.entries.items():
-            for r1, v1 in by_col.get(r2, ()):
-                p = pmul(v1, v2)
-                out[r1, c2] = padd(out[r1, c2], p) if (r1, c2) in out else p
-        return SparseOperator(self.dim, out)
+        a, b = self.entries, other.entries
+        # a diagonal factor scales rows or columns; entries of Z[qs^±1]
+        # have no zero divisors, so no product entry vanishes
+        if self.is_diagonal():
+            return SparseOperator(self.dim, {(r, c): pmul(a[r, r], v)
+                                             for (r, c), v in b.items() if (r, r) in a})
+        if other.is_diagonal():
+            return SparseOperator(self.dim, {(r, c): pmul(v, b[c, c])
+                                             for (r, c), v in a.items() if (c, c) in b})
+        return _product(self.dim, _column_index(self), other)
 
     def transpose(self) -> "SparseOperator":
         return SparseOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
@@ -96,13 +114,56 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={len(self.entries)})"
 
 
+def _column_index(op: SparseOperator) -> dict:
+    """col -> [(row, entry, exponent, coefficient)]: ``op`` as a left factor.
+    Exponent and coefficient are None unless the entry has one term."""
+    by_col = {}
+    for (r, c), v in op.entries.items():
+        e, s = next(iter(v.items())) if len(v) == 1 else (None, None)
+        by_col.setdefault(c, []).append((r, v, e, s))
+    return by_col
+
+
+def _product(dim: int, by_col: dict, right: SparseOperator) -> SparseOperator:
+    """The left factor given by its ``_column_index`` times ``right``; the
+    product of two one-term entries is inline."""
+    out = {}
+    for (r2, c2), v2 in right.entries.items():
+        col = by_col.get(r2)
+        if col is None:
+            continue
+        e2, s2 = next(iter(v2.items())) if len(v2) == 1 else (None, None)
+        for r1, v1, e1, s1 in col:
+            acc = out.get((r1, c2))
+            if e1 is None or e2 is None:
+                p = pmul(v1, v2)
+                out[r1, c2] = p if acc is None else padd(acc, p)
+            elif acc is None:
+                out[r1, c2] = {e1 + e2: s1 * s2}
+            else:
+                # in place: every accumulator is a dict built here
+                e = e1 + e2
+                s = acc.get(e, 0) + s1 * s2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return SparseOperator(dim, out)
+
+
 def kron(low: SparseOperator, high: SparseOperator) -> SparseOperator:
     """Tensor product; the first factor owns the low index bits."""
     d = low.dim
-    return SparseOperator(d * high.dim, {
-        (r1 + r2 * d, c1 + c2 * d): pmul(v1, v2)
-        for (r1, c1), v1 in low.entries.items()
-        for (r2, c2), v2 in high.entries.items()})
+    high_terms = [(r2 * d, c2 * d, v2, *(next(iter(v2.items())) if len(v2) == 1
+                                         else (None, None)))
+                  for (r2, c2), v2 in high.entries.items()]
+    out = {}
+    for (r1, c1), v1 in low.entries.items():
+        e1, s1 = next(iter(v1.items())) if len(v1) == 1 else (None, None)
+        for r2, c2, v2, e2, s2 in high_terms:
+            out[r1 + r2, c1 + c2] = pmul(v1, v2) if e1 is None or e2 is None \
+                else {e1 + e2: s1 * s2}
+    return SparseOperator(d * high.dim, out)
 
 
 def _rational_columns(op: SparseOperator) -> dict:
@@ -294,6 +355,49 @@ def representation(t: AffineType) -> Representation:
 # -- relation and polarization suites -----------------------------------------
 
 
+def _monomial_diagonal(op: SparseOperator):
+    """(exponents, coefficients) by row when ``op`` is diagonal with a
+    one-term entry on every row, else None."""
+    ent = op.entries
+    if len(ent) != op.dim:
+        return None
+    exps, coeffs = [], []
+    for r in range(op.dim):
+        v = ent.get((r, r))
+        if v is None or len(v) != 1:
+            return None
+        (e, s), = v.items()
+        exps.append(e)
+        coeffs.append(s)
+    return exps, coeffs
+
+
+def _conjugates_to(d, dinv, x: SparseOperator, k: int) -> bool:
+    """d x dinv = qs^k x for monomial diagonals d, dinv, decided entrywise:
+    d[r] x[r, c] dinv[c] = qs^k x[r, c] exactly when the exponents of d[r]
+    and dinv[c] sum to k and their coefficients multiply to 1, since x[r, c]
+    is nonzero and Z[qs^±1] has no zero divisors."""
+    (de, ds), (ie, is_) = d, dinv
+    return all(de[r] + ie[c] == k and ds[r] * is_[c] == 1 for r, c in x.entries)
+
+
+def _serre_sides(mul, xi: SparseOperator, ij: SparseOperator, b: SparseOperator,
+                 m: int, unit: int):
+    """Two sides whose difference is sum_k (-1)^k [m choose k] x_i^k x_j x_i^(m-k),
+    from ij = x_i x_j and b = x_j x_i.
+
+    Horner form over B_r = x_j x_i^r: with T_m = B_0 and
+    T_k = [m choose k] B_(m-k) - x_i T_(k+1), the sum is T_0 = B_m - x_i T_1,
+    returned as (B_m, x_i T_1); no power of x_i and no product with the
+    identity is formed.  ``mul`` multiplies two operators.
+    """
+    rhs = ij
+    for k in range(m - 1, 0, -1):
+        rhs = mul(xi, b.scale(qbinomial(m, k, unit)) - rhs)
+        b = b @ xi
+    return b, rhs
+
+
 def verify_relations(rep: Representation):
     """Every defining relation, checked as an exact matrix identity.
 
@@ -301,48 +405,69 @@ def verify_relations(rep: Representation):
     identity reads (q_i - q_i^-1)[e_i, f_i] = t_i - t_i^-1, and the Serre
     relation sum_k (-1)^k [m choose k]_i x_i^k x_j x_i^(m-k) = 0 for x = e, f
     and m = 1 - a_ij.
+
+    When t_i and t_i^-1 are diagonal with one-term entries, t_i t_i^-1 = 1
+    and the gauge identities are decided entrywise (``_conjugates_to``), and
+    two diagonal t's commute.  Otherwise, and for every entrywise failure,
+    both sides are built as products and ``_compare`` names the witness, so
+    the output is that of the product form.
     """
     idx = range(rep.type.n + 1)
     ident = SparseOperator.identity(rep.dim)
     zero = SparseOperator(rep.dim)
     a, qe = rep.cd.a, rep.cd.qi_exp
     t, tinv = rep.t, rep.tinv
-    checks = [_compare(f"t({i}) t({i})^-1 = 1", t[i] @ tinv[i], ident) for i in idx]
-    checks += [_compare(f"t({i}) t({j}) commute", t[i] @ t[j], t[j] @ t[i])
+    mono = {i: (_monomial_diagonal(t[i]), _monomial_diagonal(tinv[i])) for i in idx}
+    # every e and f enters many products as the left factor: index it once
+    index = {id(op): _column_index(op) for ops in (rep.e, rep.f) for op in ops.values()}
+
+    def mul(left, right):
+        by_col = index.get(id(left))
+        return left @ right if by_col is None else _product(rep.dim, by_col, right)
+
+    def conjugation(name, i, x, k):
+        """The check t_i x t_i^-1 = qs^k x, entrywise where it can be."""
+        d, dinv = mono[i]
+        if d is not None and dinv is not None and _conjugates_to(d, dinv, x, k):
+            return Check(name, True)
+        return _compare(name, t[i] @ x @ tinv[i], x.scale({k: 1}))
+
+    checks = [conjugation(f"t({i}) t({i})^-1 = 1", i, ident, 0) for i in idx]
+    checks += [Check(f"t({i}) t({j}) commute", True)
+               if t[i].is_diagonal() and t[j].is_diagonal()
+               else _compare(f"t({i}) t({j}) commute", t[i] @ t[j], t[j] @ t[i])
                for i in idx for j in idx if j > i]
     for i in idx:
         for j in idx:
-            checks.append(_compare(f"t({i}) e({j}) gauge", t[i] @ rep.e[j] @ tinv[i],
-                                   rep.e[j].scale({qe[i] * a[i][j]: 1})))
-            checks.append(_compare(f"t({i}) f({j}) gauge", t[i] @ rep.f[j] @ tinv[i],
-                                   rep.f[j].scale({-qe[i] * a[i][j]: 1})))
+            checks.append(conjugation(f"t({i}) e({j}) gauge", i, rep.e[j], qe[i] * a[i][j]))
+            checks.append(conjugation(f"t({i}) f({j}) gauge", i, rep.f[j], -qe[i] * a[i][j]))
     for i in idx:
         for j in idx:
-            ef, fe = rep.e[i] @ rep.f[j], rep.f[j] @ rep.e[i]
+            ef, fe = mul(rep.e[i], rep.f[j]), mul(rep.f[j], rep.e[i])
             if i == j:
                 checks.append(_compare(f"[e({i}), f({i})] string identity",
                                        (ef - fe).scale({qe[i]: 1, -qe[i]: -1}),
                                        t[i] - tinv[i]))
             else:
                 checks.append(_compare(f"[e({i}), f({j})] = 0", ef, fe))
+    # serre(i, j) and serre(j, i) share the products x_i x_j and x_j x_i:
+    # both are checked at (i, j), i < j, and serre(j, i) waits for its turn.
+    # A sum is zero exactly when its two sides are equal, since entries are
+    # stored without zero terms; only a failure forms the sum, for its witness
+    pending = {}
     for i in idx:
-        top = max(1 - a[i][j] for j in idx if j != i)
-        powers = {}
-        for x, ops in (("e", rep.e), ("f", rep.f)):
-            powers[x] = [ident]
-            for _ in range(top):
-                powers[x].append(powers[x][-1] @ ops[i])
         for j in idx:
             if j == i:
                 continue
-            m = 1 - a[i][j]
             for x, ops in (("e", rep.e), ("f", rep.f)):
-                total = zero
-                for k in range(m + 1):
-                    term = (powers[x][k] @ ops[j] @ powers[x][m - k]).scale(
-                        qbinomial(m, k, qe[i]))
-                    total = total + term if k % 2 == 0 else total - term
-                checks.append(_compare(f"serre {x}({i},{j})", total, zero))
+                if j > i:
+                    ij, ji = mul(ops[i], ops[j]), mul(ops[j], ops[i])
+                    for p, q, pq, qp in ((i, j, ij, ji), (j, i, ji, ij)):
+                        lhs, rhs = _serre_sides(mul, ops[p], pq, qp, 1 - a[p][q], qe[p])
+                        name = f"serre {x}({p},{q})"
+                        pending[x, p, q] = Check(name, True) if lhs == rhs else \
+                            _compare(name, lhs - rhs, zero)
+                checks.append(pending.pop((x, i, j)))
     return checks
 
 

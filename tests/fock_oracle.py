@@ -8,7 +8,10 @@ the integer formulation against it, entry for entry and verdict for verdict.
 
 Next to its Clifford relation checks sit the same checks on the integer
 operators of ``fock`` (``integer_clifford_relation_checks``), which the
-package itself never runs.
+package itself never runs, and the integer relation checks in their
+all-products form (``integer_verify_relations``, with the sparse kernel
+``integer_product``), which ``fock.verify_relations`` replaced by entrywise
+diagonal tests and Horner-form Serre sums.
 
 It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
 before its sparse row reduction; the tests compare the two on random
@@ -31,7 +34,7 @@ from wedge_crystal import crystal as crys
 from wedge_crystal import fock
 from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
-from wedge_crystal.laurent import NotRegular
+from wedge_crystal.laurent import NotRegular, padd, pmul, qbinomial
 
 
 # -- Q(qs) with Fraction coefficients -----------------------------------------
@@ -866,6 +869,76 @@ def verify_polarization(rep: Representation):
         checks.append(Check(f"polarization e({i})", rep.e[i].transpose() == eta_e))
         checks.append(Check(f"polarization f({i})", rep.f[i].transpose() == eta_f))
         checks.append(Check(f"polarization t({i})", rep.t[i].transpose() == rep.t[i]))
+    return checks
+
+
+# -- the integer relation checks in product form --------------------------------
+
+
+def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> fock.SparseOperator:
+    """lhs @ rhs by the general sparse kernel ``fock`` used before its
+    diagonal and one-term fast paths: every entry product through ``pmul``."""
+    by_col = {}
+    for (r, c), v in lhs.entries.items():
+        by_col.setdefault(c, []).append((r, v))
+    out = {}
+    for (r2, c2), v2 in rhs.entries.items():
+        for r1, v1 in by_col.get(r2, ()):
+            p = pmul(v1, v2)
+            out[r1, c2] = padd(out[r1, c2], p) if (r1, c2) in out else p
+    return fock.SparseOperator(lhs.dim, out)
+
+
+def integer_verify_relations(rep: fock.Representation):
+    """``fock.verify_relations`` as it was before its entrywise t and gauge
+    checks and its Horner-form Serre sums: every check builds both sides as
+    full matrix products in Z[qs^±1] and compares them with ``fock._compare``,
+    so the (name, ok, witness) lists of the two must agree."""
+    mul = integer_product
+    compare = fock._compare
+    idx = range(rep.type.n + 1)
+    ident = fock.SparseOperator.identity(rep.dim)
+    zero = fock.SparseOperator(rep.dim)
+    a, qe = rep.cd.a, rep.cd.qi_exp
+    t, tinv = rep.t, rep.tinv
+    checks = [compare(f"t({i}) t({i})^-1 = 1", mul(t[i], tinv[i]), ident) for i in idx]
+    checks += [compare(f"t({i}) t({j}) commute", mul(t[i], t[j]), mul(t[j], t[i]))
+               for i in idx for j in idx if j > i]
+    for i in idx:
+        for j in idx:
+            checks.append(compare(f"t({i}) e({j}) gauge",
+                                  mul(mul(t[i], rep.e[j]), tinv[i]),
+                                  rep.e[j].scale({qe[i] * a[i][j]: 1})))
+            checks.append(compare(f"t({i}) f({j}) gauge",
+                                  mul(mul(t[i], rep.f[j]), tinv[i]),
+                                  rep.f[j].scale({-qe[i] * a[i][j]: 1})))
+    for i in idx:
+        for j in idx:
+            ef, fe = mul(rep.e[i], rep.f[j]), mul(rep.f[j], rep.e[i])
+            if i == j:
+                checks.append(compare(f"[e({i}), f({i})] string identity",
+                                      (ef - fe).scale({qe[i]: 1, -qe[i]: -1}),
+                                      t[i] - tinv[i]))
+            else:
+                checks.append(compare(f"[e({i}), f({j})] = 0", ef, fe))
+    for i in idx:
+        top = max(1 - a[i][j] for j in idx if j != i)
+        powers = {}
+        for x, ops in (("e", rep.e), ("f", rep.f)):
+            powers[x] = [ident]
+            for _ in range(top):
+                powers[x].append(mul(powers[x][-1], ops[i]))
+        for j in idx:
+            if j == i:
+                continue
+            m = 1 - a[i][j]
+            for x, ops in (("e", rep.e), ("f", rep.f)):
+                total = zero
+                for k in range(m + 1):
+                    term = mul(mul(powers[x][k], ops[j]), powers[x][m - k]).scale(
+                        qbinomial(m, k, qe[i]))
+                    total = total + term if k % 2 == 0 else total - term
+                checks.append(compare(f"serre {x}({i},{j})", total, zero))
     return checks
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import fock_oracle as oracle
@@ -212,6 +214,12 @@ def _verdicts(module, rep):
     return [(c.name, c.ok) for name in SUITES for c in getattr(module, name)(rep)]
 
 
+def _relation_checks(rep):
+    """(name, ok, witness) of ``fock.verify_relations`` and of the product form."""
+    return ([(c.name, c.ok, c.witness) for c in verify_relations(rep)],
+            [(c.name, c.ok, c.witness) for c in oracle.integer_verify_relations(rep)])
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_formulation_matches_oracle(label, n):
@@ -222,9 +230,13 @@ def test_integer_formulation_matches_oracle(label, n):
             ours = {rc: oracle.scalar(rational(v))
                     for rc, v in getattr(rep, name)[i].entries.items()}
             assert ours == getattr(ref, name)[i].entries, (name, i)
+    # the entrywise and Horner-form relation checks against the product form
+    ours, products = _relation_checks(rep)
+    assert ours == products
+    assert all(ok for _, ok, _ in ours)
     # n = 2, 3 reach only the small-rank collisions of the two ends (the
     # fork rows overlap for D1 at n = 3); the mirrored ends' general case
-    # starts at n = 4, where the generators alone are compared
+    # starts at n = 4, where the rational verdicts are not compared
     if n == 4:
         return
     verdicts = _verdicts(fock, rep)
@@ -272,3 +284,84 @@ def test_witness_shows_both_entries():
     check = fock._compare("demo", a, SparseOperator(4, {(1, 2): {1: 1}}))
     assert check.witness == "entry (3, 0): lhs 2, rhs 0"
     assert fock._compare("demo", a, a) == fock.Check("demo", True)
+
+
+# -- the matrix product and the relation checks against the product form --------
+
+
+def _random_operator(rng, dim, diagonal=False):
+    """Entries of one to three terms with coefficients +-1, +-2, so that
+    products both merge and cancel."""
+    cells = [(r, r) for r in range(dim)] if diagonal else \
+        [(r, c) for r in range(dim) for c in range(dim) if rng.random() < 0.4]
+    return SparseOperator(dim, {rc: {rng.randrange(-2, 3): rng.choice((-2, -1, 1, 2))
+                                     for _ in range(rng.choice((1, 1, 2, 3)))}
+                                for rc in cells})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_product_matches_the_general_kernel(seed):
+    rng = random.Random(seed)
+    dim = rng.randrange(1, 7)
+    for left, right in ((False, False), (True, False), (False, True), (True, True)):
+        a = _random_operator(rng, dim, left)
+        b = _random_operator(rng, dim, right)
+        assert (a @ b).entries == oracle.integer_product(a, b).entries
+        assert a.is_diagonal() >= left and b.is_diagonal() >= right
+
+
+def _replace(rep, kind, i, edit):
+    """Swap generator ``kind`` i of ``rep`` for a copy changed by ``edit``."""
+    entries = dict(getattr(rep, kind)[i].entries)
+    edit(entries)
+    getattr(rep, kind)[i] = SparseOperator(rep.dim, entries)
+
+
+def _shift_exponent(entries):
+    rc = min(entries)
+    (e, s), = entries[rc].items()
+    entries[rc] = {e + 1: s}
+
+
+def _add_off_diagonal(entries):
+    entries[0, 1] = {0: 1}
+
+
+def _flip_sign(entries):
+    rc = min(entries)
+    entries[rc] = {e: -s for e, s in entries[rc].items()}
+
+
+def _move_off_weight(entries):
+    (r, c) = rc = min(entries)
+    row = next(row for row in (r ^ 1, r ^ 2) if (row, c) not in entries)
+    entries[row, c] = entries.pop(rc)
+
+
+# mutation -> (the generator it edits, the edit, a check that must then fail)
+MUTATIONS = {
+    "t exponent": ("t", _shift_exponent, "t({i}) t({i})^-1 = 1"),
+    "t off-diagonal": ("t", _add_off_diagonal, "t({i}) t({i})^-1 = 1"),
+    "t^-1 sign": ("tinv", _flip_sign, "t({i}) t({i})^-1 = 1"),
+    "e exponent": ("e", _shift_exponent, "[e({i}), f({i})] string identity"),
+    "e off its weight": ("e", _move_off_weight, "t(2) e({i}) gauge"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("node", (0, 1))
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_mutated_relations_match_the_product_form(label, node, mutation):
+    kind, edit, must_fail = MUTATIONS[mutation]
+    rep = representation(from_label(label, 2))
+    _replace(rep, kind, node, edit)
+    ours, ref = _relation_checks(rep)
+    assert ours == ref
+    failed = {name: witness for name, ok, witness in ours if not ok}
+    assert must_fail.format(i=node) in failed
+    assert all(witness.startswith("entry ") for witness in failed.values())
+    if mutation == "t off-diagonal":
+        assert not rep.t[node].is_diagonal()  # the entrywise tests do not apply
+    if mutation == "e off its weight":
+        # the value-blind gauge test and the Serre sums both see the move
+        assert any(name.startswith("serre e(") for name in failed)

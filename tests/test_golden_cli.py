@@ -5,8 +5,9 @@ exit code and the sha256 of stdout and stderr of one ``cli.main`` call.
 The cases are the ``verify`` suites, ``decompose`` and ``graph`` renders
 and ``fock verify`` check groups listed in ``golden_cases``, and the usage
 errors that the program itself raises; argparse's own messages are left out, because their wrapping
-follows the terminal width.  Regenerate the file only when an output
-change is intended:
+follows the terminal width.  The relation checks at n = 4, 5
+(``relation_cases``) are timed by a test of their own.  Regenerate the file
+only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -104,6 +105,13 @@ def golden_cases():
     return cases
 
 
+def relation_cases():
+    """``fock verify --relations --polarization`` at the benchmark's rank and
+    one above, where the relation checks dominate."""
+    return [["fock", "verify", "--relations", "--polarization", "--type", label,
+             "--n", str(n)] for label in LABELS for n in (4, 5)]
+
+
 def digest(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -113,19 +121,31 @@ def digest(argv) -> dict:
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
 
 
-def test_cli_output_matches_the_golden_digests():
+def _differing(cases):
+    """The cases whose digest differs from the golden file, and the time taken."""
     golden = json.loads(GOLDEN.read_text())
-    cases = golden_cases()
-    assert sorted(golden) == sorted(" ".join(argv) for argv in cases)
     start = time.perf_counter()
     differ = [" ".join(argv) for argv in cases
               if digest(argv) != golden[" ".join(argv)]]
-    elapsed = time.perf_counter() - start
+    return differ, time.perf_counter() - start
+
+
+def test_cli_output_matches_the_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == sorted(" ".join(argv)
+                                    for argv in golden_cases() + relation_cases())
+    differ, elapsed = _differing(golden_cases())
+    assert differ == []
+    assert elapsed < 3.0
+
+
+def test_relation_checks_match_the_golden_digests():
+    differ, elapsed = _differing(relation_cases())
     assert differ == []
     assert elapsed < 3.0
 
 
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {" ".join(argv): digest(argv) for argv in golden_cases()},
+        {" ".join(argv): digest(argv) for argv in golden_cases() + relation_cases()},
         indent=1, sort_keys=True) + "\n")
