@@ -6,7 +6,8 @@ The cases are the ``verify`` suites, ``decompose`` and ``graph`` renders
 and ``fock verify`` check groups listed in ``golden_cases``, and the usage
 errors that the program itself raises; argparse's own messages are left out, because their wrapping
 follows the terminal width.  The relation checks at n = 4, 5
-(``relation_cases``) are timed by a test of their own.  Regenerate the file
+(``relation_cases``) and the graph renders at n = 4 (``graph_cases``) are
+checked by tests of their own.  Regenerate the file
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -44,6 +45,21 @@ def _pairs(label: str, n: int):
     return sorted([(k, n - k) for k in range(n + 1)] + [(0, n - 1)])
 
 
+def _graph_cases(label: str, n: int):
+    """``graph`` in both formats on every component of one labeling at rank
+    n, with the fork-plus-double quotients."""
+    base = ["graph", "--type", label, "--n", str(n)]
+    if label in COLUMN:
+        comps = [["--k", str(k)] for k in (n, n - 1)]
+    else:
+        comps = [["--k", str(k), "--l", str(l)] for k, l in _pairs(label, n)]
+    if label == "A2odd":
+        comps += [["--k", str(k), "--l", str(n - k), "--quotient"]
+                  for k in range(1, n)]
+    return [[*base, *comp, "--format", fmt] for comp in comps
+            for fmt in ("json", "dot")]
+
+
 def golden_cases():
     cases = []
     for label in LABELS:
@@ -58,17 +74,7 @@ def golden_cases():
             for fmt in ("table", "json"):
                 cases.append(["decompose", *base, "--format", fmt])
         for n in (2, 3):
-            base = ["graph", "--type", label, "--n", str(n)]
-            if label in COLUMN:
-                comps = [["--k", str(k)] for k in (n, n - 1)]
-            else:
-                comps = [["--k", str(k), "--l", str(l)] for k, l in _pairs(label, n)]
-            if label == "A2odd":
-                comps += [["--k", str(k), "--l", str(n - k), "--quotient"]
-                          for k in range(1, n)]
-            for comp in comps:
-                for fmt in ("json", "dot"):
-                    cases.append([*base, *comp, "--format", fmt])
+            cases += _graph_cases(label, n)
     # fock verify with the default groups and with each flag alone; --deltaword
     # is a usage error on every labeling but A2odd, and --highest on B1, D1, D2
     for label in LABELS:
@@ -105,6 +111,12 @@ def golden_cases():
     return cases
 
 
+def graph_cases():
+    """Every component graph at n = 4, in both formats: DOT and JSON are
+    built apart, and the n = 2, 3 renders are too small to tell them apart."""
+    return [argv for label in LABELS for argv in _graph_cases(label, 4)]
+
+
 def relation_cases():
     """``fock verify --relations --polarization`` at the benchmark's rank and
     one above, where the relation checks dominate."""
@@ -132,8 +144,8 @@ def _differing(cases):
 
 def test_cli_output_matches_the_golden_digests():
     golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(" ".join(argv)
-                                    for argv in golden_cases() + relation_cases())
+    assert sorted(golden) == sorted(
+        " ".join(argv) for argv in golden_cases() + relation_cases() + graph_cases())
     differ, elapsed = _differing(golden_cases())
     assert differ == []
     assert elapsed < 3.0
@@ -145,7 +157,13 @@ def test_relation_checks_match_the_golden_digests():
     assert elapsed < 3.0
 
 
+def test_graph_renders_at_rank_four_match_the_golden_digests():
+    differ, _ = _differing(graph_cases())
+    assert differ == []
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(
-        {" ".join(argv): digest(argv) for argv in golden_cases() + relation_cases()},
+        {" ".join(argv): digest(argv)
+         for argv in golden_cases() + relation_cases() + graph_cases()},
         indent=1, sort_keys=True) + "\n")
