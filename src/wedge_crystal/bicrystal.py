@@ -90,26 +90,35 @@ def sigma_closed(n: int, x: int):
     return (eps, phi)
 
 
+def _check_involution(t: AffineType, k: int):
+    if t.diamond != (FORK, DOUBLE):
+        raise ValueError("the involution exists only for fork-plus-double types")
+    if not 1 <= k <= t.n - 1:
+        raise ValueError(f"k must lie in 1..{t.n - 1}, got {k}")
+
+
+def _mate(n: int, k: int, x: int):
+    """(varsigma of x, phi of x), from one reading of the signature."""
+    _, phi, raise_row, lower_row = _signature(n, x)
+    if phi == n - k:
+        row = lower_row
+    elif phi == n - k - 1:
+        row = raise_row
+    else:
+        raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
+    if not row:
+        raise RuntimeError("involution hit the end of a string; invalid domain")
+    return _flip(n, x, row), phi
+
+
 def varsigma(t: AffineType, k: int, x: int) -> int:
     """Order-two symmetry of the shared component of the fork-double types.
 
     Lowers when the element sits in the longer-phi half, raises otherwise.
     Only defined on the component of the (k, n-k) representative.
     """
-    if t.diamond != (FORK, DOUBLE):
-        raise ValueError("the involution exists only for fork-plus-double types")
-    if not 1 <= k <= t.n - 1:
-        raise ValueError(f"k must lie in 1..{t.n - 1}, got {k}")
-    _, phi, raise_row, lower_row = _signature(t.n, x)
-    if phi == t.n - k:
-        out = _flip(t.n, x, lower_row)
-    elif phi == t.n - k - 1:
-        out = _flip(t.n, x, raise_row)
-    else:
-        raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
-    if out is None:
-        raise RuntimeError("involution hit the end of a string; invalid domain")
-    return out
+    _check_involution(t, k)
+    return _mate(t.n, k, x)[0]
 
 
 @dataclass
@@ -132,26 +141,25 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
     """Collapse a component along the involution; asserts well-definedness."""
     t = g.type
     n = t.n
+    _check_involution(t, k)
     orbit_of = {}
     orbits = {}
     for x in g.vertices:
         if x in orbit_of:
             continue
-        mate = varsigma(t, k, x)
+        mate, phi = _mate(n, k, x)
         if mate == x:
             raise RuntimeError("involution has a fixed point; invalid domain")
-        plus, minus = (x, mate) if sigma(n, x)[1] == n - k else (mate, x)
+        plus, minus = (x, mate) if phi == n - k else (mate, x)
         oid = min(x, mate)
         orbits[oid] = (plus, minus)
         orbit_of[x] = oid
         orbit_of[mate] = oid
     edge_map = {}
     for s, d, c in g.edges:
-        key = (orbit_of[s], c)
         dst = orbit_of[d]
-        if key in edge_map and edge_map[key] != dst:
+        if edge_map.setdefault((orbit_of[s], c), dst) != dst:
             raise RuntimeError("quotient edges are not well defined")
-        edge_map[key] = dst
     edges = tuple(sorted((s, d, c) for (s, c), d in edge_map.items()))
     ordered = tuple(orbits[oid] for oid in sorted(orbits))
     return QuotientGraph(orbits=ordered, edges=edges)

@@ -36,8 +36,13 @@ def _resolve_type(args):
         raise UsageError(str(exc))
 
 
-def graph_document(t, k, l=None, quotient=False) -> dict:
-    """Assemble the serializable form of one component graph."""
+def graph_document(t, k, l=None, quotient=False, full=True) -> dict:
+    """Assemble the serializable form of one component graph.
+
+    Without ``full`` the vertex records hold only the id and the text, which
+    is all that :func:`render_dot` prints; the weight and sigma are left out.
+    Vertices with equal weights, or equal sigmas, share one list.
+    """
     header = {"type": t.label, "cli_type": t.cli_token, "n": t.n,
               "k": k, "l": l, "quotient": bool(quotient)}
     if t.doubled:
@@ -60,27 +65,30 @@ def graph_document(t, k, l=None, quotient=False) -> dict:
         g = crystal.component(t, crystal.v_spin(t, k))
     else:
         raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
-    rs = crystal.rules(t)
+    text = crystal.text
     if quotient:
         if t.diamond != (FORK, DOUBLE) or k in (0, t.n):
             raise UsageError("--quotient needs the fork-plus-double type "
                              "with 0 < k < n")
         q = bicrystal.quotient_graph(g, k)
-        vertices = [
-            {"id": oid, "text": f"{crystal.text(t, plus)}+{crystal.text(t, minus)}",
-             "weight": list(crystal.rule_weight(rs, plus)),
-             "sigma": list(bicrystal.sigma(t.n, plus))}
-            for oid, (plus, minus) in zip(q.ids, q.orbits)
-        ]
+        vertices = [{"id": oid, "text": f"{text(t, plus)}+{text(t, minus)}"}
+                    for oid, (plus, minus) in zip(q.ids, q.orbits)]
+        members = [plus for plus, _ in q.orbits]
         edges = q.edges
     else:
-        vertices = [
-            {"id": x, "text": crystal.text(t, x),
-             "weight": list(crystal.rule_weight(rs, x)),
-             "sigma": list(bicrystal.sigma(t.n, x)) if t.doubled else None}
-            for x in g.vertices
-        ]
+        vertices = [{"id": x, "text": text(t, x)} for x in g.vertices]
+        members = g.vertices
         edges = g.edges
+    if full:
+        rs = crystal.rules(t)
+        lists = {}
+
+        def shared(values):
+            return lists.get(values) or lists.setdefault(values, list(values))
+
+        for v, x in zip(vertices, members):
+            v["weight"] = shared(crystal.rule_weight(rs, x))
+            v["sigma"] = shared(bicrystal.sigma(t.n, x)) if t.doubled else None
     return {"header": header, "vertices": vertices,
             "edges": [{"src": s, "dst": d, "color": c} for s, d, c in edges]}
 
@@ -109,18 +117,24 @@ def render_json(doc: dict) -> str:
         f'    "l": {"null" if h["l"] is None else h["l"]},\n    "n": {h["n"]},\n'
         f'    "quotient": {"true" if h["quotient"] else "false"},\n'
         f'    "type": {_string(h["type"])}\n  }}')
-    vertices = []
-    for v in doc["vertices"]:
-        s = v["sigma"]
-        sigma = ("null" if s is None
-                 else _OPEN + _ITEM.join(map(int.__repr__, s)) + _CLOSE)
-        vertices.append(
-            f'    {{\n      "id": {v["id"]},\n      "sigma": {sigma},\n'
-            f'      "text": {_string(v["text"])},\n      "weight": {_OPEN}'
-            f'{_ITEM.join(map(int.__repr__, v["weight"]))}{_CLOSE}\n    }}')
-    edges = ",\n".join(
+    lists = {}  # each distinct weight or sigma list, rendered once
+
+    def items(values):
+        if values is None:
+            return "null"
+        key = tuple(values)
+        rendered = lists.get(key)
+        if rendered is None:
+            rendered = lists[key] = _OPEN + _ITEM.join(map(int.__repr__, values)) + _CLOSE
+        return rendered
+
+    vertices = [
+        f'    {{\n      "id": {v["id"]},\n      "sigma": {items(v["sigma"])},\n'
+        f'      "text": {_string(v["text"])},\n      "weight": {items(v["weight"])}\n    }}'
+        for v in doc["vertices"]]
+    edges = ",\n".join([
         f'    {{\n      "color": {e["color"]},\n      "dst": {e["dst"]},\n'
-        f'      "src": {e["src"]}\n    }}' for e in doc["edges"])
+        f'      "src": {e["src"]}\n    }}' for e in doc["edges"]])
     edges = f"[\n{edges}\n  ]" if edges else "[]"
     vertices = ",\n".join(vertices)
     return (f'{{\n  "edges": {edges},\n  "header": {header},\n'
@@ -138,19 +152,22 @@ def render_dot(doc: dict) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="Courier"];',
     ]
-    for v in doc["vertices"]:
-        lines.append(f'  {v["id"]} [label="{v["text"]}"];')
+    lines += [f'  {v["id"]} [label="{v["text"]}"];' for v in doc["vertices"]]
+    styles = {}  # color index -> its edge attributes, written once
     for e in doc["edges"]:
-        color = PALETTE[e["color"] % len(PALETTE)]
-        lines.append(
-            f'  {e["src"]} -> {e["dst"]} [color="{color}", label="{e["color"]}"];')
+        c = e["color"]
+        style = styles.get(c)
+        if style is None:
+            style = styles[c] = f' [color="{PALETTE[c % len(PALETTE)]}", label="{c}"];'
+        lines.append(f'  {e["src"]} -> {e["dst"]}{style}')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_graph(args) -> int:
     t = _resolve_type(args)
-    doc = graph_document(t, args.k, args.l, args.quotient)
+    doc = graph_document(t, args.k, args.l, args.quotient,
+                         full=args.format == "json")
     if args.format == "json":
         print(render_json(doc))
     else:

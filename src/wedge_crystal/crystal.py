@@ -63,7 +63,31 @@ def rules(t: AffineType) -> tuple:
             out.append((mask, pf, pe, 0, _NEVER, _NEVER))
         else:
             out.append((mask, pf, pe, mask << n, pf << n, pe << n))
-    return tuple(out)
+    return Rules(out)
+
+
+class Rules(tuple):
+    """The rules of one type, index by index, with their weight tables.
+
+    ``weights`` holds one (mask, table) pair per rule, with mask = m1 | m2:
+    the rule contributes ``table[x & mask]`` to the weight of x.  A mask
+    covers at most four bits, so a table has at most 16 entries.
+    """
+
+    def __init__(self, rules):
+        weights = []
+        for m1, pf1, pe1, m2, pf2, pe2 in rules:
+            mask = m1 | m2
+            table = {}
+            sub = mask
+            while True:  # every submask of mask, mask itself first
+                table[sub] = ((sub & m1 == pf1) - (sub & m1 == pe1)
+                              + (sub & m2 == pf2) - (sub & m2 == pe2))
+                if not sub:
+                    break
+                sub = (sub - 1) & mask
+            weights.append((mask, table))
+        self.weights = tuple(weights)
 
 
 def step_e(rule, x):
@@ -94,9 +118,9 @@ def is_classically_highest(rs, x: int) -> bool:
 
 
 def rule_weight(rs, x):
-    """:func:`weight` from the rule table ``rs``, without argument checks."""
-    return tuple((x & m1 == pf1) - (x & m1 == pe1) + (x & m2 == pf2) - (x & m2 == pe2)
-                 for m1, pf1, pe1, m2, pf2, pe2 in rs)
+    """:func:`weight` from the weight tables of ``rs = rules(t)``, without
+    argument checks."""
+    return tuple([table[x & mask] for mask, table in rs.weights])
 
 
 def ground_size(t: AffineType) -> int:
@@ -149,16 +173,38 @@ def weight(t: AffineType, x):
     return rule_weight(rules(t), x)
 
 
+# rows per chunk of :func:`text`: a chunk's table holds 4^_CHUNK strings
+_CHUNK = 4
+
+
+@lru_cache(maxsize=None)
+def _text_chunks(n: int, doubled: bool) -> tuple:
+    """(shift, mask, width, table) for each run of up to _CHUNK rows, from
+    row n-bar down: ``table[c1 | c2 << width]`` is the text of the run whose
+    column bits, row n-bar's first, are c1 and c2 (c2 = 0 on vectors)."""
+    chunks = []
+    for shift in range(0, n, _CHUNK):
+        width = min(_CHUNK, n - shift)
+        # a column's binary form lists its last row first; reversed, it
+        # lists the rows of the run from the top down
+        rows = [format(c, f"0{width}b")[::-1] for c in range(1 << width)]
+        if doubled:
+            table = ["/".join(map(str.__add__, c1, c2)) for c2 in rows for c1 in rows]
+        else:
+            table = ["/".join(c1) for c1 in rows]
+        chunks.append((shift, (1 << width) - 1, width, tuple(table)))
+    return tuple(chunks)
+
+
 def text(t: AffineType, x: int) -> str:
-    """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``."""
+    """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``.
+
+    Row n-bar is bit 0 of each column, so the chunks of rows come from the
+    low bits up.  On a vector the column-two bits ``x >> (shift + n)`` are 0.
+    """
     n = t.n
-    width = f"0{n}b"
-    # a column's binary form lists bit n-1 (row 1-bar) first; reversed, it
-    # lists its rows from n-bar down to 1-bar
-    col1 = format(x & ((1 << n) - 1), width)[::-1]
-    if t.doubled:
-        return "/".join(map(str.__add__, col1, format(x >> n, width)[::-1]))
-    return "/".join(col1)
+    return "/".join([table[x >> s & m | (x >> (s + n) & m) << w]
+                     for s, m, w, table in _text_chunks(n, t.doubled)])
 
 
 def v_kl(t: AffineType, k: int, l: int) -> int:
@@ -203,23 +249,28 @@ class CrystalGraph:
 def component(t: AffineType, x: int) -> CrystalGraph:
     """Closure of x under all raising and lowering operators (graph search)."""
     _check(t, x)
-    indexed = tuple(enumerate(rules(t)))
+    indexed = [(i, *rule) for i, rule in enumerate(rules(t))]
     seen = {x}
     todo = [x]
     edges = []
     while todo:
         c = todo.pop()
-        for i, rule in indexed:
-            y = step_f(rule, c)
-            if y is not None:
+        for i, m1, pf1, pe1, m2, pf2, pe2 in indexed:
+            # step_f and step_e inlined: the mask each one toggles, 0 for none
+            a, b = c & m1, c & m2
+            flip = m1 if a == pf1 and b != pe2 else m2 if b == pf2 else 0
+            if flip:
+                y = c ^ flip
                 edges.append((c, y, i))
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-            y = step_e(rule, c)
-            if y is not None and y not in seen:
-                seen.add(y)
-                todo.append(y)
+            flip = m2 if b == pe2 and a != pf1 else m1 if a == pe1 else 0
+            if flip:
+                y = c ^ flip
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
     edges.sort()
     return CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))
 

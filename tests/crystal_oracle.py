@@ -5,10 +5,16 @@ switched to integer ids: ``BinaryVector``/``BinaryMatrix`` hold explicit
 bit tuples, and every operator rebuilds them.  They are slow and simple,
 and the tests compare the id kernel of ``wedge_crystal.crystal`` and
 ``wedge_crystal.bicrystal`` against them element by element.
+
+The last section keeps the id kernel's own earlier forms, which the package
+replaced by table reads and an inlined search: the weight tested rule by
+rule, the text from ``format``, and the component search through
+``step_f``/``step_e``.
 """
 
 from __future__ import annotations
 
+from wedge_crystal import crystal
 from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE
 
 
@@ -404,3 +410,45 @@ def varsigma(t: AffineType, k: int, m: BinaryMatrix) -> BinaryMatrix:
     if out is None:
         raise RuntimeError("involution hit the end of a string; invalid domain")
     return out
+
+
+def rule_weight_by_rules(rs, x):
+    """Weight of the id x from the rule fields of ``rs = crystal.rules(t)``,
+    each rule adding [f applies] - [e applies] per column."""
+    return tuple((x & m1 == pf1) - (x & m1 == pe1) + (x & m2 == pf2) - (x & m2 == pe2)
+                 for m1, pf1, pe1, m2, pf2, pe2 in rs)
+
+
+def text_by_format(t: AffineType, x: int) -> str:
+    """Display form of the id x, from the binary form of each column."""
+    n = t.n
+    width = f"0{n}b"
+    # a column's binary form lists bit n-1 (row 1-bar) first; reversed, it
+    # lists its rows from n-bar down to 1-bar
+    col1 = format(x & ((1 << n) - 1), width)[::-1]
+    if t.doubled:
+        return "/".join(map(str.__add__, col1, format(x >> n, width)[::-1]))
+    return "/".join(col1)
+
+
+def component_by_steps(t: AffineType, x: int) -> crystal.CrystalGraph:
+    """Closure of the id x, one ``step_f`` and one ``step_e`` call per rule
+    and vertex."""
+    seen = {x}
+    todo = [x]
+    edges = []
+    while todo:
+        c = todo.pop()
+        for i, rule in enumerate(crystal.rules(t)):
+            y = crystal.step_f(rule, c)
+            if y is not None:
+                edges.append((c, y, i))
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+            y = crystal.step_e(rule, c)
+            if y is not None and y not in seen:
+                seen.add(y)
+                todo.append(y)
+    edges.sort()
+    return crystal.CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))

@@ -23,13 +23,13 @@ def test_criterion_1_component_partition():
     ok = True
     worst = 0.0
     for token in DOUBLED:
-        for n in range(2, 7):
+        for n in range(2, 8):
             start = time.time()
             r = theorems.verify_component_partition(from_label(token, n))
             worst = max(worst, time.time() - start)
             ok = ok and r.passed
     ok = ok and worst < 10.0
-    _report(1, ok, f"component partition, four doubled types, n=2..6 "
+    _report(1, ok, f"component partition, four doubled types, n=2..7 "
                    f"(worst case {worst:.2f}s)")
 
 
@@ -46,10 +46,10 @@ def test_criterion_2_spin_decomposition():
 def test_criterion_3_classical_branching():
     ok = True
     for token in DOUBLED:
-        for n in range(2, 7):
+        for n in range(2, 8):
             r = theorems.verify_classical_branching(from_label(token, n))
             ok = ok and r.passed
-    _report(3, ok, "classical branching multisets, four doubled types, n=2..6")
+    _report(3, ok, "classical branching multisets, four doubled types, n=2..7")
 
 
 def test_criterion_4_closed_string_formulas():
@@ -67,20 +67,20 @@ def test_criterion_4_closed_string_formulas():
 
 def test_criterion_5_involution():
     ok = True
-    for n in range(2, 7):
+    for n in range(2, 8):
         t = from_label("A2odd", n)
         for k in range(1, n):
             ok = ok and theorems.verify_sigma_range(t, k).passed
             ok = ok and theorems.verify_involution_commutes(t, k).passed
-    _report(5, ok, "string-position range and involution commutation, n=2..6")
+    _report(5, ok, "string-position range and involution commutation, n=2..7")
 
 
 def test_criterion_6_delta_shift():
     ok = True
-    for n in range(2, 7):
+    for n in range(2, 8):
         r = theorems.verify_delta_shift(from_label("A2odd", n))
         ok = ok and r.passed
-    _report(6, ok, "reflection word swaps the paired representatives, n=2..6")
+    _report(6, ok, "reflection word swaps the paired representatives, n=2..7")
 
 
 def test_criterion_7_sigma_characterization():

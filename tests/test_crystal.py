@@ -39,6 +39,50 @@ def test_text_matches_oracle(token, n):
         assert text(t, obj.id) == obj.text
 
 
+def _weight_mismatches(t):
+    rs = crystal.rules(t)
+    return [x for x in all_elements(t)
+            if crystal.rule_weight(rs, x) != oracle.rule_weight_by_rules(rs, x)]
+
+
+def _text_mismatches(t):
+    return [x for x in all_elements(t) if text(t, x) != oracle.text_by_format(t, x)]
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+def test_weight_and_text_tables_match_the_oracles(token):
+    for n in range(2, 8):
+        t = from_label(token, n)
+        assert _weight_mismatches(t) == []
+        assert _text_mismatches(t) == []
+
+
+@pytest.mark.parametrize("token", SINGLE_COL)
+def test_weight_and_text_tables_match_the_oracles_at_rank_twelve(token):
+    t = from_label(token, 12)
+    assert _weight_mismatches(t) == []
+    assert _text_mismatches(t) == []
+
+
+def test_a_corrupted_weight_table_entry_is_caught(monkeypatch):
+    t = from_label("A2odd", 3)
+    mask, table = crystal.rules(t).weights[1]
+    monkeypatch.setitem(table, mask, table[mask] + 1)
+    assert _weight_mismatches(t) != []
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+def test_component_matches_the_step_by_step_search(token):
+    from wedge_crystal import theorems
+
+    for n in range(2, 7):
+        t = from_label(token, n)
+        for ids in theorems.partition_ids(t).members:
+            g = component(t, ids[-1])
+            ref = oracle.component_by_steps(t, ids[-1])
+            assert (g.vertices, g.edges) == (ref.vertices, ref.edges)
+
+
 def test_operator_examples():
     t = from_label("C1", 2)
     m = M("11/00")
