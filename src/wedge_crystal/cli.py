@@ -153,13 +153,10 @@ def render_dot(doc: dict) -> str:
         '  node [shape=box, fontname="Courier"];',
     ]
     lines += [f'  {v["id"]} [label="{v["text"]}"];' for v in doc["vertices"]]
-    styles = {}  # color index -> its edge attributes, written once
-    for e in doc["edges"]:
-        c = e["color"]
-        style = styles.get(c)
-        if style is None:
-            style = styles[c] = f' [color="{PALETTE[c % len(PALETTE)]}", label="{c}"];'
-        lines.append(f'  {e["src"]} -> {e["dst"]}{style}')
+    # the attributes of each color index 0..n, written once
+    styles = [f' [color="{PALETTE[c % len(PALETTE)]}", label="{c}"];'
+              for c in range(h["n"] + 1)]
+    lines += [f'  {e["src"]} -> {e["dst"]}{styles[e["color"]]}' for e in doc["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -38,8 +38,9 @@ _NEVER = -1
 
 
 @lru_cache(maxsize=None)
-def rules(t: AffineType) -> tuple:
-    """The operator rule of every index i in 0..n, computed once per type."""
+def rules(t: AffineType) -> Rules:
+    """The operator rule of every index i in 0..n, with the weight tables,
+    computed once per type and shared by every caller."""
     n = t.n
 
     def r(j):
