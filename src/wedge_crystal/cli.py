@@ -86,9 +86,10 @@ def graph_document(t, k, l=None, quotient=False, full=True) -> dict:
         def shared(values):
             return lists.get(values) or lists.setdefault(values, list(values))
 
+        n, doubled = t.n, t.doubled
         for v, x in zip(vertices, members):
             v["weight"] = shared(crystal.rule_weight(rs, x))
-            v["sigma"] = shared(bicrystal.sigma(t.n, x)) if t.doubled else None
+            v["sigma"] = shared(bicrystal.sigma(n, x)) if doubled else None
     return {"header": header, "vertices": vertices,
             "edges": [{"src": s, "dst": d, "color": c} for s, d, c in edges]}
 
