@@ -9,8 +9,8 @@ operators carry the deformation parameter of the middle nodes.
 On top of the raw operators the module builds the full generator family
 for any of the seven labelings, checks the defining relations and the
 bilinear-form compatibility exactly, extracts the modified root operators
-weight space by weight space, and compares their specialization at qs = 0
-with the combinatorial crystal.
+block by block, and compares their specialization at qs = 0 with the
+combinatorial crystal.
 
 Every generator entry is a signed monomial in qs, so generator matrices
 hold integer Laurent polynomials (``laurent`` dicts, Z[qs^±1]) and the
@@ -20,6 +20,15 @@ works in Q(qs): it converts a generator's entries with ``laurent.rational``
 where they enter a linear system or multiply a rational vector.  Every
 linear system there is solved by one sparse row reduction over Q(qs)
 (``_rref``), fed with the nonzero entries only.
+
+The modified root operators of node i come from the blocks of the module,
+the connected components of the supports of e_i and f_i.  Since t_i is
+diagonal, each block is a U_q(sl_2)_i-submodule, and Kashiwara's operators
+act on the blocks separately.  Each block gets the kernel, string and
+change-of-basis steps on its own few members, once per block shape: blocks
+whose weights and entries agree after renumbering share one result.  The
+highest vectors need joint kernels over i = 1..n, which no block of one i
+contains, so they reduce whole weight spaces.
 
 The relation checks build only the products they need.  When t_i and
 t_i^-1 are diagonal with one-term entries, t_i x t_i^-1 = qs^k x is decided
@@ -44,7 +53,7 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
-from .theorems import FORK_TYPE, MATRIX_TYPE, h_diamond
+from .theorems import FORK_TYPE, MATRIX_TYPE, UnionFind, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
@@ -566,16 +575,79 @@ def _solve(rows, cols) -> dict:
 
 
 def kashiwara_operators(rep: Representation, i: int):
-    """(raising, lowering) operators extracted per i-weight space."""
+    """(raising, lowering) modified root operators, extracted block by block.
+
+    t_i is diagonal, so each connected component of the supports of e_i and
+    f_i (a block) spans a U_q(sl_2)_i-submodule, and Kashiwara's operators
+    act on each block separately.  Each block is solved by
+    ``_block_operators``, once per block shape (``_block_shape``).
+    """
     dim = rep.dim
     unit = rep.cd.qi_exp[i]
-    buckets = {}
-    for idx in range(dim):
-        buckets.setdefault(rep.weights[idx][i], []).append(idx)
-    for r, c in rep.e[i].entries:
-        if rep.weights[r][i] != rep.weights[c][i] + 2:
+    w = [wt[i] for wt in rep.weights]
+    uf = UnionFind(dim)
+    e_cols, f_cols = {}, {}  # col -> [(row, Z[qs^±1] entry)]
+    for (r, c), v in rep.e[i].entries.items():
+        if w[r] != w[c] + 2:
             raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
-    by_col, f_cols = _columns(rep, "e", i), _columns(rep, "f", i)
+        e_cols.setdefault(c, []).append((r, v))
+        uf.union(r, c)
+    for (r, c), v in rep.f[i].entries.items():
+        f_cols.setdefault(c, []).append((r, v))
+        uf.union(r, c)
+    blocks = {}
+    for x in range(dim):
+        blocks.setdefault(uf.find(x), []).append(x)
+
+    et = SparseOperator(dim)
+    ft = SparseOperator(dim)
+    total = 0
+    solved = {}  # block shape -> _block_operators of it
+    for members in blocks.values():
+        shape = _block_shape(members, w, e_cols, f_cols)
+        if shape not in solved:
+            solved[shape] = _block_operators(shape, unit)
+        count, block_et, block_ft = solved[shape]
+        total += count
+        for op, block_op in ((et, block_et), (ft, block_ft)):
+            for (r, c), v in block_op.items():
+                op.entries[members[r], members[c]] = v
+    if total != dim:
+        raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
+    return et, ft
+
+
+def _block_shape(members, w, e_cols, f_cols):
+    """The block renumbered 0..s-1 in the order of its ascending members:
+    the i-weights, then the entries of e_i and of f_i as sorted
+    (row, col, terms) tuples.  ``_block_operators`` depends on nothing else
+    and keeps that order, so blocks of one shape share its result."""
+    local = {x: k for k, x in enumerate(members)}
+
+    def entries(cols):
+        return tuple(sorted((local[r], local[c], tuple(sorted(v.items())))
+                            for c in members for r, v in cols.get(c, ())))
+
+    return tuple(w[x] for x in members), entries(e_cols), entries(f_cols)
+
+
+def _block_operators(shape, unit: int):
+    """Kashiwara's operators on one block shape by exact elimination:
+    (number of string vectors, {(row, col): e~ entry}, {(row, col): f~
+    entry}), all in the shape's numbering.
+
+    The strings start at a basis of the kernel of e_i on each weight space
+    of weight m >= 0 and run through the divided powers f^(r), r = 0..m;
+    a change of basis per weight space then reads off both operators.
+    """
+    weights, e_entries, f_entries = shape
+    size = len(weights)
+    e_rat, f_rat, buckets = {}, {}, {}
+    for cols, entries in ((e_rat, e_entries), (f_rat, f_entries)):
+        for r, c, terms in entries:
+            cols.setdefault(c, []).append((r, rational(dict(terms))))
+    for x, wt in enumerate(weights):
+        buckets.setdefault(wt, []).append(x)
 
     strings = []  # (top_weight m, [w_r dicts for r = 0..m])
     for m, cols in sorted(buckets.items(), reverse=True):
@@ -583,54 +655,49 @@ def kashiwara_operators(rep: Representation, i: int):
             continue
         rows = {}
         for c in cols:
-            for r, v in by_col.get(c, ()):
+            for r, v in e_rat.get(c, ()):
                 rows.setdefault(r, {})[c] = v
         for u in _kernel(rows.values(), cols):
             chain = [u]
-            w = u
+            vec = u
             for _ in range(m):
-                w = _apply_columns(f_cols, w)
-                chain.append(w)
-            if _apply_columns(f_cols, w):
+                vec = _apply_columns(f_rat, vec)
+                chain.append(vec)
+            if _apply_columns(f_rat, vec):
                 raise ArithmeticError(f"string through weight {m} does not close")
             vecs = []
-            for r, w in enumerate(chain):
+            for r, vec in enumerate(chain):
                 fact = rational(qfactorial(r, unit)).inverse()
-                vecs.append({k: v * fact for k, v in w.items()})
+                vecs.append({k: v * fact for k, v in vec.items()})
             strings.append((m, vecs))
 
-    total = sum(m + 1 for m, _ in strings)
-    if total != dim:
-        raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
-
     # change of basis per weight value: one row per string vector, holding
-    # it over the basis ids, its image under the modified raising operator
-    # at dim + id and its image under the lowering one at 2 dim + id.  With
-    # S, E, F those vectors as columns, the reduced form is
+    # it over the block's basis, its image under the modified raising
+    # operator at size + k and its image under the lowering one at
+    # 2 size + k.  With S, E, F those vectors as columns, the reduced form is
     # [I | (E S^-1)^T | (F S^-1)^T]: row c holds column c of both operators.
     by_weight = {}
     for m, vecs in strings:
         for r, vec in enumerate(vecs):
             row = dict(vec)
             if r >= 1:
-                row.update((dim + k, v) for k, v in vecs[r - 1].items())
+                row.update((size + k, v) for k, v in vecs[r - 1].items())
             if r < m:
-                row.update((2 * dim + k, v) for k, v in vecs[r + 1].items())
+                row.update((2 * size + k, v) for k, v in vecs[r + 1].items())
             by_weight.setdefault(m - 2 * r, []).append(row)
-    et = SparseOperator(dim)
-    ft = SparseOperator(dim)
+    et, ft = {}, {}
     for lam, rows in by_weight.items():
-        idxs = buckets[lam]
+        idxs = buckets.get(lam, [])
         if len(rows) != len(idxs):
             raise ArithmeticError("weight space dimension mismatch")
         red = _solve(rows, idxs)
         for c in idxs:
             for k, v in red[c].items():
-                if k >= 2 * dim:
-                    ft.entries[(k - 2 * dim, c)] = v
-                elif k >= dim:
-                    et.entries[(k - dim, c)] = v
-    return et, ft
+                if k >= 2 * size:
+                    ft[k - 2 * size, c] = v
+                elif k >= size:
+                    et[k - size, c] = v
+    return sum(m + 1 for m, _ in strings), et, ft
 
 
 def crystal_match(rep: Representation):

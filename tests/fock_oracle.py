@@ -14,8 +14,10 @@ all-products form (``integer_verify_relations``, with the sparse kernel
 diagonal tests and Horner-form Serre sums.
 
 It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
-before its sparse row reduction; the tests compare the two on random
-matrices.
+before its sparse row reduction, which the tests compare with it on random
+matrices, and the extraction of the modified root operators per whole
+i-weight space (``kashiwara_operators_by_weight_space``) that ``fock`` used
+before it worked block by block.
 
 Its scalars are the Q(qs) arithmetic that ``wedge_crystal.laurent`` used
 before the fraction field moved to pairs of integer Laurent dicts: Laurent
@@ -34,6 +36,7 @@ from wedge_crystal import crystal as crys
 from wedge_crystal import fock
 from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
+from wedge_crystal import laurent
 from wedge_crystal.laurent import NotRegular, padd, pmul, qbinomial
 
 
@@ -940,6 +943,82 @@ def integer_verify_relations(rep: fock.Representation):
                     total = total + term if k % 2 == 0 else total - term
                 checks.append(compare(f"serre {x}({i},{j})", total, zero))
     return checks
+
+
+# -- modified root operators per whole weight space ---------------------------
+
+
+def kashiwara_operators_by_weight_space(rep: fock.Representation, i: int):
+    """(raising, lowering) operators extracted per i-weight space.
+
+    ``fock.kashiwara_operators`` as it was before it split the module into
+    the connected blocks of e_i and f_i: one kernel and one change of basis
+    per whole i-weight space.  The reduced forms are unique and the blocks
+    do not interact, so the two must agree entry for entry."""
+    dim = rep.dim
+    unit = rep.cd.qi_exp[i]
+    buckets = {}
+    for idx in range(dim):
+        buckets.setdefault(rep.weights[idx][i], []).append(idx)
+    for r, c in rep.e[i].entries:
+        if rep.weights[r][i] != rep.weights[c][i] + 2:
+            raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
+    by_col, f_cols = fock._columns(rep, "e", i), fock._columns(rep, "f", i)
+
+    strings = []  # (top_weight m, [w_r dicts for r = 0..m])
+    for m, cols in sorted(buckets.items(), reverse=True):
+        if m < 0:
+            continue
+        rows = {}
+        for c in cols:
+            for r, v in by_col.get(c, ()):
+                rows.setdefault(r, {})[c] = v
+        for u in fock._kernel(rows.values(), cols):
+            chain = [u]
+            w = u
+            for _ in range(m):
+                w = fock._apply_columns(f_cols, w)
+                chain.append(w)
+            if fock._apply_columns(f_cols, w):
+                raise ArithmeticError(f"string through weight {m} does not close")
+            vecs = []
+            for r, w in enumerate(chain):
+                fact = laurent.rational(laurent.qfactorial(r, unit)).inverse()
+                vecs.append({k: v * fact for k, v in w.items()})
+            strings.append((m, vecs))
+
+    total = sum(m + 1 for m, _ in strings)
+    if total != dim:
+        raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
+
+    # change of basis per weight value: one row per string vector, holding
+    # it over the basis ids, its image under the modified raising operator
+    # at dim + id and its image under the lowering one at 2 dim + id.  With
+    # S, E, F those vectors as columns, the reduced form is
+    # [I | (E S^-1)^T | (F S^-1)^T]: row c holds column c of both operators.
+    by_weight = {}
+    for m, vecs in strings:
+        for r, vec in enumerate(vecs):
+            row = dict(vec)
+            if r >= 1:
+                row.update((dim + k, v) for k, v in vecs[r - 1].items())
+            if r < m:
+                row.update((2 * dim + k, v) for k, v in vecs[r + 1].items())
+            by_weight.setdefault(m - 2 * r, []).append(row)
+    et = fock.SparseOperator(dim)
+    ft = fock.SparseOperator(dim)
+    for lam, rows in by_weight.items():
+        idxs = buckets[lam]
+        if len(rows) != len(idxs):
+            raise ArithmeticError("weight space dimension mismatch")
+        red = fock._solve(rows, idxs)
+        for c in idxs:
+            for k, v in red[c].items():
+                if k >= 2 * dim:
+                    ft.entries[(k - 2 * dim, c)] = v
+                elif k >= dim:
+                    et.entries[(k - dim, c)] = v
+    return et, ft
 
 
 # -- dense exact linear algebra (small blocks) ---------------------------------

@@ -7,6 +7,11 @@ against ``fock_oracle._nullspace``, square solves by ``fock._solve`` against
 into its ``Fraction`` scalars, so the comparison also checks the scalar
 arithmetic of the row reduction.  Rank-deficient cases are built on purpose by
 appending combinations of the drawn rows.
+
+The modified root operators, which ``fock.kashiwara_operators`` extracts
+block by block, are compared entry for entry with the extraction per whole
+i-weight space kept in ``fock_oracle``, on every labeling and on small
+hand-built modules; the hand-built ones also reach each of its failures.
 """
 
 import pytest
@@ -14,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import fock_oracle as oracle
 from wedge_crystal import fock
-from wedge_crystal.cartan import from_label
-from wedge_crystal.laurent import rational
+from wedge_crystal.cartan import ALL_LABELS, cartan_data, from_label
+from wedge_crystal.laurent import RationalScalar, qfactorial, rational
 
 SAMPLED = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -107,6 +112,96 @@ def test_singular_change_of_basis_raises():
         fock._solve([{0: qs, 1: qs, 2: qs}, {0: qs * qs, 1: qs * qs}], [0, 1])
 
 
+def _one_node(weights, e, f):
+    """A module of node i = 0 alone on len(weights) basis vectors: their
+    i-weights, and e_0 and f_0 as {(row, col): Z[qs^±1] entry}."""
+    t = from_label("A2odd", 2)
+    dim = len(weights)
+    return fock.Representation(type=t, cd=cartan_data(t), dim=dim,
+                               e={0: fock.SparseOperator(dim, e)},
+                               f={0: fock.SparseOperator(dim, f)},
+                               t={}, tinv={}, weights=[(w,) for w in weights])
+
+
+# one block holding two 2-strings: f_0 maps b0 to b2 and b1 to b2 + b3,
+# e_0 inverts it, so e_0 f_0 = 1 at weight 1 and f_0 e_0 = 1 at weight -1
+TWO_STRINGS = ([1, 1, -1, -1],
+               {(0, 2): {0: 1}, (0, 3): {0: -1}, (1, 3): {0: 1}},
+               {(2, 0): {0: 1}, (2, 1): {0: 1}, (3, 1): {0: 1}})
+
+
+def _as_rational(op):
+    return {rc: rational(v) for rc, v in op.entries.items()}
+
+
+def _assert_same(rep, i):
+    et, ft = fock.kashiwara_operators(rep, i)
+    oracle_et, oracle_ft = oracle.kashiwara_operators_by_weight_space(rep, i)
+    assert et.entries == oracle_et.entries
+    assert ft.entries == oracle_ft.entries
+    return et, ft
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_blocks_match_whole_weight_spaces(label, n):
+    rep = fock.representation(from_label(label, n))
+    for i in range(n + 1):
+        _assert_same(rep, i)
+
+
+def test_blocks_of_one_pattern_with_other_entries():
+    # two interleaved blocks, {0, 2, 4, 6} as TWO_STRINGS and {1, 3, 5, 7}
+    # with f_0 b1 = qs b5, so only the second has a qs in its operators.
+    # All strings have length 2, so the modified operators are e_0 and f_0
+    weights = [1, 1, 1, 1, -1, -1, -1, -1]
+    e = {(0, 4): {0: 1}, (0, 6): {0: -1}, (2, 6): {0: 1},
+         (1, 5): {-1: 1}, (1, 7): {-1: -1}, (3, 7): {0: 1}}
+    f = {(4, 0): {0: 1}, (4, 2): {0: 1}, (6, 2): {0: 1},
+         (5, 1): {1: 1}, (5, 3): {0: 1}, (7, 3): {0: 1}}
+    rep = _one_node(weights, e, f)
+    et, ft = _assert_same(rep, 0)
+    assert et.entries == _as_rational(rep.e[0])
+    assert ft.entries == _as_rational(rep.f[0])
+
+
+def test_single_strings():
+    # f_0 b0 = b1 and f_0 b1 = [2] b2, so f^(2) b0 = b2: both modified
+    # operators move along the string with coefficient 1
+    unit = cartan_data(from_label("A2odd", 2)).qi_exp[0]
+    two = qfactorial(2, unit)
+    rep = _one_node([2, 0, -2], {(0, 1): two, (1, 2): {0: 1}},
+                    {(1, 0): {0: 1}, (2, 1): two})
+    et, ft = _assert_same(rep, 0)
+    one = RationalScalar.one()
+    assert et.entries == {(0, 1): one, (1, 2): one}
+    assert ft.entries == {(1, 0): one, (2, 1): one}
+    # a 2-string with f_0 b0 = qs b1: e~ divides by qs where f~ multiplies
+    et, ft = _assert_same(_one_node([1, -1], {(0, 1): {-1: 1}}, {(1, 0): {1: 1}}), 0)
+    assert et.entries == {(0, 1): rational({-1: 1})}
+    assert ft.entries == {(1, 0): rational({1: 1})}
+
+
+def test_weight_zero_singleton_contributes_nothing():
+    et, ft = _assert_same(_one_node([0], {}, {}), 0)
+    assert not et.entries and not ft.entries
+
+
+@pytest.mark.parametrize("weights, e, f, message", [
+    ([0, 0], {(0, 1): {0: 1}}, {}, "raising operator 0 is not weight-homogeneous"),
+    # f_0 sends b1 back to b0, so the string from b0 never ends
+    ([1, -1], {(0, 1): {0: 1}}, {(1, 0): {0: 1}, (0, 1): {0: 1}},
+     "string through weight 1 does not close"),
+    # a singleton at negative weight starts no string
+    ([-2], {}, {}, "string count 0 does not fill dimension 1"),
+    # a singleton at weight 2 starts a string through weights 0 and -2
+    ([2], {}, {}, "weight space dimension mismatch"),
+])
+def test_malformed_blocks_raise(weights, e, f, message):
+    with pytest.raises(ArithmeticError, match=message):
+        fock.kashiwara_operators(_one_node(weights, e, f), 0)
+
+
 def test_dependent_strings_are_a_singular_change_of_basis(monkeypatch):
     # repeating one highest vector of a two-dimensional kernel keeps every
     # count right, so only the change of basis can notice
@@ -120,5 +215,7 @@ def test_dependent_strings_are_a_singular_change_of_basis(monkeypatch):
     monkeypatch.setattr(fock, "_kernel", repeated)
     with pytest.raises(ArithmeticError, match="singular change of basis"):
         fock.normalized_highest_vector(rep, 1, 2)
+    # every block of a labeling at n = 3 has kernels of dimension at most
+    # one; this block has a two-dimensional kernel at weight 1
     with pytest.raises(ArithmeticError, match="singular change of basis"):
-        fock.kashiwara_operators(rep, 1)
+        fock.kashiwara_operators(_one_node(*TWO_STRINGS), 0)
