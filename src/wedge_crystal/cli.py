@@ -238,55 +238,84 @@ def cmd_fock_verify(args) -> int:
     return 0 if not bad else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="wedge-crystal",
-        description="exact crystal components, decomposition reports and "
-                    "symbolic verification for the seven supported labelings",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_type_args(p):
+    p.add_argument("--type", required=True,
+                   help="label: B1, C1, D1, A2even, A2evenDagger, A2odd, "
+                        "D2, a Kac label, or an end-shape pair such as "
+                        "2,2 or (11,2)")
+    p.add_argument("--n", type=int, required=True, help="rank, at least 2")
 
-    def add_type_args(p):
-        p.add_argument("--type", required=True,
-                       help="label: B1, C1, D1, A2even, A2evenDagger, A2odd, "
-                            "D2, a Kac label, or an end-shape pair such as "
-                            "2,2 or (11,2)")
-        p.add_argument("--n", type=int, required=True, help="rank, at least 2")
 
+def _add_graph(sub):
     g = sub.add_parser("graph", help="emit one component as DOT or JSON")
-    add_type_args(g)
+    _add_type_args(g)
     g.add_argument("--k", type=int, required=True)
     g.add_argument("--l", type=int, default=None)
     g.add_argument("--quotient", action="store_true")
     g.add_argument("--format", choices=("dot", "json"), default="dot")
     g.set_defaults(func=cmd_graph)
 
+
+def _add_decompose(sub):
     d = sub.add_parser("decompose", help="full decomposition report")
-    add_type_args(d)
+    _add_type_args(d)
     d.add_argument("--format", choices=("table", "json"), default="table")
     d.set_defaults(func=cmd_decompose)
 
+
+def _add_verify(sub):
     v = sub.add_parser("verify", help="run exhaustive verification suites")
-    add_type_args(v)
+    _add_type_args(v)
     v.add_argument("--suite", choices=(*theorems.SUITES, "all"),
                    required=True)
     v.add_argument("--k", type=int, default=None)
     v.set_defaults(func=cmd_verify)
 
+
+def _add_fock(sub):
     fk = sub.add_parser("fock", help="symbolic module checks")
     fksub = fk.add_subparsers(dest="fock_command", required=True)
     fv = fksub.add_parser("verify", help="relations, polarization, "
                                          "crystal match, highest vectors")
-    add_type_args(fv)
+    _add_type_args(fv)
     for group in fock.GROUPS:
         fv.add_argument(_flag(group), action="store_true")
     fv.set_defaults(func=cmd_fock_verify)
 
+
+# each subcommand and the function that adds its parser, in --help order
+COMMANDS = {"graph": _add_graph, "decompose": _add_decompose,
+            "verify": _add_verify, "fock": _add_fock}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole argument tree, or with ``command`` the tree with that one
+    subcommand's parser.
+
+    The usage line of the one-command tree still lists every subcommand, so
+    its help and its errors read as the whole tree's do for any argument
+    list that starts with ``command``.
+    """
+    parser = argparse.ArgumentParser(
+        prog="wedge-crystal",
+        description="exact crystal components, decomposition reports and "
+                    "symbolic verification for the seven supported labelings",
+    )
+    # the whole tree's usage line lists its subcommands by default
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in COMMANDS.items():
+        if command in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a first argument that names a subcommand needs that subcommand's
+    # parser alone; help, a missing or an unknown command, the whole tree
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

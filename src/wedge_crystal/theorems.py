@@ -5,6 +5,14 @@ vectors), checks one structural statement exactly, and reports pass/fail
 plus a machine-readable discrepancy list.  Connectivity questions are
 settled by union-find over all operator edges, independently of the BFS
 component builder, so the two implementations cross-check each other.
+
+The ground-set passes run at loop speed: the partition is one inline
+union-find sweep per rule over the ground set on a flat parent list, and the
+walks over a component's members (the classically-highest filter, the
+isomorphism walk, the involution check) unpack each rule's fields and step
+ids inline.  ``crystal.step_e``/``step_f`` stay the reference rule; the tests
+pin every inlined copy to them.  :class:`UnionFind` stays for the block
+search of ``fock.kashiwara_operators``.
 """
 
 from __future__ import annotations
@@ -83,23 +91,61 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
     """Union-find closure of the full ground set under the operator edges of
     the rules ``rs`` (all of ``crystal.rules(t)`` when None).
 
+    One sweep per rule over the ground set on a flat parent list, with
+    :func:`crystal.step_f` inlined.  Roots are found by path halving and the
+    larger root is linked under the smaller, so every root is the smallest
+    id of its set and every id's parent is no larger than the id.
+
     Computed once and shared by every suite; callers must not mutate it.
     """
-    elements = crystal.all_elements(t)
-    uf = UnionFind(len(elements))
     if rs is None:
         rs = crystal.rules(t)
-    for x in elements:
-        for rule in rs:
-            y = crystal.step_f(rule, x)
-            if y is not None:
-                uf.union(x, y)
-    number = {}  # union-find root -> component number
-    label = array("I", (number.setdefault(uf.find(x), len(number)) for x in elements))
-    members = tuple(array("I") for _ in number)
+    size = crystal.ground_size(t)
+    parent = list(range(size))
+    for m1, pf1, pe1, m2, pf2, pe2 in rs:
+        for x in range(size):
+            if x & m1 == pf1 and x & m2 != pe2:
+                y = x ^ m1
+            elif x & m2 == pf2:
+                y = x ^ m2
+            else:
+                continue
+            # x and y become their roots; the sweep's next x comes from range
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x < y:
+                parent[y] = x
+            elif y < x:
+                parent[x] = y
+    # the parent list turns into the component numbers in place, in id order:
+    # a root takes the next number, any other id its parent's, which is
+    # smaller and so already numbered
+    count = 0
+    for x in range(size):
+        p = parent[x]
+        if p == x:
+            parent[x] = count
+            count += 1
+        else:
+            parent[x] = parent[p]
+    label = array("I", parent)
+    members = tuple(array("I") for _ in range(count))
     for x, c in enumerate(label):
         members[c].append(x)
     return Partition(label=label, members=members)
+
+
+def classically_highest(rs, ids) -> list:
+    """The ids of ``ids``, in order, that no classical raising rule (index
+    1..n of the rules ``rs``) applies to: :func:`crystal.is_classically_highest`
+    with :func:`crystal.step_e` inlined, as one filter per rule."""
+    out = list(ids)
+    for m1, pf1, pe1, m2, pf2, pe2 in rs[1:]:
+        out = [x for x in out
+               if not (x & m2 == pe2 and x & m1 != pf1 or x & m1 == pe1)]
+    return out
 
 
 def classify_weight(t: AffineType, w) -> int | None:
@@ -146,7 +192,7 @@ def decomposition_report(t: AffineType) -> dict:
         reps = {("spin", k): crystal.v_spin(t, k) for k in ks}
     for key, rep in reps.items():
         members = p.class_of(rep)
-        highest = [x for x in members if crystal.is_classically_highest(rs, x)]
+        highest = classically_highest(rs, members)
         split = None  # [|plus half|, |minus half|] of a shared component
         if t.diamond == (FORK, DOUBLE) and 0 < key[0] < t.n and key[1] == t.n - key[0]:
             plus = sum(1 for x in members if bicrystal.sigma(t.n, x)[1] == key[1])
@@ -264,7 +310,7 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
     classical = partition_ids(t, rs[1:]).label
     for (k, l) in h_diamond(t):
         members = p.class_of(crystal.v_kl(t, k, l))
-        highest = [x for x in members if crystal.is_classically_highest(rs, x)]
+        highest = classically_highest(rs, members)
         labels = []
         for x in highest:
             lab = classify_weight(t, crystal.weight(t, x))
@@ -314,7 +360,7 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     """The order-two symmetry commutes with every operator on its domain."""
     res = SuiteResult(name="prop46", passed=True)
     ks = suite_ks("prop46", t, k)
-    rs = tuple(enumerate(crystal.rules(t)))
+    rs = [(i, *rule) for i, rule in enumerate(crystal.rules(t))]
     p = partition_ids(t)
     for kk in ks:
         members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
@@ -332,15 +378,19 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
             elif m < x:
                 # order two holds on the orbit, so its statement was checked at m
                 continue
-            for i, rule in rs:
-                for step in (crystal.step_e, crystal.step_f):
-                    a = step(rule, x)
-                    lhs = None if a is None else mate[a]
-                    b = step(rule, m)
-                    if (lhs is None) != (b is None):
+            for i, m1, pf1, pe1, m2, pf2, pe2 in rs:
+                x1, x2, y1, y2 = x & m1, x & m2, m & m1, m & m2
+                # step_e, then step_f, inlined on x and on its mate: the mask
+                # each one toggles, 0 for none
+                for a, b in ((m2 if x2 == pe2 and x1 != pf1 else m1 if x1 == pe1 else 0,
+                              m2 if y2 == pe2 and y1 != pf1 else m1 if y1 == pe1 else 0),
+                             (m1 if x1 == pf1 and x2 != pe2 else m2 if x2 == pf2 else 0,
+                              m1 if y1 == pf1 and y2 != pe2 else m2 if y2 == pf2 else 0)):
+                    lhs = mate[x ^ a] if a else None
+                    if (lhs is None) != (not b):
                         res.note(f"k={kk}: commutation defined-ness fails at "
                                  f"{crystal.text(t, x)}, i={i}")
-                    elif lhs is not None and lhs != b:
+                    elif lhs is not None and lhs != m ^ b:
                         res.note(f"k={kk}: commutation fails at "
                                  f"{crystal.text(t, x)}, i={i}")
     return res
@@ -387,13 +437,19 @@ def isomorphic_components(t: AffineType, root1: int, root2: int) -> bool:
     while todo:
         a = todo.pop()
         b = match[a]
-        for rule in rs:
-            for step in (crystal.step_f, crystal.step_e):
-                x, y = step(rule, a), step(rule, b)
-                if (x is None) != (y is None):
-                    return False
-                if x is None:
+        for m1, pf1, pe1, m2, pf2, pe2 in rs:
+            a1, a2, b1, b2 = a & m1, a & m2, b & m1, b & m2
+            # step_f, then step_e, inlined on both ids: the mask each one
+            # toggles, 0 for none
+            for da, db in ((m1 if a1 == pf1 and a2 != pe2 else m2 if a2 == pf2 else 0,
+                            m1 if b1 == pf1 and b2 != pe2 else m2 if b2 == pf2 else 0),
+                           (m2 if a2 == pe2 and a1 != pf1 else m1 if a1 == pe1 else 0,
+                            m2 if b2 == pe2 and b1 != pf1 else m1 if b1 == pe1 else 0)):
+                if not (da and db):
+                    if da or db:
+                        return False
                     continue
+                x, y = a ^ da, b ^ db
                 if x in match:
                     if match[x] != y:
                         return False
@@ -456,6 +512,7 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
     res = SuiteResult(name="spin", passed=True)
     suite_ks("spin", t)
     n = t.n
+    rs = crystal.rules(t)
     p = partition_ids(t)
     count = len(p.members)
     expected = 2 if t.diamond == (FORK, FORK) else 1
@@ -469,14 +526,14 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
         res.note("expected a single component containing both representatives")
     sizes = sorted(len(ids) for ids in p.members)
     for ids in p.members:
-        weights = [crystal.weight(t, i) for i in ids]
+        weights = [crystal.rule_weight(rs, i) for i in ids]
         if len(set(weights)) != len(weights):
             res.note(f"repeated weight inside component of {crystal.text(t, ids[0])}")
     reps = [top] if expected == 1 else [top, second]
     for k, rep in zip((n, n - 1), reps):
-        if crystal.weight(t, rep) != fundamental_weight_cl(t, k):
-            res.note(f"weight of the k={k} representative is "
-                     f"{crystal.weight(t, rep)}")
+        w = crystal.rule_weight(rs, rep)
+        if w != fundamental_weight_cl(t, k):
+            res.note(f"weight of the k={k} representative is {w}")
     res.stats = {"components": count, "sizes": sizes}
     return res
 

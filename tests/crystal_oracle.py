@@ -7,14 +7,17 @@ and the tests compare the id kernel of ``wedge_crystal.crystal`` and
 ``wedge_crystal.bicrystal`` against them element by element.
 
 The last section keeps the id kernel's own earlier forms, which the package
-replaced by table reads and an inlined search: the weight tested rule by
-rule, the text from ``format``, and the component search through
-``step_f``/``step_e``.
+replaced by table reads and inlined steps: the weight tested rule by rule,
+the text from ``format``, the component search through ``step_f``/``step_e``,
+and the ground-set passes of ``wedge_crystal.theorems`` through
+``step_f``/``step_e`` and ``UnionFind``.
 """
 
 from __future__ import annotations
 
-from wedge_crystal import crystal
+from array import array
+
+from wedge_crystal import bicrystal, crystal, theorems
 from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE
 
 
@@ -452,3 +455,90 @@ def component_by_steps(t: AffineType, x: int) -> crystal.CrystalGraph:
                 todo.append(y)
     edges.sort()
     return crystal.CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))
+
+
+def partition_by_union_find(t: AffineType, rs=None) -> theorems.Partition:
+    """Components of the ground set under the edges of the rules ``rs`` (all
+    of ``crystal.rules(t)`` when None), one ``step_f`` call and one
+    ``UnionFind.union`` per edge, numbered in order of their smallest id."""
+    elements = crystal.all_elements(t)
+    uf = theorems.UnionFind(len(elements))
+    if rs is None:
+        rs = crystal.rules(t)
+    for x in elements:
+        for rule in rs:
+            y = crystal.step_f(rule, x)
+            if y is not None:
+                uf.union(x, y)
+    number = {}  # union-find root -> component number
+    label = array("I", (number.setdefault(uf.find(x), len(number)) for x in elements))
+    members = tuple(array("I") for _ in number)
+    for x, c in enumerate(label):
+        members[c].append(x)
+    return theorems.Partition(label=label, members=members)
+
+
+def classically_highest_by_steps(rs, ids) -> list:
+    """The ids that no classical raising rule of ``rs`` applies to."""
+    return [x for x in ids if crystal.is_classically_highest(rs, x)]
+
+
+def isomorphic_components_by_steps(t: AffineType, root1: int, root2: int) -> bool:
+    """``theorems.isomorphic_components``, one ``step_f`` and one ``step_e``
+    call per rule on each id of the walk."""
+    rs = crystal.rules(t)
+    match = {root1: root2}
+    todo = [root1]
+    while todo:
+        a = todo.pop()
+        b = match[a]
+        for rule in rs:
+            for step in (crystal.step_f, crystal.step_e):
+                x, y = step(rule, a), step(rule, b)
+                if (x is None) != (y is None):
+                    return False
+                if x is None:
+                    continue
+                if x in match:
+                    if match[x] != y:
+                        return False
+                else:
+                    match[x] = y
+                    todo.append(x)
+    p = theorems.partition_ids(t)
+    return len(match) == len(p.class_of(root1)) == len(p.class_of(root2))
+
+
+def involution_commutes_by_steps(t: AffineType, k: int | None = None):
+    """``theorems.verify_involution_commutes``, one ``step_e`` and one
+    ``step_f`` call per rule on each member and on its mate."""
+    res = theorems.SuiteResult(name="prop46", passed=True)
+    ks = theorems.suite_ks("prop46", t, k)
+    rs = tuple(enumerate(crystal.rules(t)))
+    p = theorems.partition_ids(t)
+    for kk in ks:
+        members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
+        mate = {x: bicrystal.varsigma(t, kk, x) for x in members}
+        for x, m in mate.items():
+            if m not in mate:
+                res.note(f"k={kk}: involution leaves the component at "
+                         f"{crystal.text(t, x)}")
+                continue
+            if m == x:
+                res.note(f"k={kk}: fixed point at {crystal.text(t, x)}")
+            if mate[m] != x:
+                res.note(f"k={kk}: involution not of order two at {crystal.text(t, x)}")
+            elif m < x:
+                continue
+            for i, rule in rs:
+                for step in (crystal.step_e, crystal.step_f):
+                    a = step(rule, x)
+                    lhs = None if a is None else mate[a]
+                    b = step(rule, m)
+                    if (lhs is None) != (b is None):
+                        res.note(f"k={kk}: commutation defined-ness fails at "
+                                 f"{crystal.text(t, x)}, i={i}")
+                    elif lhs is not None and lhs != b:
+                        res.note(f"k={kk}: commutation fails at "
+                                 f"{crystal.text(t, x)}, i={i}")
+    return res

@@ -484,6 +484,36 @@ def test_fock_flags_keep_their_order(capsys):
     assert [opt for opt in options if opt in GROUP_FUNCTIONS] == list(GROUP_FUNCTIONS)
 
 
+def _parse_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of an argument list that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        parse(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    (),
+    ("verify", "--help"),
+    ("fock", "verify", "--help"),
+    ("fock",),
+    ("verify", "--suite", "all", "--type", "C1"),
+    ("verify", "--suite", "bogus", "--type", "C1", "--n", "3"),
+    ("graph", "--type", "C1", "--n", "3", "--k", "1", "extra"),
+    ("bogus", "--type", "C1", "--n", "3"),
+], ids=("help", "empty", "verify-help", "fock-verify-help", "fock-alone",
+        "missing-n", "bad-suite", "extra-argument", "unknown-command"))
+def test_one_command_parser_reads_as_the_whole_tree(capsys, argv):
+    # main builds only the parser of the command it is given; what argparse
+    # prints and its exit code are those of the whole tree
+    from wedge_crystal.cli import build_parser
+
+    whole = _parse_exit(capsys, lambda a: build_parser().parse_args(a), argv)
+    assert whole[0] in (0, 2) and whole[1] + whole[2]
+    assert _parse_exit(capsys, main, argv) == whole
+
+
 def test_cli_reads_no_private_attribute_of_the_library():
     import ast
     import pathlib

@@ -1,11 +1,12 @@
 """Large-rank runs for the matrix labelings, each in its own process.
 
-``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes a
-minute or more; ``fock verify --relations --polarization`` at rank 7 checks
-the relations on the 4^7-dimensional square; ``fock verify --crystal-match``
-compares the modified root operators at qs = 0 with the crystal at rank 6
-for every labeling and at rank 7 for A_{2n-1}^(2).  These tests are
-deselected by default; run them with ``python -m pytest -m large``.
+``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes 4-18 s
+per labeling on a 2-core host; ``fock verify --relations --polarization`` at
+rank 7 checks the relations on the 4^7-dimensional square;
+``fock verify --crystal-match`` compares the modified root operators at
+qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
+A_{2n-1}^(2).  These tests are deselected by default; run them with
+``python -m pytest -m large``.
 """
 
 import os

@@ -2,7 +2,9 @@ import json
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import crystal_oracle as oracle
 from wedge_crystal.cartan import ALL_LABELS, from_label
 from wedge_crystal import bicrystal, crystal
 from wedge_crystal import theorems
@@ -148,40 +150,140 @@ def test_unmatched_labels_are_reported_not_raised(monkeypatch):
     assert any("unexpected weight" in d for d in res.discrepancies)
 
 
-def _record_union_finds(monkeypatch):
-    """Record the size of every UnionFind allocated from now on."""
-    sizes = []
-    init = theorems.UnionFind.__init__
+def _computed_partitions(t):
+    """The partitions computed since the partition cache was last cleared,
+    checked to be exactly the full one of ``t`` and, on matrices, its
+    classical one: the count of cache misses, then the number of ids each
+    labels, looked up again as cache hits."""
+    keys = [(t,), (t, crystal.rules(t)[1:])] if t.doubled else [(t,)]
+    misses = partition_ids.cache_info().misses
+    sizes = [len(partition_ids(*key).label) for key in keys]
+    assert partition_ids.cache_info().misses == misses
+    return misses, sizes
 
-    def recording(self, size):
-        sizes.append(size)
-        init(self, size)
 
-    monkeypatch.setattr(theorems.UnionFind, "__init__", recording)
-    return sizes
-
-
-def test_branching_union_find_covers_each_state_once(monkeypatch):
-    sizes = _record_union_finds(monkeypatch)
+def test_branching_union_find_covers_each_state_once():
     for token in DOUBLED:
-        sizes.clear()
+        t = from_label(token, 3)
         partition_ids.cache_clear()
-        assert verify_classical_branching(from_label(token, 3)).passed
+        assert verify_classical_branching(t).passed
         # the full partition of the ground set, then its classical partition
-        assert len(sizes) == 2
-        assert sizes[0] == 4 ** 3
-        assert sum(sizes[1:]) == 4 ** 3
+        assert _computed_partitions(t) == (2, [4 ** 3, 4 ** 3])
 
 
 @pytest.mark.parametrize("token", ALL_LABELS)
-def test_verify_all_partitions_each_ground_set_once(capsys, monkeypatch, token):
+def test_verify_all_partitions_each_ground_set_once(capsys, token):
     # one full partition per type, shared by every suite, plus the
     # classical one on matrices
-    sizes = _record_union_finds(monkeypatch)
     partition_ids.cache_clear()
     assert main(["verify", "--suite", "all", "--type", token, "--n", "3"]) == 0
     t = from_label(token, 3)
-    assert sizes == [crystal.ground_size(t)] * (2 if t.doubled else 1)
+    count = 2 if t.doubled else 1
+    assert _computed_partitions(t) == (count, [crystal.ground_size(t)] * count)
+
+
+@pytest.mark.parametrize("token", ALL_LABELS)
+def test_partition_equals_the_union_find_oracle(token):
+    # every labeling, with all rules and with the classical ones, on
+    # matrices up to n = 6 and vectors up to n = 12
+    for n in range(2, 7 if from_label(token, 2).doubled else 13):
+        t = from_label(token, n)
+        for rs in (None, crystal.rules(t)[1:]):
+            assert partition_ids(t, rs) == oracle.partition_by_union_find(t, rs)
+
+
+# the ground set the random rules act on: the 64 matrices of A2odd at n = 3
+WALKED = from_label("A2odd", 3)
+RANDOM_RULES = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+@st.composite
+def rule_sets(draw, bits=6):
+    """One to four rules with any masks and patterns on ``bits``-bit ids,
+    whole-id rules (m2 = 0, pf2 = pe2 = -1) among them."""
+    full = (1 << bits) - 1
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        m1 = draw(st.integers(1, full))
+        pf1, pe1 = draw(st.integers(0, full)) & m1, draw(st.integers(0, full)) & m1
+        if draw(st.booleans()):
+            out.append((m1, pf1, pe1, 0, -1, -1))
+            continue
+        m2 = draw(st.integers(1, full))
+        pf2, pe2 = draw(st.integers(0, full)) & m2, draw(st.integers(0, full)) & m2
+        out.append((m1, pf1, pe1, m2, pf2, pe2))
+    return tuple(out)
+
+
+# the inlined steps of the ground-set passes against crystal.step_f and
+# crystal.step_e, on rules of no labeling's shape
+
+@RANDOM_RULES
+@given(rule_sets())
+def test_partition_sweep_steps_as_step_f(rs):
+    assert partition_ids(WALKED, rs) == oracle.partition_by_union_find(WALKED, rs)
+
+
+@RANDOM_RULES
+@given(rule_sets())
+def test_highest_filter_steps_as_step_e(rs):
+    ids = crystal.all_elements(WALKED)
+    assert theorems.classically_highest(rs, ids) == \
+        oracle.classically_highest_by_steps(rs, ids)
+
+
+@RANDOM_RULES
+@given(rule_sets(), st.lists(st.integers(0, 63), min_size=2, max_size=6))
+def test_isomorphism_walk_steps_as_step_f_and_step_e(rs, roots):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crystal, "rules", lambda t: rs)
+        partition_ids.cache_clear()
+        try:
+            for a in roots:
+                for b in roots:
+                    assert isomorphic_components(WALKED, a, b) == \
+                        oracle.isomorphic_components_by_steps(WALKED, a, b)
+        finally:
+            partition_ids.cache_clear()
+
+
+@RANDOM_RULES
+@given(rule_sets(), st.integers(1, 63))
+def test_involution_walk_steps_as_step_e_and_step_f(rs, shift):
+    # one class holding the whole ground set, and a mate x ^ shift for
+    # every id, so that every step lands on an id with a mate
+    ground = crystal.all_elements(WALKED)
+    whole = theorems.Partition(array("I", [0]) * len(ground), (array("I", ground),))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crystal, "rules", lambda t: rs)
+        mp.setattr(theorems, "partition_ids", lambda t, rs=None: whole)
+        mp.setattr(bicrystal, "varsigma", lambda t, k, x: x ^ shift)
+        for k in (1, 2):
+            assert verify_involution_commutes(WALKED, k).discrepancies == \
+                oracle.involution_commutes_by_steps(WALKED, k).discrepancies
+
+
+def test_a_wrong_edge_fails_prop41_and_the_search_cross_check(capsys, monkeypatch):
+    # widening the mask of rule 0 joins the components of (1,1) and (3,0);
+    # the component search under the true rules still finds them apart
+    t = from_label("C1", 3)
+    rs = crystal.rules(t)
+    searched = {pair: crystal.component(t, crystal.v_kl(t, *pair)).vertices
+                for pair in h_diamond(t)}
+    assert rs[0] == (36, 36, 0, 0, -1, -1)
+    wrong = crystal.Rules([(46, 36, 0, 0, -1, -1), *rs[1:]])
+    monkeypatch.setattr(crystal, "rules", lambda t: wrong)
+    partition_ids.cache_clear()
+    try:
+        assert _failures(capsys, "prop41", "C1", 3) == [
+            "representatives are not in pairwise distinct components",
+            "9 components found, expected 10"]
+        p = partition_ids(t)
+        assert [pair for pair, vertices in searched.items()
+                if vertices != tuple(p.class_of(crystal.v_kl(t, *pair)))] == \
+            [(1, 1), (3, 0)]
+    finally:
+        partition_ids.cache_clear()
 
 
 # the ids keep the names of the runs that, before the suites read the shared
@@ -416,12 +518,12 @@ def test_spin_weight_messages(capsys, monkeypatch):
     assert top == 0 and crystal.text(t, 7) == "1/1/1"
     # the top representative, first in the one component, takes the weight
     # of another member
-    _patch_at(monkeypatch, crystal, "weight", top, crystal.weight(t, 7))
+    _patch_at(monkeypatch, crystal, "rule_weight", top, crystal.weight(t, 7))
     assert _failures(capsys, "spin", "B1", 3) == [
         f"repeated weight inside component of {crystal.text(t, top)}",
         "weight of the k=3 representative is (1, 0, 0, -1)"]
     monkeypatch.undo()
-    _patch_at(monkeypatch, crystal, "weight", top, (0, 0, 0, 0))
+    _patch_at(monkeypatch, crystal, "rule_weight", top, (0, 0, 0, 0))
     assert _failures(capsys, "spin", "B1", 3) == [
         "weight of the k=3 representative is (0, 0, 0, 0)"]
 
