@@ -22,6 +22,11 @@ r(j) = 1 << (n - j):
 
 On matrices the two column rules combine by the tensor product rule.  Every
 column string has length at most one, so the rule compares truth values.
+
+That rule is written once, in :func:`step_e` and :func:`step_f`, and
+compiled per rule by :func:`steps` into tables that every walk reads: the
+weights and string lengths, the component search, and the ground-set passes
+and suite walks of ``theorems``.
 """
 
 from __future__ import annotations
@@ -70,25 +75,14 @@ def rules(t: AffineType) -> Rules:
 class Rules(tuple):
     """The rules of one type, index by index, with their weight tables.
 
-    ``weights`` holds one (mask, table) pair per rule, with mask = m1 | m2:
-    the rule contributes ``table[x & mask]`` to the weight of x.  A mask
-    covers at most four bits, so a table has at most 16 entries.
+    ``weights`` holds one (mask, table) pair per rule, with the mask of
+    :func:`steps`: the rule contributes ``table[x & mask]`` = phi - epsilon
+    to the weight of x, both strings walked in the rule's step tables.
     """
 
     def __init__(self, rules):
-        weights = []
-        for m1, pf1, pe1, m2, pf2, pe2 in rules:
-            mask = m1 | m2
-            table = {}
-            sub = mask
-            while True:  # every submask of mask, mask itself first
-                table[sub] = ((sub & m1 == pf1) - (sub & m1 == pe1)
-                              + (sub & m2 == pf2) - (sub & m2 == pe2))
-                if not sub:
-                    break
-                sub = (sub - 1) & mask
-            weights.append((mask, table))
-        self.weights = tuple(weights)
+        self.weights = tuple((mask, {s: _string(f, s) - _string(e, s) for s in f})
+                             for mask, f, e in map(steps, rules))
 
 
 def step_e(rule, x):
@@ -113,9 +107,34 @@ def step_f(rule, x):
     return None
 
 
-def is_classically_highest(rs, x: int) -> bool:
-    """No classical raising operator (index 1..n of the rules rs) applies."""
-    return all(step_e(rule, x) is None for rule in rs[1:])
+@lru_cache(maxsize=None)
+def steps(rule) -> tuple:
+    """The rule compiled by :func:`step_f` and :func:`step_e`: (mask, f, e)
+    with mask = m1 | m2, where ``f[x & mask]`` and ``e[x & mask]`` are the
+    bits that lowering and raising toggle in the id x, 0 where they do not
+    apply.  A step reads and toggles the bits of mask alone, so a table has
+    one entry per submask: at most 16 for a rule of a labeling."""
+    m1, _, _, m2, _, _ = rule
+    mask = m1 | m2
+    f, e = {}, {}
+    sub = mask
+    while True:  # every submask of mask, mask itself first
+        for table, step in ((f, step_f), (e, step_e)):
+            y = step(rule, sub)
+            table[sub] = 0 if y is None else y ^ sub
+        if not sub:
+            break
+        sub = (sub - 1) & mask
+    return mask, f, e
+
+
+def _string(table, sub) -> int:
+    """How often the step of ``table`` applies in a row from ``sub``."""
+    count = 0
+    while table[sub]:
+        sub ^= table[sub]
+        count += 1
+    return count
 
 
 def rule_weight(rs, x):
@@ -150,26 +169,13 @@ def f_tilde(t: AffineType, i: int, x):
 def string_lengths(t: AffineType, i: int, x):
     """(epsilon_i, phi_i): how often the raising/lowering operator applies."""
     _check(t, x, i)
-    rule = rules(t)[i]
-    eps = 0
-    y = step_e(rule, x)
-    while y is not None:
-        eps += 1
-        y = step_e(rule, y)
-    phi = 0
-    y = step_f(rule, x)
-    while y is not None:
-        phi += 1
-        y = step_f(rule, y)
-    return eps, phi
+    mask, f, e = steps(rules(t)[i])
+    return _string(e, x & mask), _string(f, x & mask)
 
 
 def weight(t: AffineType, x):
-    """Coroot pairings (phi_i - epsilon_i) over the full index set.
-
-    Closed form: the weight is additive over the column rules, each adding
-    [f applies] - [e applies].
-    """
+    """Coroot pairings (phi_i - epsilon_i) over the full index set, read
+    from the weight tables of the rules."""
     _check(t, x)
     return rule_weight(rules(t), x)
 
@@ -250,25 +256,22 @@ class CrystalGraph:
 def component(t: AffineType, x: int) -> CrystalGraph:
     """Closure of x under all raising and lowering operators (graph search)."""
     _check(t, x)
-    indexed = [(i, *rule) for i, rule in enumerate(rules(t))]
+    compiled = [(i, *steps(rule)) for i, rule in enumerate(rules(t))]
     seen = {x}
     todo = [x]
     edges = []
     while todo:
         c = todo.pop()
-        for i, m1, pf1, pe1, m2, pf2, pe2 in indexed:
-            # step_f and step_e inlined: the mask each one toggles, 0 for none
-            a, b = c & m1, c & m2
-            flip = m1 if a == pf1 and b != pe2 else m2 if b == pf2 else 0
-            if flip:
-                y = c ^ flip
+        for i, mask, f, e in compiled:
+            sub = c & mask
+            if f[sub]:
+                y = c ^ f[sub]
                 edges.append((c, y, i))
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-            flip = m2 if b == pe2 and a != pf1 else m1 if a == pe1 else 0
-            if flip:
-                y = c ^ flip
+            if e[sub]:
+                y = c ^ e[sub]
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
@@ -278,8 +281,9 @@ def component(t: AffineType, x: int) -> CrystalGraph:
 
 def weyl_reflection(t: AffineType, i: int, x: int) -> int:
     """Simple-reflection action on a regular crystal element."""
-    eps, phi = string_lengths(t, i, x)
-    m = phi - eps
+    _check(t, x, i)
+    mask, table = rules(t).weights[i]
+    m = table[x & mask]
     step = step_f if m >= 0 else step_e
     rule = rules(t)[i]
     y = x

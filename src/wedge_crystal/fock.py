@@ -53,7 +53,7 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
-from .theorems import FORK_TYPE, MATRIX_TYPE, UnionFind, h_diamond
+from .theorems import FORK_TYPE, MATRIX_TYPE, UnionFind, classically_highest, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
@@ -758,10 +758,9 @@ def highest_vectors(rep: Representation, weight_vec):
 
 
 def _highest_crystal_ids(rep: Representation, weight_vec):
-    rs = crys.rules(rep.type)
-    return [x for x in range(rep.dim)
-            if rep.weights[x] == tuple(weight_vec)
-            and crys.is_classically_highest(rs, x)]
+    weight_vec = tuple(weight_vec)
+    return classically_highest(crys.rules(rep.type),
+                               [x for x in range(rep.dim) if rep.weights[x] == weight_vec])
 
 
 def normalized_highest_vector(rep: Representation, k: int, l: int):

@@ -6,13 +6,12 @@ plus a machine-readable discrepancy list.  Connectivity questions are
 settled by union-find over all operator edges, independently of the BFS
 component builder, so the two implementations cross-check each other.
 
-The ground-set passes run at loop speed: the partition is one inline
-union-find sweep per rule over the ground set on a flat parent list, and the
-walks over a component's members (the classically-highest filter, the
-isomorphism walk, the involution check) unpack each rule's fields and step
-ids inline.  ``crystal.step_e``/``step_f`` stay the reference rule; the tests
-pin every inlined copy to them.  :class:`UnionFind` stays for the block
-search of ``fock.kashiwara_operators``.
+Every pass steps ids through the tables that ``crystal.steps`` compiles
+from ``crystal.step_e``/``step_f``: the partition is one union-find sweep per
+rule on a flat parent list, visiting only the ids a lowering step applies
+to, and the walks over a component's members (the classically-highest
+filter, the isomorphism walk, the involution check) read the same tables.
+:class:`UnionFind` stays for the block search of ``fock.kashiwara_operators``.
 """
 
 from __future__ import annotations
@@ -91,10 +90,12 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
     """Union-find closure of the full ground set under the operator edges of
     the rules ``rs`` (all of ``crystal.rules(t)`` when None).
 
-    One sweep per rule over the ground set on a flat parent list, with
-    :func:`crystal.step_f` inlined.  Roots are found by path halving and the
-    larger root is linked under the smaller, so every root is the smallest
-    id of its set and every id's parent is no larger than the id.
+    One sweep per rule on a flat parent list, over the ids that the rule
+    lowers: for each masked value ``sub`` with a step in the rule's table,
+    the ids ``sub | y`` for every submask y of the bits outside the mask.
+    Roots are found by path halving and the larger root is linked under the
+    smaller, so every root is the smallest id of its set and every id's
+    parent is no larger than the id.
 
     Computed once and shared by every suite; callers must not mutate it.
     """
@@ -102,23 +103,28 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
         rs = crystal.rules(t)
     size = crystal.ground_size(t)
     parent = list(range(size))
-    for m1, pf1, pe1, m2, pf2, pe2 in rs:
-        for x in range(size):
-            if x & m1 == pf1 and x & m2 != pe2:
-                y = x ^ m1
-            elif x & m2 == pf2:
-                y = x ^ m2
-            else:
+    for rule in rs:
+        mask, f, _ = crystal.steps(rule)
+        rest = (size - 1) & ~mask
+        for sub, flip in f.items():
+            if not flip:
                 continue
-            # x and y become their roots; the sweep's next x comes from range
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x < y:
-                parent[y] = x
-            elif y < x:
-                parent[x] = y
+            y = 0
+            while True:
+                x = sub | y
+                z = x ^ flip
+                # x and z become their roots; the next x comes from sub | y
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                while parent[z] != z:
+                    parent[z] = z = parent[parent[z]]
+                if x < z:
+                    parent[z] = x
+                elif z < x:
+                    parent[x] = z
+                y = (y - rest) & rest
+                if not y:
+                    break
     # the parent list turns into the component numbers in place, in id order:
     # a root takes the next number, any other id its parent's, which is
     # smaller and so already numbered
@@ -139,12 +145,11 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
 
 def classically_highest(rs, ids) -> list:
     """The ids of ``ids``, in order, that no classical raising rule (index
-    1..n of the rules ``rs``) applies to: :func:`crystal.is_classically_highest`
-    with :func:`crystal.step_e` inlined, as one filter per rule."""
+    1..n of the rules ``rs``) applies to, as one filter per rule."""
     out = list(ids)
-    for m1, pf1, pe1, m2, pf2, pe2 in rs[1:]:
-        out = [x for x in out
-               if not (x & m2 == pe2 and x & m1 != pf1 or x & m1 == pe1)]
+    for rule in rs[1:]:
+        mask, _, e = crystal.steps(rule)
+        out = [x for x in out if not e[x & mask]]
     return out
 
 
@@ -360,7 +365,7 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     """The order-two symmetry commutes with every operator on its domain."""
     res = SuiteResult(name="prop46", passed=True)
     ks = suite_ks("prop46", t, k)
-    rs = [(i, *rule) for i, rule in enumerate(crystal.rules(t))]
+    compiled = [(i, *crystal.steps(rule)) for i, rule in enumerate(crystal.rules(t))]
     p = partition_ids(t)
     for kk in ks:
         members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
@@ -378,14 +383,10 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
             elif m < x:
                 # order two holds on the orbit, so its statement was checked at m
                 continue
-            for i, m1, pf1, pe1, m2, pf2, pe2 in rs:
-                x1, x2, y1, y2 = x & m1, x & m2, m & m1, m & m2
-                # step_e, then step_f, inlined on x and on its mate: the mask
-                # each one toggles, 0 for none
-                for a, b in ((m2 if x2 == pe2 and x1 != pf1 else m1 if x1 == pe1 else 0,
-                              m2 if y2 == pe2 and y1 != pf1 else m1 if y1 == pe1 else 0),
-                             (m1 if x1 == pf1 and x2 != pe2 else m2 if x2 == pf2 else 0,
-                              m1 if y1 == pf1 and y2 != pe2 else m2 if y2 == pf2 else 0)):
+            for i, mask, f, e in compiled:
+                sx, sm = x & mask, m & mask
+                # raising, then lowering, on x and its mate: the bits toggled, 0 for none
+                for a, b in ((e[sx], e[sm]), (f[sx], f[sm])):
                     lhs = mate[x ^ a] if a else None
                     if (lhs is None) != (not b):
                         res.note(f"k={kk}: commutation defined-ness fails at "
@@ -431,20 +432,16 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
 def isomorphic_components(t: AffineType, root1: int, root2: int) -> bool:
     """Colored-digraph isomorphism of the components of two roots, by one walk
     that steps both ids through every rule at once."""
-    rs = crystal.rules(t)
+    compiled = [crystal.steps(rule) for rule in crystal.rules(t)]
     match = {root1: root2}
     todo = [root1]
     while todo:
         a = todo.pop()
         b = match[a]
-        for m1, pf1, pe1, m2, pf2, pe2 in rs:
-            a1, a2, b1, b2 = a & m1, a & m2, b & m1, b & m2
-            # step_f, then step_e, inlined on both ids: the mask each one
-            # toggles, 0 for none
-            for da, db in ((m1 if a1 == pf1 and a2 != pe2 else m2 if a2 == pf2 else 0,
-                            m1 if b1 == pf1 and b2 != pe2 else m2 if b2 == pf2 else 0),
-                           (m2 if a2 == pe2 and a1 != pf1 else m1 if a1 == pe1 else 0,
-                            m2 if b2 == pe2 and b1 != pf1 else m1 if b1 == pe1 else 0)):
+        for mask, f, e in compiled:
+            sa, sb = a & mask, b & mask
+            # lowering, then raising, on both ids: the bits toggled, 0 for none
+            for da, db in ((f[sa], f[sb]), (e[sa], e[sb])):
                 if not (da and db):
                     if da or db:
                         return False

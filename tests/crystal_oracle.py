@@ -7,10 +7,10 @@ and the tests compare the id kernel of ``wedge_crystal.crystal`` and
 ``wedge_crystal.bicrystal`` against them element by element.
 
 The last section keeps the id kernel's own earlier forms, which the package
-replaced by table reads and inlined steps: the weight tested rule by rule,
-the text from ``format``, the component search through ``step_f``/``step_e``,
-and the ground-set passes of ``wedge_crystal.theorems`` through
-``step_f``/``step_e`` and ``UnionFind``.
+replaced by table reads: the weight tested rule by rule, the text from
+``format``, the component search and the classically-highest test through
+``step_f``/``step_e``, and the ground-set passes of ``wedge_crystal.theorems``
+through ``step_f``/``step_e`` and ``UnionFind``.
 """
 
 from __future__ import annotations
@@ -478,9 +478,14 @@ def partition_by_union_find(t: AffineType, rs=None) -> theorems.Partition:
     return theorems.Partition(label=label, members=members)
 
 
+def is_classically_highest(rs, x: int) -> bool:
+    """No classical raising operator (index 1..n of the rules rs) applies."""
+    return all(crystal.step_e(rule, x) is None for rule in rs[1:])
+
+
 def classically_highest_by_steps(rs, ids) -> list:
     """The ids that no classical raising rule of ``rs`` applies to."""
-    return [x for x in ids if crystal.is_classically_highest(rs, x)]
+    return [x for x in ids if is_classically_highest(rs, x)]
 
 
 def isomorphic_components_by_steps(t: AffineType, root1: int, root2: int) -> bool:

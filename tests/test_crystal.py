@@ -72,6 +72,18 @@ def test_a_corrupted_weight_table_entry_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+def test_weight_tables_equal_the_closed_form(token):
+    # phi - epsilon walked in the step tables, against [f applies] -
+    # [e applies] per column on every submask of each rule's mask
+    for n in range(2, 13):
+        rs = crystal.rules(from_label(token, n))
+        for rule, (mask, table) in zip(rs, rs.weights):
+            assert len(table) == 1 << bin(mask).count("1")
+            assert table == {sub: oracle.rule_weight_by_rules((rule,), sub)[0]
+                             for sub in table if sub & mask == sub}
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
 def test_component_matches_the_step_by_step_search(token):
     from wedge_crystal import theorems
 

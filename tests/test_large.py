@@ -1,6 +1,6 @@
 """Large-rank runs for the matrix labelings, each in its own process.
 
-``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes 4-18 s
+``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes 5-21 s
 per labeling on a 2-core host; ``fock verify --relations --polarization`` at
 rank 7 checks the relations on the 4^7-dimensional square;
 ``fock verify --crystal-match`` compares the modified root operators at

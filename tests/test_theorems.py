@@ -2,7 +2,7 @@ import json
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crystal_oracle as oracle
 from wedge_crystal.cartan import ALL_LABELS, from_label
@@ -215,11 +215,29 @@ def rule_sets(draw, bits=6):
     return tuple(out)
 
 
-# the inlined steps of the ground-set passes against crystal.step_f and
-# crystal.step_e, on rules of no labeling's shape
+# the step tables that crystal.steps compiles, and the ground-set passes that
+# read them, against crystal.step_f and crystal.step_e, on rules of no
+# labeling's shape
 
 @RANDOM_RULES
 @given(rule_sets())
+def test_step_tables_step_as_step_f_and_step_e(rs):
+    for rule in rs:
+        mask, f, e = crystal.steps(rule)
+        for x in crystal.all_elements(WALKED):
+            for table, step in ((f, crystal.step_f), (e, crystal.step_e)):
+                flip = table[x & mask]
+                assert (x ^ flip if flip else None) == step(rule, x)
+
+
+@RANDOM_RULES
+@given(rule_sets())
+# a column rule and a whole-id rule whose masks cover all six bits, so that
+# no bit lies outside the mask
+@example(((0b000111, 0b000001, 0b000100, 0b111000, 0b001000, 0b100000),))
+@example(((0b111111, 0b001001, 0b100100, 0, -1, -1), (0b001100, 0b000100, 0b001000, 0, -1, -1)))
+# a rule whose lowering never applies, next to one that does
+@example(((0b001100, -1, 0, 0, -1, -1), (0b000011, 0b000001, 0b000010, 0, -1, -1)))
 def test_partition_sweep_steps_as_step_f(rs):
     assert partition_ids(WALKED, rs) == oracle.partition_by_union_find(WALKED, rs)
 
