@@ -10,8 +10,6 @@ key statistic for the component characterizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cartan import AffineType, DOUBLE, FORK
 from .crystal import CrystalGraph
 
@@ -121,7 +119,14 @@ def varsigma(t: AffineType, k: int, x: int) -> int:
     return _mate(t.n, k, x)[0]
 
 
-@dataclass
+def varsigmas(t: AffineType, k: int, ids) -> list:
+    """varsigma of each of ``ids``, in their order; the type and k are
+    checked once for the whole list."""
+    _check_involution(t, k)
+    n = t.n
+    return [_mate(n, k, x)[0] for x in ids]
+
+
 class QuotientGraph:
     """Component modulo the order-two symmetry, as an I-colored digraph.
 
@@ -129,8 +134,11 @@ class QuotientGraph:
     longer-phi member first; the orbit id is the smaller member id.
     """
 
-    orbits: tuple  # ((plus_id, minus_id), ...)
-    edges: tuple  # (src_orbit_id, dst_orbit_id, color)
+    __slots__ = ("orbits", "edges")
+
+    def __init__(self, orbits: tuple, edges: tuple):
+        self.orbits = orbits  # ((plus_id, minus_id), ...)
+        self.edges = edges  # (src_orbit_id, dst_orbit_id, color)
 
     @property
     def ids(self):

@@ -17,10 +17,7 @@ relabeled diagrams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 SINGLE = "1"
 DOUBLE = "2"
@@ -73,18 +70,41 @@ _ALIASES["D_n^{(1)}"] = D1
 _ALIASES["D_{n+1}^{(2)}"] = D2
 
 
-@dataclass(frozen=True)
 class AffineType:
-    """One of the seven labelings, at a concrete rank n >= 2."""
+    """One of the seven labelings, at a concrete rank n >= 2.
 
-    label: str
-    n: int
+    Immutable, and equal and hashed by (label, n), so it keys the caches.
+    """
 
-    def __post_init__(self):
-        if self.label not in _DIAMOND:
-            raise ValueError(f"unknown label {self.label!r}")
-        if self.n < 2:
-            raise ValueError(f"rank must be at least 2, got {self.n}")
+    __slots__ = ("label", "n")
+
+    def __init__(self, label: str, n: int):
+        if label not in _DIAMOND:
+            raise ValueError(f"unknown label {label!r}")
+        if n < 2:
+            raise ValueError(f"rank must be at least 2, got {n}")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineType:
+            return NotImplemented
+        return self.label == other.label and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.label, self.n))
+
+    def __reduce__(self):
+        return AffineType, (self.label, self.n)
+
+    def __repr__(self):
+        return f"AffineType(label={self.label!r}, n={self.n})"
 
     @property
     def diamond(self) -> tuple[str, str]:
@@ -134,17 +154,19 @@ def from_label(label: str, n: int) -> AffineType:
     raise ValueError(f"unknown label {label!r}")
 
 
-@dataclass(frozen=True)
 class CartanData:
     """Cartan matrix and normalization data for one (label, n)."""
 
-    type: AffineType
-    a: tuple  # Cartan matrix rows, tuple of tuples of int
-    marks: tuple
-    comarks: tuple
-    norms: tuple  # (alpha_i, alpha_i) as Fractions
-    d: int  # qs = q^(1/d)
-    qi_exp: tuple  # q_i = qs^qi_exp[i]
+    __slots__ = ("type", "a", "marks", "comarks", "norms", "d", "qi_exp")
+
+    def __init__(self, type, a, marks, comarks, norms, d, qi_exp):
+        self.type = type
+        self.a = a  # Cartan matrix rows, tuple of tuples of int
+        self.marks = marks
+        self.comarks = comarks
+        self.norms = norms  # (alpha_i, alpha_i), as ints
+        self.d = d  # qs = q^(1/d)
+        self.qi_exp = qi_exp  # q_i = qs^qi_exp[i]
 
 
 def _edge(a, i, j, aij, aji):
@@ -227,17 +249,19 @@ def cartan_data(t: AffineType) -> CartanData:
     a = _cartan_matrix(t.end0, t.end_n, n)
     marks = _marks(label, n)
     comarks = _comarks(label, n)
+    # marks lie in {0, 1, 2}, so every norm 2 * comark / mark is an integer
     norms = []
     for i in range(n + 1):
         if marks[i]:
-            norms.append(Fraction(2 * comarks[i], marks[i]))
+            norm, rem = divmod(2 * comarks[i], marks[i])
+            assert not rem
+            norms.append(norm)
         else:
             # isolated node of the degenerate rank-2 double-fork diagram
-            norms.append(Fraction(2))
-    d = 1
-    for nu in norms:
-        d = lcm(d, (nu / 2).denominator)
-    qi_exp = tuple(int(d * nu / 2) for nu in norms)
+            norms.append(2)
+    # q_i = q^(norm / 2), so qs = q^(1/2) as soon as one norm is odd
+    d = 2 if any(nu % 2 for nu in norms) else 1
+    qi_exp = tuple(d * nu // 2 for nu in norms)
     return CartanData(
         type=t,
         a=a,
@@ -265,8 +289,8 @@ def fundamental_weight_cl(t: AffineType, k: int):
         vec[t.n] = 2
         vec[0] = -1
         return tuple(vec)
-    ratio = Fraction(cd.comarks[k], cd.comarks[0])
-    assert ratio.denominator == 1
+    ratio, rem = divmod(cd.comarks[k], cd.comarks[0])
+    assert not rem
     vec[k] = 1
-    vec[0] = -int(ratio)
+    vec[0] = -ratio
     return tuple(vec)

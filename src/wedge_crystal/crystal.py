@@ -31,7 +31,6 @@ and suite walks of ``theorems``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cartan import AffineType, DOUBLE, FORK
@@ -240,7 +239,6 @@ def all_elements(t: AffineType) -> range:
     return range(ground_size(t))
 
 
-@dataclass
 class CrystalGraph:
     """A connected component with its colored edges.
 
@@ -248,9 +246,12 @@ class CrystalGraph:
     src to dst (equivalently raises dst to src).  Vertices are sorted ids.
     """
 
-    type: AffineType
-    vertices: tuple
-    edges: tuple  # (src_id, dst_id, color)
+    __slots__ = ("type", "vertices", "edges")
+
+    def __init__(self, type: AffineType, vertices: tuple, edges: tuple):
+        self.type = type
+        self.vertices = vertices
+        self.edges = edges  # (src_id, dst_id, color)
 
 
 def component(t: AffineType, x: int) -> CrystalGraph:

@@ -46,8 +46,6 @@ each generator once per ``verify_relations`` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import crystal as crys
 from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
@@ -237,11 +235,20 @@ def parity(n: int) -> SparseOperator:
         1 << n, [{0: -1 if bin(s).count("1") % 2 else 1} for s in range(1 << n)])
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    witness: str | None = None  # the first differing entry of a failed identity
+    """One named statement and its verdict; equal when all three fields are."""
+
+    __slots__ = ("name", "ok", "witness")
+
+    def __init__(self, name: str, ok: bool, witness: str | None = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness  # the first differing entry of a failed identity
+
+    def __eq__(self, other):
+        if other.__class__ is not Check:
+            return NotImplemented
+        return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
 
 
 def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> Check:
@@ -257,22 +264,26 @@ def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> Check:
 # -- the generator family ------------------------------------------------------
 
 
-@dataclass
 class Representation:
     """Generator matrices for one labeling on the wedge space or its square."""
 
-    type: AffineType
-    cd: CartanData
-    dim: int
-    e: dict
-    f: dict
-    t: dict
-    tinv: dict
-    weights: list = field(repr=False)  # basis index (= crystal id) -> coroot pairings
-    # weight -> highest_vectors(rep, weight), filled on first use
-    highest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # ("e" or "f", i) -> _rational_columns of that generator, filled on first use
-    columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("type", "cd", "dim", "e", "f", "t", "tinv", "weights", "highest",
+                 "columns")
+
+    def __init__(self, type: AffineType, cd: CartanData, dim: int, e: dict, f: dict,
+                 t: dict, tinv: dict, weights: list):
+        self.type = type
+        self.cd = cd
+        self.dim = dim
+        self.e = e
+        self.f = f
+        self.t = t
+        self.tinv = tinv
+        self.weights = weights  # basis index (= crystal id) -> coroot pairings
+        # weight -> highest_vectors(rep, weight), filled on first use
+        self.highest = {}
+        # ("e" or "f", i) -> _rational_columns of that generator, filled on first use
+        self.columns = {}
 
 
 def _columns(rep: Representation, kind: str, i: int) -> dict:

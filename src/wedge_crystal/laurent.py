@@ -15,7 +15,6 @@ negative):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -268,10 +267,17 @@ class RationalScalar:
         """True when the value has no pole at qs = 0."""
         return not self.num or min(self.num) >= 0
 
-    def eval_at_zero(self) -> Fraction:
+    def eval_at_zero(self):
+        """The value at qs = 0: an int when it is one, else a ``Fraction``."""
         if not self.is_regular:
             raise NotRegular(f"pole at qs = 0: {self}")
-        return Fraction(self.num.get(0, 0), self.den[0])
+        num, den = self.num.get(0, 0), self.den[0]
+        value, rem = divmod(num, den)
+        if not rem:
+            return value
+        from fractions import Fraction
+
+        return Fraction(num, den)
 
     def __str__(self):
         if self.den == _UNIT:

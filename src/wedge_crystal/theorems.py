@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import bicrystal, crystal
@@ -45,12 +44,16 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    discrepancies: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
+    """A suite's verdict, its discrepancy messages and its statistics."""
+
+    __slots__ = ("name", "passed", "discrepancies", "stats")
+
+    def __init__(self, name: str, passed: bool):
+        self.name = name
+        self.passed = passed
+        self.discrepancies = []
+        self.stats = {}
 
     def note(self, msg: str):
         self.discrepancies.append(msg)
@@ -74,12 +77,24 @@ def h_diamond(t: AffineType):
     return sorted(pairs)
 
 
-@dataclass(frozen=True)
 class Partition:
-    """The components of a ground set, numbered in order of their smallest id."""
+    """The components of a ground set, numbered in order of their smallest id;
+    equal when label and members are."""
 
-    label: array  # id -> component number
-    members: tuple  # component number -> its ids, increasing
+    __slots__ = ("label", "members", "mate", "mated")
+
+    def __init__(self, label: array, members: tuple):
+        self.label = label  # id -> component number
+        self.members = members  # component number -> its ids, increasing
+        # id -> varsigma(id) on the shared components of the ks in ``mated``,
+        # filled by shared_mates on first use
+        self.mate = None
+        self.mated = set()
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.label == other.label and self.members == other.members
 
     def class_of(self, x: int) -> array:
         return self.members[self.label[x]]
@@ -141,6 +156,28 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
     for x, c in enumerate(label):
         members[c].append(x)
     return Partition(label=label, members=members)
+
+
+def shared_mates(t: AffineType, k: int) -> array:
+    """varsigma on the shared component of (k, n - k) of the fork-plus-double
+    type, as an array indexed by id whose entries at that component's members
+    are their mates (entries at other ids are unspecified).
+
+    The shared components are disjoint, so one array of ground-set size serves
+    every k.  It is kept on the memoised partition and filled one component at
+    a time on first use, so that ``prop46``, ``thm58`` and ``cor57`` compute
+    each mate once; callers must not mutate it.
+    """
+    p = partition_ids(t)
+    if k not in p.mated:
+        if p.mate is None:
+            p.mate = array("I", [0]) * len(p.label)
+        mate = p.mate
+        members = p.class_of(crystal.v_kl(t, k, t.n - k))
+        for x, m in zip(members, bicrystal.varsigmas(t, k, members)):
+            mate[x] = m
+        p.mated.add(k)
+    return p.mate
 
 
 def classically_highest(rs, ids) -> list:
@@ -367,12 +404,14 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
     ks = suite_ks("prop46", t, k)
     compiled = [(i, *crystal.steps(rule)) for i, rule in enumerate(crystal.rules(t))]
     p = partition_ids(t)
+    label = p.label
     for kk in ks:
-        members = p.class_of(crystal.v_kl(t, kk, t.n - kk))
-        # a step of a member stays in the component, so its mate is listed
-        mate = {x: bicrystal.varsigma(t, kk, x) for x in members}
-        for x, m in mate.items():
-            if m not in mate:
+        c = label[crystal.v_kl(t, kk, t.n - kk)]
+        # a step of a member stays in the component, so its mate is filled in
+        mate = shared_mates(t, kk)
+        for x in p.members[c]:
+            m = mate[x]
+            if label[m] != c:
                 res.note(f"k={kk}: involution leaves the component at "
                          f"{crystal.text(t, x)}")
                 continue
@@ -420,8 +459,11 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
             pair, holds = (kk, n - kk), lambda s: s[1] == n - kk and s[0] % 2 == 0
         level = {x for s, ids in by_sigma.items() if holds(s) for x in ids}
         if d == (FORK, DOUBLE) and kk < n:
-            # the shared component holds the level set and its mates
-            level |= {bicrystal.varsigma(t, kk, x) for x in level}
+            # the shared component holds the level set and its mates; the
+            # table has no entry for an id outside the component
+            mate, c = shared_mates(t, kk), p.label[crystal.v_kl(t, *pair)]
+            level |= {mate[x] if p.label[x] == c else bicrystal.varsigma(t, kk, x)
+                      for x in level}
         comp = set(p.class_of(crystal.v_kl(t, *pair)))
         if comp != level:
             res.note(f"k={kk}: component has {len(comp)} elements, level set "
@@ -495,7 +537,8 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
         mult = {0: 2, n: 1}
         for k in range(1, n):
             members = p.class_of(crystal.v_kl(t, k, n - k))
-            orbits = {min(x, bicrystal.varsigma(t, k, x)) for x in members}
+            mate = shared_mates(t, k)
+            orbits = {min(x, mate[x]) for x in members}
             if 2 * len(orbits) != len(members):
                 res.note(f"k={k}: quotient size {len(orbits)} does not halve "
                          f"{len(members)}")

@@ -1,7 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from wedge_crystal import cartan
 from wedge_crystal.cartan import (ALL_LABELS, A2EVEN, A2EVEN_DAGGER, A2ODD, B1,
                                   C1, D1, D2, AffineType, cartan_data,
                                   from_label, fundamental_weight_cl)
@@ -116,3 +120,55 @@ def test_fundamental_weights():
     t = AffineType(A2EVEN_DAGGER, 3)
     assert fundamental_weight_cl(t, 1) == (-1, 1, 0, 0)
     assert fundamental_weight_cl(t, 3) == (-1, 0, 0, 2)  # doubled top weight
+
+
+def test_affine_type_is_an_immutable_value():
+    t = AffineType(C1, 3)
+    for name, value in (("label", A2ODD), ("n", 4), ("other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(t, name, value)
+    with pytest.raises(AttributeError):
+        del t.n
+    assert (t.label, t.n) == (C1, 3)
+    assert t == AffineType(C1, 3) and hash(t) == hash(AffineType(C1, 3))
+    assert t != AffineType(C1, 4) and t != AffineType(A2ODD, 3)
+    assert t != (C1, 3)
+    assert len({t, AffineType(C1, 3), from_label("C1", 3)}) == 1
+    assert repr(t) == "AffineType(label='C_n^(1)', n=3)"
+    assert str(t) == "C_n^(1)[n=3]"
+    assert copy.copy(t) == t and pickle.loads(pickle.dumps(t)) == t
+
+
+def cartan_data_by_fractions(t: AffineType) -> dict:
+    """The normalization data as it was computed with ``Fraction``s: norms
+    2 * comark / mark (2 for a mark of 0), d the lcm of the denominators of
+    norm / 2, and q_i = qs^(d * norm / 2)."""
+    a = cartan._cartan_matrix(t.end0, t.end_n, t.n)
+    marks = cartan._marks(t.label, t.n)
+    comarks = cartan._comarks(t.label, t.n)
+    norms = tuple(Fraction(2 * c, m) if m else Fraction(2) for m, c in zip(marks, comarks))
+    d = 1
+    for nu in norms:
+        d = lcm(d, (nu / 2).denominator)
+    return {"a": a, "marks": marks, "comarks": comarks, "norms": norms, "d": d,
+            "qi_exp": tuple(int(d * nu / 2) for nu in norms)}
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("n", range(2, 13))
+def test_integer_cartan_data_matches_the_fraction_computation(label, n):
+    t = AffineType(label, n)
+    cd = cartan_data(t)
+    want = cartan_data_by_fractions(t)
+    assert cd.type == t
+    for name, value in want.items():
+        assert getattr(cd, name) == value, name
+    assert all(type(nu) is int for nu in cd.norms + cd.qi_exp + (cd.d,))
+    comarks = want["comarks"]
+    for k in range(1, n + 1):
+        ratio = Fraction(comarks[k], comarks[0])
+        if label == A2EVEN_DAGGER and k == n:
+            continue  # the doubled top weight, tabulated apart
+        want_k = tuple(-ratio if i == 0 else int(i == k) for i in range(n + 1))
+        got = fundamental_weight_cl(t, k)
+        assert got == want_k and all(type(v) is int for v in got)

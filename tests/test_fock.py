@@ -286,6 +286,17 @@ def test_witness_shows_both_entries():
     assert fock._compare("demo", a, a) == fock.Check("demo", True)
 
 
+def test_checks_are_equal_when_name_verdict_and_witness_are():
+    check = fock.Check("demo", False, "entry (0, 0): lhs 1, rhs 0")
+    assert check == fock.Check("demo", False, "entry (0, 0): lhs 1, rhs 0")
+    assert check != fock.Check("demo", False, "entry (0, 1): lhs 1, rhs 0")
+    assert check != fock.Check("demo", True, "entry (0, 0): lhs 1, rhs 0")
+    assert check != fock.Check("other", False, "entry (0, 0): lhs 1, rhs 0")
+    assert fock.Check("demo", True) == fock.Check("demo", True, None)
+    assert check != ("demo", False, "entry (0, 0): lhs 1, rhs 0")
+    assert [fock.Check("a", True)] == [fock.Check("a", True)]
+
+
 # -- the matrix product and the relation checks against the product form --------
 
 

@@ -77,6 +77,19 @@ def test_regularity_predicate():
     assert z.is_regular and z.eval_at_zero() == 1
 
 
+def test_value_at_zero_is_an_int_unless_it_is_not_one():
+    q = {1: 1}
+    for num, den in (({0: 6, 1: 1}, {0: 3, 2: 1}), ({0: -4}, {0: 2, 1: 5}),
+                     ({1: 1}, {0: 7}), ({0: 3, 1: 1}, {0: 2, 1: 1}),
+                     ({0: -5}, {0: 3, 2: -1})):
+        x = R(num, den)
+        value = x.eval_at_zero()
+        assert value == Fraction(x.num.get(0, 0), x.den[0])
+        assert value == Fraction(num.get(0, 0), den[0])
+        assert type(value) is (int if value.denominator == 1 else Fraction)
+    assert R(q).eval_at_zero() == 0 and type(R(q).eval_at_zero()) is int
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         R({0: 1}, {})
@@ -219,7 +232,9 @@ def test_regularity_and_evaluation_match_the_oracle(a):
     x, ox = R(*a), O(*a)
     assert x.is_regular == ox.is_regular
     if ox.is_regular:
-        assert x.eval_at_zero() == ox.eval_at_zero()
+        value = x.eval_at_zero()
+        assert value == ox.eval_at_zero() == Fraction(x.num.get(0, 0), x.den[0])
+        assert type(value) is (int if value.denominator == 1 else Fraction)
     else:
         with pytest.raises(NotRegular):
             x.eval_at_zero()

@@ -276,6 +276,8 @@ def test_involution_walk_steps_as_step_e_and_step_f(rs, shift):
         mp.setattr(crystal, "rules", lambda t: rs)
         mp.setattr(theorems, "partition_ids", lambda t, rs=None: whole)
         mp.setattr(bicrystal, "varsigma", lambda t, k, x: x ^ shift)
+        mp.setattr(theorems, "shared_mates",
+                   lambda t, k: {x: x ^ shift for x in ground})
         for k in (1, 2):
             assert verify_involution_commutes(WALKED, k).discrepancies == \
                 oracle.involution_commutes_by_steps(WALKED, k).discrepancies
@@ -335,16 +337,20 @@ def test_sigma_range_and_involution(n):
 
 
 def test_involution_computes_one_mate_per_vertex(monkeypatch):
+    # prop46, thm58 and cor57 read one table of mates: one _mate per member
     calls = []
-    varsigma = bicrystal.varsigma
+    mate = bicrystal._mate
 
-    def counting(t, k, x):
+    def counting(n, k, x):
         calls.append((k, x))
-        return varsigma(t, k, x)
+        return mate(n, k, x)
 
-    monkeypatch.setattr(bicrystal, "varsigma", counting)
+    monkeypatch.setattr(bicrystal, "_mate", counting)
+    partition_ids.cache_clear()
     t = from_label("A2odd", 4)
     assert verify_involution_commutes(t).passed
+    assert verify_sigma_characterization(t).passed
+    assert verify_multiplicities(t).passed
     assert calls == [(k, x) for k in (1, 2, 3)
                      for x in crystal.component(t, crystal.v_kl(t, k, 4 - k)).vertices]
 
@@ -491,8 +497,14 @@ def test_sigma_range_messages(capsys, monkeypatch, x, s, expected):
 ], ids=("leaves", "fixed-point", "order-commutation-definedness"))
 def test_involution_messages(capsys, monkeypatch, x, mate, expected):
     t = from_label("A2odd", 3)
-    _patch_at(monkeypatch, bicrystal, "varsigma", _id(t, x),
-              _id(t, mate))
+    real = theorems.shared_mates
+
+    def wrong(t, k):
+        table = array("I", real(t, k))
+        table[_id(t, x)] = _id(t, mate)
+        return table
+
+    monkeypatch.setattr(theorems, "shared_mates", wrong)
     found = _failures(capsys, "prop46", "A2odd", 3, 1)
     assert [d for d in found if f" at {x}" in d] == expected
 
@@ -506,7 +518,7 @@ def test_involution_names_a_commutation_failure_once_per_orbit(monkeypatch):
     swapped = {a: real(t, 1, b), real(t, 1, b): a, b: real(t, 1, a), real(t, 1, a): b}
     mate = {x: swapped.get(x, real(t, 1, x))
             for x in partition_ids(t).class_of(crystal.v_kl(t, 1, 2))}
-    monkeypatch.setattr(bicrystal, "varsigma", lambda t, k, x: mate[x])
+    monkeypatch.setattr(theorems, "shared_mates", lambda t, k: mate)
     res = verify_involution_commutes(t, 1)
     assert not res.passed
     named = {_id(t, d.split(" at ")[1].split(",")[0])
