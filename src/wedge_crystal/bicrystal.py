@@ -63,6 +63,14 @@ def sigma(n: int, x: int):
     return _signature(n, x)[:2]
 
 
+def sigmas(n: int, ids) -> list:
+    """:func:`sigma` of each of ``ids``, in their order.
+
+    Like the list kernels of :mod:`crystal`, it takes a sequence of ids.
+    """
+    return [_signature(n, x)[:2] for x in ids]
+
+
 def sigma_by_strings(n: int, x: int):
     """Same statistic computed by iterating the operators (test oracle)."""
     eps = 0

@@ -37,11 +37,13 @@ def _resolve_type(args):
 
 
 def graph_document(t, k, l=None, quotient=False, full=True) -> dict:
-    """Assemble the serializable form of one component graph.
+    """Assemble one component graph as columns.
 
-    Without ``full`` the vertex records hold only the id and the text, which
-    is all that :func:`render_dot` prints; the weight and sigma are left out.
-    Vertices with equal weights, or equal sigmas, share one list.
+    ``ids``, ``text``, ``weight`` and ``sigma`` hold one entry per vertex, in
+    id order; ``edges`` holds (src, dst, color) tuples.  The weights and
+    sigmas are tuples, with sigma None on a single-column type.  Without
+    ``full`` the ``weight`` and ``sigma`` columns are None: :func:`render_dot`
+    prints only the ids and texts.
     """
     header = {"type": t.label, "cli_type": t.cli_token, "n": t.n,
               "k": k, "l": l, "quotient": bool(quotient)}
@@ -65,33 +67,26 @@ def graph_document(t, k, l=None, quotient=False, full=True) -> dict:
         g = crystal.component(t, crystal.v_spin(t, k))
     else:
         raise UsageError(f"k must be {t.n} or {t.n - 1} for {t.label}")
-    text = crystal.text
     if quotient:
         if t.diamond != (FORK, DOUBLE) or k in (0, t.n):
             raise UsageError("--quotient needs the fork-plus-double type "
                              "with 0 < k < n")
         q = bicrystal.quotient_graph(g, k)
-        vertices = [{"id": oid, "text": f"{text(t, plus)}+{text(t, minus)}"}
-                    for oid, (plus, minus) in zip(q.ids, q.orbits)]
+        ids, edges = q.ids, q.edges
+        # the weight and sigma of an orbit are those of its plus member
         members = [plus for plus, _ in q.orbits]
-        edges = q.edges
+        minus = [m for _, m in q.orbits]
+        text = list(map("+".join, zip(crystal.texts(t, members), crystal.texts(t, minus))))
     else:
-        vertices = [{"id": x, "text": text(t, x)} for x in g.vertices]
-        members = g.vertices
+        ids = members = g.vertices
         edges = g.edges
+        text = crystal.texts(t, ids)
+    weight = sigma = None
     if full:
-        rs = crystal.rules(t)
-        lists = {}
-
-        def shared(values):
-            return lists.get(values) or lists.setdefault(values, list(values))
-
-        n, doubled = t.n, t.doubled
-        for v, x in zip(vertices, members):
-            v["weight"] = shared(crystal.rule_weight(rs, x))
-            v["sigma"] = shared(bicrystal.sigma(n, x)) if doubled else None
-    return {"header": header, "vertices": vertices,
-            "edges": [{"src": s, "dst": d, "color": c} for s, d, c in edges]}
+        weight = crystal.rule_weights(crystal.rules(t), members)
+        sigma = bicrystal.sigmas(t.n, members) if t.doubled else [None] * len(ids)
+    return {"header": header, "ids": ids, "text": text, "weight": weight,
+            "sigma": sigma, "edges": edges}
 
 
 def _dumps(obj) -> str:
@@ -106,11 +101,13 @@ _CLOSE = "\n      ]"
 
 
 def render_json(doc: dict) -> str:
-    """A graph document, byte for byte as :func:`_dumps` writes it.
+    """A full graph document, byte for byte as :func:`_dumps` writes its
+    records: one object per vertex (id, sigma, text, weight) and per edge
+    (color, dst, src).
 
     ``json.dumps`` with ``indent`` runs CPython's pure-Python encoder, so the
-    fixed shape of :func:`graph_document` is written from one template per
-    record instead; strings go through the C string encoder.
+    fixed shape of the records is written from templates instead.  A text
+    holds only ``0``, ``1``, ``/`` and ``+``, so quoting it encodes it.
     """
     h = doc["header"]
     header = (
@@ -118,26 +115,20 @@ def render_json(doc: dict) -> str:
         f'    "l": {"null" if h["l"] is None else h["l"]},\n    "n": {h["n"]},\n'
         f'    "quotient": {"true" if h["quotient"] else "false"},\n'
         f'    "type": {_string(h["type"])}\n  }}')
-    lists = {}  # each distinct weight or sigma list, rendered once
-
-    def items(values):
-        if values is None:
-            return "null"
-        key = tuple(values)
-        rendered = lists.get(key)
-        if rendered is None:
-            rendered = lists[key] = _OPEN + _ITEM.join(map(int.__repr__, values)) + _CLOSE
-        return rendered
-
-    vertices = [
-        f'    {{\n      "id": {v["id"]},\n      "sigma": {items(v["sigma"])},\n'
-        f'      "text": {_string(v["text"])},\n      "weight": {items(v["weight"])}\n    }}'
-        for v in doc["vertices"]]
-    edges = ",\n".join([
-        f'    {{\n      "color": {e["color"]},\n      "dst": {e["dst"]},\n'
-        f'      "src": {e["src"]}\n    }}' for e in doc["edges"]])
+    weight, sigma = doc["weight"], doc["sigma"]
+    lists = {None: "null"}  # each distinct weight or sigma, rendered once
+    for values in {*weight, *sigma}:
+        if values is not None:
+            lists[values] = _OPEN + _ITEM.join(map(int.__repr__, values)) + _CLOSE
+    vertices = ",\n".join([
+        f'    {{\n      "id": {x},\n      "sigma": {lists[s]},\n'
+        f'      "text": "{text}",\n      "weight": {lists[w]}\n    }}'
+        for x, text, w, s in zip(doc["ids"], doc["text"], weight, sigma)])
+    # the opening lines of an edge record of each color index 0..n
+    heads = [f'    {{\n      "color": {c},\n      "dst": ' for c in range(h["n"] + 1)]
+    edges = ",\n".join([f'{heads[c]}{d},\n      "src": {s}\n    }}'
+                         for s, d, c in doc["edges"]])
     edges = f"[\n{edges}\n  ]" if edges else "[]"
-    vertices = ",\n".join(vertices)
     return (f'{{\n  "edges": {edges},\n  "header": {header},\n'
             f'  "vertices": [\n{vertices}\n  ]\n}}')
 
@@ -153,11 +144,11 @@ def render_dot(doc: dict) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="Courier"];',
     ]
-    lines += [f'  {v["id"]} [label="{v["text"]}"];' for v in doc["vertices"]]
+    lines += [f'  {x} [label="{text}"];' for x, text in zip(doc["ids"], doc["text"])]
     # the attributes of each color index 0..n, written once
     styles = [f' [color="{PALETTE[c % len(PALETTE)]}", label="{c}"];'
               for c in range(h["n"] + 1)]
-    lines += [f'  {e["src"]} -> {e["dst"]}{styles[e["color"]]}' for e in doc["edges"]]
+    lines += [f'  {s} -> {d}{styles[c]}' for s, d, c in doc["edges"]]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -198,11 +189,15 @@ def cmd_verify(args) -> int:
         names = theorems.select_suites(t, args.suite, args.k)
     except ValueError as exc:
         raise UsageError(str(exc))
-    results = [theorems.run_suite(name, t, args.k) for name in names]
-    failed = [r for r in results if not r.passed]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{r.name}] {status} {t.label} n={t.n}")
+    # each verdict goes out as its suite ends, so an internal fault in a
+    # later suite leaves the earlier verdicts on stdout
+    failed = []
+    for name in names:
+        r = theorems.run_suite(name, t, args.k)
+        print(f"[{r.name}] {'PASS' if r.passed else 'FAIL'} {t.label} n={t.n}",
+              flush=True)
+        if not r.passed:
+            failed.append(r)
     if failed:
         dump = [{"suite": r.name, "discrepancies": r.discrepancies,
                  "stats": r.stats} for r in failed]

@@ -142,6 +142,15 @@ def rule_weight(rs, x):
     return tuple([table[x & mask] for mask, table in rs.weights])
 
 
+def rule_weights(rs, ids) -> list:
+    """:func:`rule_weight` of each of ``ids``, one rule at a time.
+
+    ``ids`` is read once per rule, so it must be a sequence (a tuple, list,
+    range or array), not an iterator.
+    """
+    return list(zip(*[[table[x & mask] for x in ids] for mask, table in rs.weights]))
+
+
 def ground_size(t: AffineType) -> int:
     return 1 << (2 * t.n if t.doubled else t.n)
 
@@ -211,6 +220,18 @@ def text(t: AffineType, x: int) -> str:
     n = t.n
     return "/".join([table[x >> s & m | (x >> (s + n) & m) << w]
                      for s, m, w, table in _text_chunks(n, t.doubled)])
+
+
+def texts(t: AffineType, ids) -> list:
+    """:func:`text` of each of ``ids``, one chunk of rows at a time.
+
+    ``ids`` is read once per chunk, so it must be a sequence (a tuple, list,
+    range or array), not an iterator.
+    """
+    n = t.n
+    chunks = [[table[x >> s & m | (x >> (s + n) & m) << w] for x in ids]
+              for s, m, w, table in _text_chunks(n, t.doubled)]
+    return list(map("/".join, zip(*chunks)))
 
 
 def v_kl(t: AffineType, k: int, l: int) -> int:

@@ -367,7 +367,7 @@ def representation(t: AffineType) -> Representation:
                           kron(t1, t1), kron(ti1, ti1))
         dim *= dim
     e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
-    weights = [crys.weight(t, x) for x in range(dim)]
+    weights = crys.rule_weights(crys.rules(t), range(dim))
     return Representation(type=t, cd=cd, dim=dim,
                           e=e, f=f, t=tt, tinv=tinv, weights=weights)
 

@@ -126,7 +126,7 @@ def test_criterion_10_figures():
     label = theorems.partition_ids(t).label
     root = label[crystal.v_kl(t, 2, 1)]
     brute = {x for x in elements if label[x] == root}
-    ids = {v["id"] for v in doc["vertices"]}
+    ids = set(doc["ids"])
     ok = ok and ids == brute
     level = {x for x in elements if bicrystal.sigma(3, x) == (0, 1)}
     ok = ok and ids == level
@@ -139,7 +139,7 @@ def test_criterion_10_figures():
     t = from_label("A2even", 3)
     doc = graph_document(t, 2, None)
     ok = ok and doc["header"]["l"] == 1
-    ids = {v["id"] for v in doc["vertices"]}
+    ids = set(doc["ids"])
     elements = crystal.all_elements(t)
     label = theorems.partition_ids(t).label
     root = label[crystal.v_kl(t, 2, 1)]
@@ -153,7 +153,7 @@ def test_criterion_10_figures():
     doc = graph_document(t, 2, None, quotient=True)
     g = crystal.component(t, crystal.v_kl(t, 2, 1))
     q = bicrystal.quotient_graph(g, 2)
-    ok = ok and len(doc["vertices"]) == len(q.orbits)
+    ok = ok and len(doc["ids"]) == len(q.orbits)
     ok = ok and len(doc["edges"]) == len(q.edges)
     plus_ids = {x for x in crystal.all_elements(t)
                 if bicrystal.sigma(3, x) in {(0, 1), (2, 1)}}

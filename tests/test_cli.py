@@ -4,7 +4,7 @@ import pytest
 
 from wedge_crystal import crystal
 from wedge_crystal.cartan import from_label
-from wedge_crystal.cli import graph_document, main, render_json
+from wedge_crystal.cli import PALETTE, graph_document, main, render_dot, render_json
 
 
 def run(capsys, *argv):
@@ -13,21 +13,67 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def records(doc):
+    """A column document of :func:`graph_document` in the record shape that
+    ``render_json`` prints: one object per vertex and per edge."""
+    vertices = [{"id": x, "text": text, "weight": list(w),
+                 "sigma": None if s is None else list(s)}
+                for x, text, w, s in zip(doc["ids"], doc["text"], doc["weight"],
+                                         doc["sigma"])]
+    edges = [{"src": s, "dst": d, "color": c} for s, d, c in doc["edges"]]
+    return {"header": doc["header"], "vertices": vertices, "edges": edges}
+
+
+def columns(data):
+    """The column document of a parsed JSON render, the inverse of
+    :func:`records`."""
+    vs = data["vertices"]
+    return {"header": data["header"], "ids": [v["id"] for v in vs],
+            "text": [v["text"] for v in vs],
+            "weight": [tuple(v["weight"]) for v in vs],
+            "sigma": [None if v["sigma"] is None else tuple(v["sigma"]) for v in vs],
+            "edges": [(e["src"], e["dst"], e["color"]) for e in data["edges"]]}
+
+
+def assert_same_render(got, expected):
+    """Equal strings, or a failure naming the first differing line: pytest's
+    own diff of two renders of a megabyte or more takes minutes."""
+    if got == expected:
+        return
+    a, b = got.splitlines(), expected.splitlines()
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    pytest.fail(f"renders differ at line {at + 1} of {len(a)} and {len(b)}: "
+                f"{a[at:at + 1]!r} != {b[at:at + 1]!r}", pytrace=False)
+
+
 def test_graph_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "graph", "--type", "C1", "--n", "3", "--k", "2",
                          "--l", "1", "--format", "json")
     code2, out2, _ = run(capsys, "graph", "--type", "C1", "--n", "3", "--k", "2",
                          "--l", "1", "--format", "json")
     assert code1 == code2 == 0
-    assert out1 == out2
+    assert_same_render(out1, out2)
     doc = json.loads(out1)
     assert len(doc["vertices"]) == 14
     # round trip is byte identical
-    assert render_json(json.loads(out1)) + "\n" == out1
+    assert_same_render(render_json(columns(json.loads(out1))) + "\n", out1)
 
 
 def _oracle(doc):
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+    return json.dumps(records(doc), sort_keys=True, indent=2, separators=(",", ": "))
+
+
+def _dot_oracle(doc):
+    """The DOT form of a document, written record by record."""
+    h = doc["header"]
+    title = f"{h['type']} n={h['n']} k={h['k']} l={h['l']}"
+    lines = ["digraph crystal {", f'  label="{title}{" quotient" * h["quotient"]}";',
+             "  rankdir=TB;", '  node [shape=box, fontname="Courier"];']
+    data = records(doc)
+    lines += [f'  {v["id"]} [label="{v["text"]}"];' for v in data["vertices"]]
+    lines += [f'  {e["src"]} -> {e["dst"]} [color="{PALETTE[e["color"] % len(PALETTE)]}", '
+              f'label="{e["color"]}"];' for e in data["edges"]]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def _documents(token, n):
@@ -50,8 +96,9 @@ def _documents(token, n):
 def test_render_json_equals_json_dumps(token, n):
     docs = _documents(token, n)
     for doc in docs:
-        assert render_json(doc) == _oracle(doc)
-    shapes = {(not doc["edges"], doc["vertices"][0]["sigma"] is None,
+        assert_same_render(render_json(doc), _oracle(doc))
+        assert_same_render(render_dot(doc), _dot_oracle(doc))
+    shapes = {(not doc["edges"], doc["sigma"][0] is None,
                doc["header"]["quotient"]) for doc in docs}
     if token in ("B1", "D1", "D2"):
         assert shapes == {(False, True, False)}
@@ -65,7 +112,54 @@ def test_render_json_equals_json_dumps_on_export_graphs():
     c1, a2odd = from_label("C1", 8), from_label("A2odd", 8)
     for doc in (graph_document(c1, 4, 0), graph_document(a2odd, 4, 4),
                 graph_document(a2odd, 4, 4, True)):
-        assert render_json(doc) == _oracle(doc)
+        assert_same_render(render_json(doc), _oracle(doc))
+        assert_same_render(render_dot(doc), _dot_oracle(doc))
+
+
+def test_graph_document_columns():
+    from wedge_crystal import bicrystal
+
+    t = from_label("A2odd", 4)
+    doc = graph_document(t, 2, 2)
+    g = crystal.component(t, crystal.v_kl(t, 2, 2))
+    assert list(doc["ids"]) == list(g.vertices) == sorted(doc["ids"])
+    assert doc["text"] == [crystal.text(t, x) for x in g.vertices]
+    assert doc["weight"] == [crystal.weight(t, x) for x in g.vertices]
+    assert doc["sigma"] == [bicrystal.sigma(4, x) for x in g.vertices]
+    assert list(doc["edges"]) == list(g.edges)
+    # render_dot reads the ids, texts and edges alone
+    dot = graph_document(t, 2, 2, full=False)
+    assert dot["weight"] is dot["sigma"] is None
+    assert render_dot(dot) == render_dot(doc)
+    # a quotient vertex is its orbit: the smaller id, the texts plus+minus
+    quo = graph_document(t, 2, 2, quotient=True)
+    q = bicrystal.quotient_graph(g, 2)
+    assert list(quo["ids"]) == [min(pair) for pair in q.orbits]
+    assert quo["text"] == [f"{crystal.text(t, p)}+{crystal.text(t, m)}"
+                           for p, m in q.orbits]
+    assert quo["weight"] == [crystal.weight(t, p) for p, _ in q.orbits]
+    assert quo["sigma"] == [bicrystal.sigma(4, p) for p, _ in q.orbits]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "C1", "--k", "2", "--l", "1"),
+    ("--type", "A2odd", "--k", "2", "--l", "1", "--quotient"),
+    ("--type", "D1", "--k", "3"),
+])
+def test_graph_calls_no_per_vertex_kernel(capsys, monkeypatch, argv):
+    from wedge_crystal import bicrystal
+
+    def refuse(*args):
+        raise AssertionError("per-vertex kernel call on the graph path")
+
+    for fmt in ("json", "dot"):
+        expected = run(capsys, "graph", "--n", "3", *argv, "--format", fmt)
+        with monkeypatch.context() as m:
+            for module, name in ((crystal, "text"), (crystal, "rule_weight"),
+                                 (crystal, "weight"), (bicrystal, "sigma")):
+                m.setattr(module, name, refuse)
+            assert run(capsys, "graph", "--n", "3", *argv, "--format", fmt) == expected
+        assert expected[0] == 0
 
 
 def test_graph_vertices_match_sigma_description():
@@ -73,7 +167,7 @@ def test_graph_vertices_match_sigma_description():
 
     t = from_label("A2even", 3)
     doc = graph_document(t, 2, 1)
-    ids = {v["id"] for v in doc["vertices"]}
+    ids = set(doc["ids"])
     level = {x for x in crystal.all_elements(t)
              if bicrystal.sigma(3, x) in {(2, 1), (1, 1), (0, 1)}}
     assert ids == level
@@ -325,6 +419,26 @@ def test_internal_value_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatc
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"internal_error": "ValueError",
                                     "message": "delta word is only defined for 11,2 types"}
+
+
+def test_verify_prints_each_verdict_as_its_suite_ends(capsys, monkeypatch):
+    from wedge_crystal import theorems
+
+    t = from_label("A2odd", 3)
+    names = theorems.select_suites(t, "all", None)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--type", "A2odd", "--n", "3")
+    assert code == 0 and err == ""
+    passed = out.splitlines()
+    assert passed == [f"[{name}] PASS {t.label} n=3" for name in names]
+    # a suite after the first three raises: their verdicts are already out
+    monkeypatch.setattr(theorems, SUITE_FUNCTIONS[names[3]],
+                        lambda *args: crystal.delta_word(from_label("C1", 3), 1))
+    code, out, err = run(capsys, "verify", "--suite", "all", "--type", "A2odd", "--n", "3")
+    assert code == 3
+    assert out.splitlines() == passed[:3]
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["internal_error"] == "ValueError"
 
 
 def test_fock_failure_prints_witness(capsys, monkeypatch):

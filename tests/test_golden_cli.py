@@ -7,7 +7,8 @@ and ``fock verify`` check groups listed in ``golden_cases``, and the usage
 errors that the program itself raises; argparse's own messages are left out, because their wrapping
 follows the terminal width.  The relation checks at n = 4, 5
 (``relation_cases``) and the graph renders at n = 4 (``graph_cases``) are
-checked by tests of their own.  Regenerate the file
+checked by tests of their own, and so are the benchmark's graph renders at
+n = 8, pinned in ``EXPORT_DIGESTS``.  Regenerate the file
 only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -160,6 +161,32 @@ def test_relation_checks_match_the_golden_digests():
 def test_graph_renders_at_rank_four_match_the_golden_digests():
     differ, _ = _differing(graph_cases())
     assert differ == []
+
+
+# sha256 of stdout of the benchmark's graph renders at n = 8 (perfbench's
+# export workload), in both formats, with the quotient; a test of their own,
+# outside the timed one above.  Written once; never regenerated.
+EXPORT_DIGESTS = {
+    "graph --type C1 --n 8 --k 4 --l 0 --format json":
+        "87c307c537dbd826d4313a79b47e7027afdb18f424b74a50c6ab336d87827f1e",
+    "graph --type C1 --n 8 --k 4 --l 0 --format dot":
+        "c5c5025757c1b6edd3b8ee3f8267bc1fd08b2aa9848f95c2425304071323043e",
+    "graph --type A2odd --n 8 --k 4 --l 4 --format json":
+        "5873dd01818f368213041acac2fbc5a8e3938b297012e4d8dc34d46f41aaea87",
+    "graph --type A2odd --n 8 --k 4 --l 4 --format dot":
+        "03ff56a9701b2aec9c8b04eae80a5660194d091dbaaebc077f44b7196094f90e",
+    "graph --type A2odd --n 8 --k 4 --l 4 --quotient --format json":
+        "16e3745bebb80fb9bc0b5e732cdac420c4fce9ee20cb58df2ae103a47b82a5b5",
+    "graph --type A2odd --n 8 --k 4 --l 4 --quotient --format dot":
+        "e4aa6f5fc4b209bafdb1105e1fefbd65c0c5b666cec7bb8c0a200169e1795784",
+}
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
+def test_export_renders_at_rank_eight_match_their_digests():
+    got = {case: digest(case.split()) for case in EXPORT_DIGESTS}
+    assert got == {case: {"code": 0, "stdout": sha, "stderr": EMPTY}
+                   for case, sha in EXPORT_DIGESTS.items()}
 
 
 if __name__ == "__main__":

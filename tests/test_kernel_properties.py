@@ -2,8 +2,12 @@
 
 Exhaustive comparisons stop at small ranks (``test_crystal``); these sample
 single elements of every labeling at ranks where the ground set has up to
-4^12 states.
+4^12 states.  The list kernels (``crystal.texts``, ``crystal.rule_weights``,
+``bicrystal.sigmas``) are checked against the per-id forms on sampled id
+sequences.
 """
+
+from array import array
 
 from hypothesis import given, settings, strategies as st
 
@@ -121,3 +125,43 @@ def short_columns(draw):
 def test_text_matches_oracle(case):
     t, x = case
     assert crystal.text(t, x) == _object(t, x).text
+
+
+@st.composite
+def id_lists(draw, tokens=TOKENS):
+    """A labeling at n = 2..8 and a sequence of its ids: a random list (the
+    empty list among them), a single id, a range or an ``array("I")``."""
+    t = from_label(draw(st.sampled_from(tokens)), draw(st.integers(2, 8)))
+    top = crystal.ground_size(t) - 1
+    x = st.integers(0, top)
+    kind = draw(st.sampled_from(("list", "single", "range", "array")))
+    if kind == "single":
+        return t, [draw(x)]
+    if kind == "range":
+        start = draw(x)
+        return t, range(start, min(top + 1, start + draw(st.integers(0, 300))))
+    ids = draw(st.lists(x, max_size=60))
+    return t, array("I", ids) if kind == "array" else ids
+
+
+@SAMPLED
+@given(id_lists())
+def test_list_kernels_match_the_per_id_forms(case):
+    t, ids = case
+    rs = crystal.rules(t)
+    assert crystal.texts(t, ids) == [crystal.text(t, x) for x in ids]
+    assert crystal.rule_weights(rs, ids) == [crystal.rule_weight(rs, x) for x in ids]
+
+
+@SAMPLED
+@given(id_lists(DOUBLED))
+def test_sigmas_match_sigma(case):
+    t, ids = case
+    assert bicrystal.sigmas(t.n, ids) == [bicrystal.sigma(t.n, x) for x in ids]
+
+
+def test_list_kernels_on_the_empty_list():
+    for token in TOKENS:
+        t = from_label(token, 3)
+        assert crystal.texts(t, []) == crystal.rule_weights(crystal.rules(t), []) == []
+    assert bicrystal.sigmas(3, ()) == []

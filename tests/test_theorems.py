@@ -397,6 +397,28 @@ def test_component_isomorphism_between_level_sets(monkeypatch):
         "k=1: component at l=2 not isomorphic to l=0"]
 
 
+@pytest.mark.parametrize("n", (3, 4))
+def test_multiplicity_scan_finds_every_id_of_the_extremal_weight(monkeypatch, n):
+    # with the whole ground set standing in for each component, the scan for
+    # the extremal weight must count what a brute-force pass over the
+    # per-id weights counts
+    t = from_label("C1", n)
+    ground = crystal.all_elements(t)
+    expected = []
+    for k, l in theorems.h_diamond(t):
+        if k == 0:
+            continue
+        target = theorems.fundamental_weight_cl(t, k)
+        count = sum(crystal.weight(t, x) == target for x in ground)
+        if count != 1:
+            expected.append(f"(k,l)=({k},{l}): weight multiplicity {count} "
+                            f"at the extremal weight")
+    assert expected
+    monkeypatch.setattr(theorems.Partition, "class_of", lambda self, x: ground)
+    found = [d for d in verify_multiplicities(t).discrepancies if "multiplicity" in d]
+    assert found == expected
+
+
 @pytest.mark.parametrize("token", DOUBLED)
 @pytest.mark.parametrize("n", (2, 3))
 def test_multiplicities(token, n):
