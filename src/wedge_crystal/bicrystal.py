@@ -104,17 +104,27 @@ def _check_involution(t: AffineType, k: int):
 
 
 def _mate(n: int, k: int, x: int):
-    """(varsigma of x, phi of x), from one reading of the signature."""
+    """(varsigma of x, phi of x), from one reading of the signature; the mate
+    is None when x lies outside the domain (phi is neither n - k nor
+    n - k - 1) or its step runs off the end of a string."""
     _, phi, raise_row, lower_row = _signature(n, x)
     if phi == n - k:
         row = lower_row
     elif phi == n - k - 1:
         row = raise_row
     else:
-        raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
-    if not row:
-        raise RuntimeError("involution hit the end of a string; invalid domain")
+        row = 0
     return _flip(n, x, row), phi
+
+
+def _defined_mate(n: int, k: int, x: int):
+    """:func:`_mate`, raising where varsigma is undefined."""
+    mate, phi = _mate(n, k, x)
+    if mate is None:
+        if phi not in (n - k, n - k - 1):
+            raise ValueError(f"element with phi={phi} is outside the domain for k={k}")
+        raise RuntimeError("involution hit the end of a string; invalid domain")
+    return mate, phi
 
 
 def varsigma(t: AffineType, k: int, x: int) -> int:
@@ -124,12 +134,12 @@ def varsigma(t: AffineType, k: int, x: int) -> int:
     Only defined on the component of the (k, n-k) representative.
     """
     _check_involution(t, k)
-    return _mate(t.n, k, x)[0]
+    return _defined_mate(t.n, k, x)[0]
 
 
 def varsigmas(t: AffineType, k: int, ids) -> list:
-    """varsigma of each of ``ids``, in their order; the type and k are
-    checked once for the whole list."""
+    """varsigma of each of ``ids``, in their order, and None where it is
+    undefined; the type and k are checked once for the whole list."""
     _check_involution(t, k)
     n = t.n
     return [_mate(n, k, x)[0] for x in ids]
@@ -163,7 +173,7 @@ def quotient_graph(g: CrystalGraph, k: int) -> QuotientGraph:
     for x in g.vertices:
         if x in orbit_of:
             continue
-        mate, phi = _mate(n, k, x)
+        mate, phi = _defined_mate(n, k, x)
         if mate == x:
             raise RuntimeError("involution has a fixed point; invalid domain")
         plus, minus = (x, mate) if phi == n - k else (mate, x)

@@ -9,8 +9,12 @@ component builder, so the two implementations cross-check each other.
 Every pass steps ids through the tables that ``crystal.steps`` compiles
 from ``crystal.step_e``/``step_f``: the partition is one union-find sweep per
 rule on a flat parent list, visiting only the ids a lowering step applies
-to, and the walks over a component's members (the classically-highest
-filter, the isomorphism walk, the involution check) read the same tables.
+to, and the walks over a component's members read the same tables.  The
+classically-highest filter steps one id at a time; every statement that a
+map is a crystal morphism (two components of one k isomorphic, the
+order-two symmetry commuting with the operators) is one call of
+:func:`check_morphism`, which steps an id and its image at once and names
+the first step on which they disagree.
 :class:`UnionFind` stays for the block search of ``fock.kashiwara_operators``.
 """
 
@@ -22,6 +26,11 @@ from functools import lru_cache
 
 from . import bicrystal, crystal
 from .cartan import AffineType, DOUBLE, FORK, SINGLE, fundamental_weight_cl
+
+
+# the entry of an id-indexed image array (the mates of shared_mates, the map
+# that check_morphism grows) at an id that has no image
+UNSET = 0xFFFFFFFF
 
 
 class UnionFind:
@@ -81,15 +90,13 @@ class Partition:
     """The components of a ground set, numbered in order of their smallest id;
     equal when label and members are."""
 
-    __slots__ = ("label", "members", "mate", "mated")
+    __slots__ = ("label", "members", "mates")
 
     def __init__(self, label: array, members: tuple):
         self.label = label  # id -> component number
         self.members = members  # component number -> its ids, increasing
-        # id -> varsigma(id) on the shared components of the ks in ``mated``,
-        # filled by shared_mates on first use
-        self.mate = None
-        self.mated = set()
+        # k -> the table of shared_mates, filled on first use
+        self.mates = {}
 
     def __eq__(self, other):
         if other.__class__ is not Partition:
@@ -161,23 +168,101 @@ def partition_ids(t: AffineType, rs=None) -> Partition:
 def shared_mates(t: AffineType, k: int) -> array:
     """varsigma on the shared component of (k, n - k) of the fork-plus-double
     type, as an array indexed by id whose entries at that component's members
-    are their mates (entries at other ids are unspecified).
+    are their mates.  The entry is ``UNSET`` at a member outside varsigma's
+    domain or whose step runs off the end of a string (see
+    :func:`note_unmated`), and at every id outside the shared components.
 
     The shared components are disjoint, so one array of ground-set size serves
     every k.  It is kept on the memoised partition and filled one component at
     a time on first use, so that ``prop46``, ``thm58`` and ``cor57`` compute
-    each mate once; callers must not mutate it.
+    each mate once; callers must not mutate it.  A faulty crystal in which two
+    ks share a component gives the later k an array of its own, so that no k
+    reads another's mates.
     """
     p = partition_ids(t)
-    if k not in p.mated:
-        if p.mate is None:
-            p.mate = array("I", [0]) * len(p.label)
-        mate = p.mate
-        members = p.class_of(crystal.v_kl(t, k, t.n - k))
+    mates = p.mates
+    if k not in mates:
+        n = t.n
+        c = p.label[crystal.v_kl(t, k, n - k)]
+        if mates and all(p.label[crystal.v_kl(t, kk, n - kk)] != c for kk in mates):
+            mate = next(iter(mates.values()))  # the array of the first k
+        else:
+            mate = array("I", [UNSET]) * len(p.label)
+        members = p.members[c]
         for x, m in zip(members, bicrystal.varsigmas(t, k, members)):
-            mate[x] = m
-        p.mated.add(k)
-    return p.mate
+            if m is not None:
+                mate[x] = m
+        mates[k] = mate
+    return mates[k]
+
+
+def note_unmated(res: SuiteResult, t: AffineType, k: int, ids, mate) -> bool:
+    """Note each of ``ids`` whose entry in the mate table is ``UNSET``, with
+    its text and phi (phi outside n - k and n - k - 1 puts it outside the
+    domain, otherwise its step runs off a string); True when there is none."""
+    clean = True
+    for x in ids:
+        if mate[x] == UNSET:
+            res.note(f"k={k}: no mate for {crystal.text(t, x)} "
+                     f"(phi={bicrystal.sigma(t.n, x)[1]})")
+            clean = False
+    return clean
+
+
+def check_morphism(src, dst, image, todo):
+    """Check that the map ``image`` commutes with every raising and lowering
+    step, growing it by a walk; the first witness, or None.
+
+    ``src`` and ``dst`` are the ``crystal.steps`` tables (mask, f, e) of the
+    two sides, index by index.  ``image`` is id-indexed, ``UNSET`` where an
+    id has no image yet, and ``todo`` lists the ids to visit, each with an
+    image.  Each visited id a and its image b take every step, e before f
+    at each index: the step must apply to both or to neither, and where it
+    takes a to x and b to y, x must have the image y.  An x without an image
+    gets y and joins ``todo``, so ``todo`` ends as every id visited; nothing
+    else is written into ``image``.
+
+    The witness is (a, b, i, op, x, y): both ids, the index, "e" or "f", and
+    each side's target, None where the step does not apply.
+    """
+    ops = []
+    for i, ((ma, fa, ea), (mb, fb, eb)) in enumerate(zip(src, dst)):
+        ops.append((i, "e", ma, ea, mb, eb))
+        ops.append((i, "f", ma, fa, mb, fb))
+    for a in todo:  # the list grows as the walk goes
+        b = image[a]
+        for i, op, ma, ta, mb, tb in ops:
+            da = ta[a & ma]
+            db = tb[b & mb]
+            if da and db:
+                x = a ^ da
+                y = b ^ db
+                z = image[x]
+                if z == y:
+                    continue
+                if z == UNSET:
+                    image[x] = y
+                    todo.append(x)
+                    continue
+            elif not (da or db):
+                continue
+            return a, b, i, op, a ^ da if da else None, b ^ db if db else None
+    return None
+
+
+def witness_text(t: AffineType, witness, image) -> str:
+    """A witness of :func:`check_morphism` in words, with the image that the
+    map already gave the source side's target when both steps apply."""
+    a, b, i, op, x, y = witness
+    lhs = rhs = "undefined"
+    if x is not None:
+        lhs = crystal.text(t, x)
+        if y is not None:
+            lhs += f" with image {crystal.text(t, image[x])}"
+    if y is not None:
+        rhs = crystal.text(t, y)
+    return (f"{op}_{i} takes {crystal.text(t, a)} to {lhs}, "
+            f"and its image {crystal.text(t, b)} to {rhs}")
 
 
 def classically_highest(rs, ids) -> list:
@@ -399,17 +484,24 @@ def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
 
 
 def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResult:
-    """The order-two symmetry commutes with every operator on its domain."""
+    """The order-two symmetry commutes with every operator on its domain:
+    one :func:`check_morphism` walk with the mates as the map, from the
+    smaller member of each orbit."""
     res = SuiteResult(name="prop46", passed=True)
     ks = suite_ks("prop46", t, k)
-    compiled = [(i, *crystal.steps(rule)) for i, rule in enumerate(crystal.rules(t))]
+    tables = [crystal.steps(rule) for rule in crystal.rules(t)]
     p = partition_ids(t)
     label = p.label
     for kk in ks:
         c = label[crystal.v_kl(t, kk, t.n - kk)]
-        # a step of a member stays in the component, so its mate is filled in
         mate = shared_mates(t, kk)
-        for x in p.members[c]:
+        members = p.members[c]
+        if not note_unmated(res, t, kk, members, mate):
+            # a step of a member stays in the component, so with a mate
+            # missing there the walk would write one into the shared table
+            continue
+        todo = []
+        for x in members:
             m = mate[x]
             if label[m] != c:
                 res.note(f"k={kk}: involution leaves the component at "
@@ -419,20 +511,12 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
                 res.note(f"k={kk}: fixed point at {crystal.text(t, x)}")
             if mate[m] != x:
                 res.note(f"k={kk}: involution not of order two at {crystal.text(t, x)}")
-            elif m < x:
-                # order two holds on the orbit, so its statement was checked at m
-                continue
-            for i, mask, f, e in compiled:
-                sx, sm = x & mask, m & mask
-                # raising, then lowering, on x and its mate: the bits toggled, 0 for none
-                for a, b in ((e[sx], e[sm]), (f[sx], f[sm])):
-                    lhs = mate[x ^ a] if a else None
-                    if (lhs is None) != (not b):
-                        res.note(f"k={kk}: commutation defined-ness fails at "
-                                 f"{crystal.text(t, x)}, i={i}")
-                    elif lhs is not None and lhs != m ^ b:
-                        res.note(f"k={kk}: commutation fails at "
-                                 f"{crystal.text(t, x)}, i={i}")
+            if x < m:
+                # with order two, the statement at m is the one at x
+                todo.append(x)
+        witness = check_morphism(tables, tables, mate, todo)
+        if witness:
+            res.note(f"k={kk}: commutation fails: {witness_text(t, witness, mate)}")
     return res
 
 
@@ -458,45 +542,21 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
         else:
             pair, holds = (kk, n - kk), lambda s: s[1] == n - kk and s[0] % 2 == 0
         level = {x for s, ids in by_sigma.items() if holds(s) for x in ids}
+        rep = crystal.v_kl(t, *pair)
+        members = p.class_of(rep)
         if d == (FORK, DOUBLE) and kk < n:
-            # the shared component holds the level set and its mates; the
-            # table has no entry for an id outside the component
-            mate, c = shared_mates(t, kk), p.label[crystal.v_kl(t, *pair)]
-            level |= {mate[x] if p.label[x] == c else bicrystal.varsigma(t, kk, x)
-                      for x in level}
-        comp = set(p.class_of(crystal.v_kl(t, *pair)))
+            # the shared component holds the level set and its mates; an id
+            # of the level set outside the component already makes the two
+            # differ, so only the mates of members are read
+            mate, label, c = shared_mates(t, kk), p.label, p.label[rep]
+            note_unmated(res, t, kk, members, mate)
+            level |= {mate[x] for x in level if label[x] == c}
+            level.discard(UNSET)
+        comp = set(members)
         if comp != level:
             res.note(f"k={kk}: component has {len(comp)} elements, level set "
                      f"{len(level)}; difference {sorted(comp ^ level)[:4]}")
     return res
-
-
-def isomorphic_components(t: AffineType, root1: int, root2: int) -> bool:
-    """Colored-digraph isomorphism of the components of two roots, by one walk
-    that steps both ids through every rule at once."""
-    compiled = [crystal.steps(rule) for rule in crystal.rules(t)]
-    match = {root1: root2}
-    todo = [root1]
-    while todo:
-        a = todo.pop()
-        b = match[a]
-        for mask, f, e in compiled:
-            sa, sb = a & mask, b & mask
-            # lowering, then raising, on both ids: the bits toggled, 0 for none
-            for da, db in ((f[sa], f[sb]), (e[sa], e[sb])):
-                if not (da and db):
-                    if da or db:
-                        return False
-                    continue
-                x, y = a ^ da, b ^ db
-                if x in match:
-                    if match[x] != y:
-                        return False
-                else:
-                    match[x] = y
-                    todo.append(x)
-    p = partition_ids(t)
-    return len(match) == len(p.class_of(root1)) == len(p.class_of(root2))
 
 
 def verify_multiplicities(t: AffineType) -> SuiteResult:
@@ -509,6 +569,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
     if d == (DOUBLE, DOUBLE):
         p = partition_ids(t)
         rs = crystal.rules(t)
+        tables = [crystal.steps(rule) for rule in rs]
         for k in range(1, n + 1):
             ls = [l for (kk, l) in pairs if kk == k]
             target = fundamental_weight_cl(t, k)
@@ -524,11 +585,25 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
                     res.note(f"(k,l)=({k},{l}): weight multiplicity "
                              f"{len(hits)} at the extremal weight")
                 roots.append(hits[0] if hits else None)
+            root0 = roots[0]
             for l, r in zip(ls[1:], roots[1:]):
-                if r is None or roots[0] is None:
+                if r is None or root0 is None:
                     continue
-                if not isomorphic_components(t, roots[0], r):
-                    res.note(f"k={k}: component at l={l} not isomorphic to l={ls[0]}")
+                # the components of one k are isomorphic, matched from their
+                # extremal-weight elements: a walk from root0 that covers both
+                image = array("I", [UNSET]) * len(p.label)
+                image[root0] = r
+                todo = [root0]
+                witness = check_morphism(tables, tables, image, todo)
+                head = f"k={k}: component at l={l} not isomorphic to l={ls[0]}"
+                if witness:
+                    res.note(f"{head}: {witness_text(t, witness, image)}")
+                    continue
+                size0, size = len(p.class_of(root0)), len(p.class_of(r))
+                if not len(todo) == size0 == size:
+                    res.note(f"{head}: the walk from {crystal.text(t, root0)} "
+                             f"matched {len(todo)} ids, the components have "
+                             f"{size0} and {size}")
         res.stats["multiplicities"] = {k: n - k + 1 for k in range(n + 1)}
     elif d in ((SINGLE, DOUBLE), (DOUBLE, SINGLE)):
         res.stats["multiplicities"] = dict(Counter(k for k, _ in pairs))
@@ -542,6 +617,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
         for k in range(1, n):
             members = p.class_of(crystal.v_kl(t, k, n - k))
             mate = shared_mates(t, k)
+            note_unmated(res, t, k, members, mate)
             orbits = {min(x, mate[x]) for x in members}
             if 2 * len(orbits) != len(members):
                 res.note(f"k={k}: quotient size {len(orbits)} does not halve "

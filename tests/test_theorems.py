@@ -9,9 +9,9 @@ from wedge_crystal.cartan import ALL_LABELS, from_label
 from wedge_crystal import bicrystal, crystal
 from wedge_crystal import theorems
 from wedge_crystal.cli import main
-from wedge_crystal.theorems import (decomposition_report, expected_branching,
-                                    h_diamond, isomorphic_components,
-                                    partition_ids, sorted_labels,
+from wedge_crystal.theorems import (UNSET, check_morphism,
+                                    decomposition_report, expected_branching,
+                                    h_diamond, partition_ids, sorted_labels,
                                     verify_classical_branching,
                                     verify_component_partition,
                                     verify_delta_shift,
@@ -86,9 +86,11 @@ def test_shared_component_checks_can_fail(monkeypatch):
     _split_off(monkeypatch, t, next(y for y in shared if y not in reps))
     res = verify_sigma_characterization(t)
     assert not res.passed
-    assert len(res.discrepancies) == 1
-    assert res.discrepancies[0].startswith(
-        "k=1: component has 15 elements, level set 16; difference ")
+    # the split-off id 10/10/00/10 (11) has sigma (0, 3), so it stays in the
+    # level set; its mate 131 is read only for members, so it leaves it
+    assert crystal.text(t, 11) == "10/10/00/10"
+    assert res.discrepancies == [
+        "k=1: component has 15 elements, level set 15; difference [11, 131]"]
     res = verify_multiplicities(t)
     assert not res.passed
     assert res.discrepancies == ["k=1: quotient size 8 does not halve 15"]
@@ -250,37 +252,60 @@ def test_highest_filter_steps_as_step_e(rs):
         oracle.classically_highest_by_steps(rs, ids)
 
 
+def _match(t, tables, root1, root2):
+    """The isomorphism walk of ``cor57`` from ``root1`` matched to ``root2``:
+    its witness and the ids it matched."""
+    image = array("I", [UNSET]) * crystal.ground_size(t)
+    image[root1] = root2
+    todo = [root1]
+    return check_morphism(tables, tables, image, todo), todo
+
+
+def _commutation_note(t, witness):
+    """A witness of the involution walk in the words of
+    ``oracle.involution_commutes_by_steps`` at k = 1."""
+    a, _, i, _, x, y = witness
+    kind = "defined-ness " if x is None or y is None else ""
+    return f"k=1: commutation {kind}fails at {crystal.text(t, a)}, i={i}"
+
+
 @RANDOM_RULES
-@given(rule_sets(), st.lists(st.integers(0, 63), min_size=2, max_size=6))
-def test_isomorphism_walk_steps_as_step_f_and_step_e(rs, roots):
+@given(rule_sets(), st.lists(st.integers(0, 63), min_size=2, max_size=6),
+       st.integers(1, 63))
+def test_morphism_walk_steps_as_step_e_and_step_f(rs, roots, shift):
+    tables = [crystal.steps(rule) for rule in rs]
+    ground = crystal.all_elements(WALKED)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crystal, "rules", lambda t: rs)
         partition_ids.cache_clear()
         try:
+            # two components matched from their roots, as cor57 walks them
+            p = partition_ids(WALKED)
             for a in roots:
                 for b in roots:
-                    assert isomorphic_components(WALKED, a, b) == \
-                        oracle.isomorphic_components_by_steps(WALKED, a, b)
+                    witness, todo = _match(WALKED, tables, a, b)
+                    verdict = witness is None and \
+                        len(todo) == len(p.class_of(a)) == len(p.class_of(b))
+                    assert verdict == oracle.isomorphic_components_by_steps(WALKED, a, b)
         finally:
             partition_ids.cache_clear()
-
-
-@RANDOM_RULES
-@given(rule_sets(), st.integers(1, 63))
-def test_involution_walk_steps_as_step_e_and_step_f(rs, shift):
-    # one class holding the whole ground set, and a mate x ^ shift for
-    # every id, so that every step lands on an id with a mate
-    ground = crystal.all_elements(WALKED)
-    whole = theorems.Partition(array("I", [0]) * len(ground), (array("I", ground),))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(crystal, "rules", lambda t: rs)
+        # one class holding the whole ground set and a mate x ^ shift for
+        # every id, walked from the smaller member of each orbit as prop46
+        # walks it; every id has a mate, so nothing is written
+        whole = theorems.Partition(array("I", [0]) * len(ground), (array("I", ground),))
         mp.setattr(theorems, "partition_ids", lambda t, rs=None: whole)
         mp.setattr(bicrystal, "varsigma", lambda t, k, x: x ^ shift)
-        mp.setattr(theorems, "shared_mates",
-                   lambda t, k: {x: x ^ shift for x in ground})
-        for k in (1, 2):
-            assert verify_involution_commutes(WALKED, k).discrepancies == \
-                oracle.involution_commutes_by_steps(WALKED, k).discrepancies
+        mate = array("I", [x ^ shift for x in ground])
+        todo = [x for x in ground if x < mate[x]]
+        seeds = list(todo)
+        witness = check_morphism(tables, tables, mate, todo)
+        assert todo == seeds
+        assert list(mate) == [x ^ shift for x in ground]
+        notes = oracle.involution_commutes_by_steps(WALKED, 1).discrepancies
+        if witness is None:
+            assert notes == []
+        else:
+            assert _commutation_note(WALKED, witness) == notes[0]
 
 
 def test_a_wrong_edge_fails_prop41_and_the_search_cross_check(capsys, monkeypatch):
@@ -385,16 +410,46 @@ def test_component_isomorphism_between_level_sets(monkeypatch):
 
     r1, r2, r3 = roots(1, 0), roots(1, 2), roots(2, 0)
     assert len(r1) == len(r2) == len(r3) == 1
-    assert isomorphic_components(t, r1[0], r2[0])
-    assert not isomorphic_components(t, r1[0], r3[0])
+    tables = [crystal.steps(rule) for rule in crystal.rules(t)]
+    witness, todo = _match(t, tables, r1[0], r2[0])
+    assert witness is None and len(todo) == 6
+    assert _match(t, tables, r1[0], r3[0])[0] is not None
     # a match must cover both partition classes: with one id of the l=2
     # component split off, the walk covers more than its class
     comp = partition_ids(t).class_of(crystal.v_kl(t, 1, 2))
     _split_off(monkeypatch, t, next(y for y in comp
                                     if y not in (r2[0], crystal.v_kl(t, 1, 2))))
-    assert not isomorphic_components(t, r1[0], r2[0])
     assert verify_multiplicities(t).discrepancies == [
-        "k=1: component at l=2 not isomorphic to l=0"]
+        "k=1: component at l=2 not isomorphic to l=0: the walk from 01/01/00 "
+        "matched 6 ids, the components have 6 and 5"]
+
+
+def test_a_broken_isomorphism_names_its_witness(capsys, monkeypatch):
+    # the (1, 2) component loses its f_2 edge, in whole-id tables of rule 2:
+    # it keeps its ids (its edges form a cycle), its weights and its
+    # extremal-weight element, but it is no longer isomorphic to (1, 0)
+    t = from_label("C1", 3)
+    rule = crystal.rules(t)[2]
+    real = crystal.steps
+    mask, f, e = real(rule)
+    full = crystal.ground_size(t) - 1
+    wf = {x: f[x & mask] for x in range(full + 1)}
+    we = {x: e[x & mask] for x in range(full + 1)}
+    comp = partition_ids(t).class_of(crystal.v_kl(t, 1, 2))
+    u = next(x for x in comp if wf[x])
+    wf[u] = we[u ^ wf[u]] = 0
+    monkeypatch.setattr(crystal, "steps",
+                        lambda r: (full, wf, we) if r == rule else real(r))
+    partition_ids.cache_clear()
+    try:
+        assert partition_ids(t).class_of(crystal.v_kl(t, 1, 2)) == comp
+        # the walk from the (1, 0) side names the element whose image lost
+        # its f_2 step, that image, and both targets
+        assert _failures(capsys, "cor57", "C1", 3) == [
+            "k=1: component at l=2 not isomorphic to l=0: f_2 takes 01/00/01 "
+            "to 00/01/01, and its image 10/00/10 to undefined"]
+    finally:
+        partition_ids.cache_clear()
 
 
 @pytest.mark.parametrize("n", (3, 4))
@@ -506,16 +561,24 @@ def test_sigma_range_messages(capsys, monkeypatch, x, s, expected):
 
 
 @pytest.mark.parametrize("x, mate, expected", [
-    ("11/10/10", "00/00/00", ["k=1: involution leaves the component at 11/10/10"]),
-    ("11/10/10", "11/10/10", ["k=1: fixed point at 11/10/10",
-                              "k=1: commutation fails at 11/10/10, i=2",
-                              "k=1: commutation fails at 11/10/10, i=3"]),
+    # the member whose mate was 11/10/10 keeps it, so order two fails there
+    # too; the walk names the first step whose target has the wrong mate
+    ("11/10/10", "00/00/00", [
+        "k=1: involution leaves the component at 11/10/10",
+        "k=1: involution not of order two at 11/10/01",
+        "k=1: commutation fails: f_3 takes 00/10/10 to 11/10/10 with image "
+        "00/00/00, and its image 00/10/01 to 11/10/01"]),
+    ("11/10/10", "11/10/10", [
+        "k=1: fixed point at 11/10/10",
+        "k=1: involution not of order two at 11/10/01",
+        "k=1: commutation fails: f_3 takes 00/10/10 to 11/10/10 with image "
+        "11/10/10, and its image 00/10/01 to 11/10/01"]),
     # the mate of another orbit's member
-    ("10/10/00", "10/00/10", ["k=1: involution not of order two at 10/10/00",
-                              "k=1: commutation fails at 10/10/00, i=0",
-                              "k=1: commutation defined-ness fails at 10/10/00, i=1",
-                              "k=1: commutation defined-ness fails at 10/10/00, i=1",
-                              "k=1: commutation defined-ness fails at 10/10/00, i=2"]),
+    ("10/10/00", "10/00/10", [
+        "k=1: involution not of order two at 10/10/00",
+        "k=1: involution not of order two at 10/01/00",
+        "k=1: commutation fails: e_0 takes 10/10/00 to 10/11/01 with image "
+        "10/11/10, and its image 10/00/10 to 10/01/11"]),
 ], ids=("leaves", "fixed-point", "order-commutation-definedness"))
 def test_involution_messages(capsys, monkeypatch, x, mate, expected):
     t = from_label("A2odd", 3)
@@ -527,8 +590,7 @@ def test_involution_messages(capsys, monkeypatch, x, mate, expected):
         return table
 
     monkeypatch.setattr(theorems, "shared_mates", wrong)
-    found = _failures(capsys, "prop46", "A2odd", 3, 1)
-    assert [d for d in found if f" at {x}" in d] == expected
+    assert _failures(capsys, "prop46", "A2odd", 3, 1) == expected
 
 
 def test_involution_names_a_commutation_failure_once_per_orbit(monkeypatch):
@@ -543,11 +605,59 @@ def test_involution_names_a_commutation_failure_once_per_orbit(monkeypatch):
     monkeypatch.setattr(theorems, "shared_mates", lambda t, k: mate)
     res = verify_involution_commutes(t, 1)
     assert not res.passed
-    named = {_id(t, d.split(" at ")[1].split(",")[0])
-             for d in res.discrepancies}
-    assert all(d.startswith("k=1: commutation") for d in res.discrepancies)
+    (note,) = res.discrepancies
+    assert note.startswith("k=1: commutation fails: ")
     # each orbit's statement is checked, and named, at its smaller member
-    assert named and all(x < mate[x] for x in named)
+    named = _id(t, note.split(" takes ")[1].split(" to ")[0])
+    assert named < mate[named]
+
+
+def test_the_involution_walk_writes_no_mate(monkeypatch):
+    # a failing walk reads the shared table of mates and leaves it as it was
+    t = from_label("A2odd", 3)
+    partition_ids.cache_clear()
+    table = theorems.shared_mates(t, 1)
+    before = array("I", table)
+    x, y = _id(t, "10/10/00"), _id(t, "10/00/10")
+    swapped = array("I", table)
+    swapped[x], swapped[y] = table[y], table[x]
+    swapped[table[x]], swapped[table[y]] = y, x
+    monkeypatch.setattr(theorems, "shared_mates", lambda t, k: swapped)
+    copy = array("I", swapped)
+    assert not verify_involution_commutes(t, 1).passed
+    assert swapped == copy
+    monkeypatch.undo()
+    assert verify_involution_commutes(t, 1).passed
+    assert theorems.shared_mates(t, 1) == before
+
+
+def test_a_mutant_outside_the_involution_domain_fails_without_raising(capsys, monkeypatch):
+    # rule 2 of A2odd at n = 4 with pf and pe of its first column swapped:
+    # elements of the shared components fall outside the involution's domain
+    t = from_label("A2odd", 4)
+    rs = crystal.rules(t)
+    m1, pf1, pe1, m2, pf2, pe2 = rs[2]
+    wrong = crystal.Rules([*rs[:2], (m1, pe1, pf1, m2, pf2, pe2), *rs[3:]])
+    monkeypatch.setattr(crystal, "rules", lambda t: wrong)
+    partition_ids.cache_clear()
+    try:
+        assert main(["verify", "--suite", "all", "--type", "A2odd", "--n", "4"]) == 1
+    finally:
+        partition_ids.cache_clear()
+    out, err = capsys.readouterr()
+    assert "internal_error" not in out + err
+    lines = out.split("\n")
+    assert lines[:7] == [f"[{name}] FAIL {t.label} n=4" for name in (
+        "prop41", "thm42", "thm58", "cor57", "lem44", "prop46", "deltaword")]
+    found = {f["suite"]: f["discrepancies"]
+             for f in json.loads("\n".join(lines[7:]))["failures"]}
+    assert found["prop41"] == ["representatives are not in pairwise distinct components",
+                               "4 components found, expected 6"]
+    # the k = 1 and k = 3 components are one here; each k reads its own
+    # mates, whichever suite asked first
+    for suite in ("thm58", "cor57", "prop46"):
+        assert "k=1: no mate for 10/00/00/00 (phi=1)" in found[suite]
+        assert "k=3: no mate for 00/10/10/10 (phi=3)" in found[suite]
 
 
 @pytest.mark.parametrize("token, move, expected", [
