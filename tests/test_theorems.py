@@ -270,16 +270,14 @@ def _commutation_note(t, witness):
 
 
 @RANDOM_RULES
-@given(rule_sets(), st.lists(st.integers(0, 63), min_size=2, max_size=6),
-       st.integers(1, 63))
-def test_morphism_walk_steps_as_step_e_and_step_f(rs, roots, shift):
+@given(rule_sets(), st.lists(st.integers(0, 63), min_size=2, max_size=6))
+def test_isomorphism_walk_steps_as_step_f_and_step_e(rs, roots):
+    # two components matched from their roots, as cor57 walks them
     tables = [crystal.steps(rule) for rule in rs]
-    ground = crystal.all_elements(WALKED)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(crystal, "rules", lambda t: rs)
         partition_ids.cache_clear()
         try:
-            # two components matched from their roots, as cor57 walks them
             p = partition_ids(WALKED)
             for a in roots:
                 for b in roots:
@@ -289,23 +287,41 @@ def test_morphism_walk_steps_as_step_e_and_step_f(rs, roots, shift):
                     assert verdict == oracle.isomorphic_components_by_steps(WALKED, a, b)
         finally:
             partition_ids.cache_clear()
-        # one class holding the whole ground set and a mate x ^ shift for
-        # every id, walked from the smaller member of each orbit as prop46
-        # walks it; every id has a mate, so nothing is written
-        whole = theorems.Partition(array("I", [0]) * len(ground), (array("I", ground),))
+
+
+@RANDOM_RULES
+@given(rule_sets(), st.integers(1, 63))
+def test_involution_walk_steps_as_step_e_and_step_f(rs, shift):
+    # one class holding the whole ground set, and a mate x ^ shift for
+    # every id, so that every step lands on an id with a mate
+    tables = [crystal.steps(rule) for rule in rs]
+    ground = crystal.all_elements(WALKED)
+    whole = theorems.Partition(array("I", [0]) * len(ground), (array("I", ground),))
+    mate = array("I", [x ^ shift for x in ground])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crystal, "rules", lambda t: rs)
         mp.setattr(theorems, "partition_ids", lambda t, rs=None: whole)
         mp.setattr(bicrystal, "varsigma", lambda t, k, x: x ^ shift)
-        mate = array("I", [x ^ shift for x in ground])
+        mp.setattr(theorems, "shared_mates", lambda t, k: mate)
+        # the walk from the smaller member of each orbit, as prop46 walks
+        # it; every id has a mate, so nothing is written
         todo = [x for x in ground if x < mate[x]]
         seeds = list(todo)
         witness = check_morphism(tables, tables, mate, todo)
         assert todo == seeds
         assert list(mate) == [x ^ shift for x in ground]
-        notes = oracle.involution_commutes_by_steps(WALKED, 1).discrepancies
-        if witness is None:
-            assert notes == []
-        else:
-            assert _commutation_note(WALKED, witness) == notes[0]
+        for k in (1, 2):
+            notes = oracle.involution_commutes_by_steps(WALKED, k).discrepancies
+            res = verify_involution_commutes(WALKED, k)
+            if witness is None:
+                assert notes == [] and res.passed and res.discrepancies == []
+            else:
+                assert _commutation_note(WALKED, witness) == \
+                    notes[0].replace(f"k={k}:", "k=1:", 1)
+                assert not res.passed
+                assert res.discrepancies == [
+                    f"k={k}: commutation fails: "
+                    f"{theorems.witness_text(WALKED, witness, mate)}"]
 
 
 def test_a_wrong_edge_fails_prop41_and_the_search_cross_check(capsys, monkeypatch):
