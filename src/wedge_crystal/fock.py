@@ -21,14 +21,15 @@ where they enter a linear system or multiply a rational vector.  Every
 linear system there is solved by one sparse row reduction over Q(qs)
 (``_rref``), fed with the nonzero entries only.
 
-The modified root operators of node i come from the blocks of the module,
-the connected components of the supports of e_i and f_i.  Since t_i is
-diagonal, each block is a U_q(sl_2)_i-submodule, and Kashiwara's operators
-act on the blocks separately.  Each block gets the kernel, string and
-change-of-basis steps on its own few members, once per block shape: blocks
-whose weights and entries agree after renumbering share one result.  The
-highest vectors need joint kernels over i = 1..n, which no block of one i
-contains, so they reduce whole weight spaces.
+The modified root operators of node i come from the blocks of the module:
+the cosets of the bits that e_i and f_i change (the union of r ^ c over
+their entries).  Each coset is closed under e_i and f_i by construction,
+and t_i is diagonal, so each block is a U_q(sl_2)_i-submodule, and
+Kashiwara's operators act on the blocks separately.  Each block gets the
+kernel, string and change-of-basis steps on its own few members, once per
+block shape: blocks whose weights and entries agree after renumbering share
+one result.  The highest vectors need joint kernels over i = 1..n, which no
+block of one i contains, so they reduce whole weight spaces.
 
 The relation checks build only the products they need.  When t_i and
 t_i^-1 are diagonal with one-term entries, t_i x t_i^-1 = qs^k x is decided
@@ -51,7 +52,7 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
     fundamental_weight_cl
 from .laurent import RationalScalar, format_poly, padd, pmul, qbinomial, \
     qfactorial, rational
-from .theorems import FORK_TYPE, MATRIX_TYPE, UnionFind, classically_highest, h_diamond
+from .theorems import FORK_TYPE, MATRIX_TYPE, classically_highest, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
@@ -588,27 +589,31 @@ def _solve(rows, cols) -> dict:
 def kashiwara_operators(rep: Representation, i: int):
     """(raising, lowering) modified root operators, extracted block by block.
 
-    t_i is diagonal, so each connected component of the supports of e_i and
-    f_i (a block) spans a U_q(sl_2)_i-submodule, and Kashiwara's operators
-    act on each block separately.  Each block is solved by
-    ``_block_operators``, once per block shape (``_block_shape``).
+    An entry (r, c) of e_i or f_i changes only the bits of r ^ c, so with
+    ``mask`` the union of those bits, each coset of ``mask`` (the ids x of
+    one x & ~mask, a block) is closed under e_i, f_i and the diagonal t_i.
+    It spans a U_q(sl_2)_i-submodule, and Kashiwara's operators act on each
+    block separately.  Each block is solved by ``_block_operators``, once
+    per block shape (``_block_shape``).
     """
     dim = rep.dim
     unit = rep.cd.qi_exp[i]
     w = [wt[i] for wt in rep.weights]
-    uf = UnionFind(dim)
+    mask = 0
     e_cols, f_cols = {}, {}  # col -> [(row, Z[qs^±1] entry)]
     for (r, c), v in rep.e[i].entries.items():
         if w[r] != w[c] + 2:
             raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
         e_cols.setdefault(c, []).append((r, v))
-        uf.union(r, c)
+        mask |= r ^ c
     for (r, c), v in rep.f[i].entries.items():
+        if w[r] != w[c] - 2:
+            raise ArithmeticError(f"lowering operator {i} is not weight-homogeneous")
         f_cols.setdefault(c, []).append((r, v))
-        uf.union(r, c)
+        mask |= r ^ c
     blocks = {}
     for x in range(dim):
-        blocks.setdefault(uf.find(x), []).append(x)
+        blocks.setdefault(x & ~mask, []).append(x)
 
     et = SparseOperator(dim)
     ft = SparseOperator(dim)

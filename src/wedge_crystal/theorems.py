@@ -15,7 +15,6 @@ map is a crystal morphism (two components of one k isomorphic, the
 order-two symmetry commuting with the operators) is one call of
 :func:`check_morphism`, which steps an id and its image at once and names
 the first step on which they disagree.
-:class:`UnionFind` stays for the block search of ``fock.kashiwara_operators``.
 """
 
 from __future__ import annotations
@@ -31,26 +30,6 @@ from .cartan import AffineType, DOUBLE, FORK, SINGLE, fundamental_weight_cl
 # the entry of an id-indexed image array (the mates of shared_mates, the map
 # that check_morphism grows) at an id that has no image
 UNSET = 0xFFFFFFFF
-
-
-class UnionFind:
-    """Disjoint sets over 0..size-1 with path compression."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while x != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 class SuiteResult:
@@ -486,7 +465,8 @@ def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
 def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResult:
     """The order-two symmetry commutes with every operator on its domain:
     one :func:`check_morphism` walk with the mates as the map, from the
-    smaller member of each orbit."""
+    smaller member of each orbit.  Members without a mate are noted and
+    start no walk; the walk then runs on a copy of the mates."""
     res = SuiteResult(name="prop46", passed=True)
     ks = suite_ks("prop46", t, k)
     tables = [crystal.steps(rule) for rule in crystal.rules(t)]
@@ -498,11 +478,14 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
         members = p.members[c]
         if not note_unmated(res, t, kk, members, mate):
             # a step of a member stays in the component, so with a mate
-            # missing there the walk would write one into the shared table
-            continue
+            # missing there the walk would write one into the shared table;
+            # it walks a copy instead
+            mate = array("I", mate)
         todo = []
         for x in members:
             m = mate[x]
+            if m == UNSET:
+                continue
             if label[m] != c:
                 res.note(f"k={kk}: involution leaves the component at "
                          f"{crystal.text(t, x)}")
@@ -554,8 +537,9 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
             level.discard(UNSET)
         comp = set(members)
         if comp != level:
+            diff = ", ".join(crystal.text(t, x) for x in sorted(comp ^ level)[:4])
             res.note(f"k={kk}: component has {len(comp)} elements, level set "
-                     f"{len(level)}; difference {sorted(comp ^ level)[:4]}")
+                     f"{len(level)}; difference {diff}")
     return res
 
 

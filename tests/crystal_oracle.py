@@ -10,7 +10,10 @@ The last section keeps the id kernel's own earlier forms, which the package
 replaced by table reads: the weight tested rule by rule, the text from
 ``format``, the component search and the classically-highest test through
 ``step_f``/``step_e``, and the ground-set passes of ``wedge_crystal.theorems``
-through ``step_f``/``step_e`` and ``UnionFind``.
+through ``step_f``/``step_e`` and ``UnionFind``.  The package has no
+union-find class any more: its partition is one sweep over a flat parent
+list, and the blocks of ``fock.kashiwara_operators`` are cosets of a bit
+mask, so ``UnionFind`` lives here with its last user.
 """
 
 from __future__ import annotations
@@ -457,12 +460,32 @@ def component_by_steps(t: AffineType, x: int) -> crystal.CrystalGraph:
     return crystal.CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))
 
 
+class UnionFind:
+    """Disjoint sets over 0..size-1 with path compression."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while x != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
 def partition_by_union_find(t: AffineType, rs=None) -> theorems.Partition:
     """Components of the ground set under the edges of the rules ``rs`` (all
     of ``crystal.rules(t)`` when None), one ``step_f`` call and one
     ``UnionFind.union`` per edge, numbered in order of their smallest id."""
     elements = crystal.all_elements(t)
-    uf = theorems.UnionFind(len(elements))
+    uf = UnionFind(len(elements))
     if rs is None:
         rs = crystal.rules(t)
     for x in elements:

@@ -182,6 +182,15 @@ def test_single_strings():
     assert ft.entries == {(1, 0): rational({1: 1})}
 
 
+def test_one_block_of_several_strings():
+    # e_0 and f_0 change both bits, so one coset holds every id: the 2-string
+    # b0, b3 and the singletons b1, b2 at weight 0
+    rep = _one_node([1, 0, 0, -1], {(0, 3): {1: 1}}, {(3, 0): {-1: 1}})
+    et, ft = _assert_same(rep, 0)
+    assert et.entries == {(0, 3): rational({1: 1})}
+    assert ft.entries == {(3, 0): rational({-1: 1})}
+
+
 def test_weight_zero_singleton_contributes_nothing():
     et, ft = _assert_same(_one_node([0], {}, {}), 0)
     assert not et.entries and not ft.entries
@@ -189,13 +198,17 @@ def test_weight_zero_singleton_contributes_nothing():
 
 @pytest.mark.parametrize("weights, e, f, message", [
     ([0, 0], {(0, 1): {0: 1}}, {}, "raising operator 0 is not weight-homogeneous"),
-    # f_0 sends b1 back to b0, so the string from b0 never ends
-    ([1, -1], {(0, 1): {0: 1}}, {(1, 0): {0: 1}, (0, 1): {0: 1}},
+    # f_0 b1 = b2 at weight -3, so the string from b0 runs past weight -1
+    ([1, -1, -3], {(0, 1): {0: 1}}, {(1, 0): {0: 1}, (2, 1): {0: 1}},
      "string through weight 1 does not close"),
     # a singleton at negative weight starts no string
     ([-2], {}, {}, "string count 0 does not fill dimension 1"),
     # a singleton at weight 2 starts a string through weights 0 and -2
     ([2], {}, {}, "weight space dimension mismatch"),
+    # f_0 b1 = b3 keeps the weight 0; e_0 alone is homogeneous
+    ([2, 0, -2, 0], {(0, 1): {1: 1, -1: 1}, (1, 2): {0: 1}},
+     {(1, 0): {0: 1}, (2, 1): {1: 1, -1: 1}, (3, 1): {0: 1}},
+     "lowering operator 0 is not weight-homogeneous"),
 ])
 def test_malformed_blocks_raise(weights, e, f, message):
     with pytest.raises(ArithmeticError, match=message):

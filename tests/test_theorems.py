@@ -87,10 +87,11 @@ def test_shared_component_checks_can_fail(monkeypatch):
     res = verify_sigma_characterization(t)
     assert not res.passed
     # the split-off id 10/10/00/10 (11) has sigma (0, 3), so it stays in the
-    # level set; its mate 131 is read only for members, so it leaves it
+    # level set; its mate 10/10/00/01 (131) is read only for members, so it
+    # leaves it
     assert crystal.text(t, 11) == "10/10/00/10"
-    assert res.discrepancies == [
-        "k=1: component has 15 elements, level set 15; difference [11, 131]"]
+    assert res.discrepancies == ["k=1: component has 15 elements, level set 15; "
+                                 "difference 10/10/00/10, 10/10/00/01"]
     res = verify_multiplicities(t)
     assert not res.passed
     assert res.discrepancies == ["k=1: quotient size 8 does not halve 15"]
@@ -645,6 +646,28 @@ def test_the_involution_walk_writes_no_mate(monkeypatch):
     monkeypatch.undo()
     assert verify_involution_commutes(t, 1).passed
     assert theorems.shared_mates(t, 1) == before
+
+
+def test_the_involution_walk_checks_the_members_with_mates(monkeypatch):
+    # one member without a mate no longer hides the commutation failure of
+    # two swapped orbits.  The walk reaches the member without a mate before
+    # it fails, and gives it an image in its copy; the table is unchanged
+    t = from_label("A2odd", 3)
+    table = theorems.shared_mates(t, 1)
+    x, y = _id(t, "10/10/00"), _id(t, "10/00/10")
+    patched = array("I", table)
+    patched[x], patched[y] = table[y], table[x]
+    patched[table[x]], patched[table[y]] = y, x
+    lone = _id(t, "10/11/01")
+    patched[lone] = UNSET
+    monkeypatch.setattr(theorems, "shared_mates", lambda t, k: patched)
+    copy = array("I", patched)
+    res = verify_involution_commutes(t, 1)
+    assert not res.passed
+    assert f"k=1: no mate for {crystal.text(t, lone)} " \
+           f"(phi={bicrystal.sigma(3, lone)[1]})" in res.discrepancies
+    assert any(note.startswith("k=1: commutation fails: ") for note in res.discrepancies)
+    assert patched == copy
 
 
 def test_a_mutant_outside_the_involution_domain_fails_without_raising(capsys, monkeypatch):
