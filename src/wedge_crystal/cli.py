@@ -221,15 +221,19 @@ def cmd_fock_verify(args) -> int:
     if not wanted:
         wanted = [name for name, (_, (applies, _)) in groups.items() if applies(t)]
     rep = fock.representation(t)
-    checks = [check for name in wanted for func in groups[name][0]
-              for check in getattr(fock, func)(rep)]
-    bad = [c for c in checks if not c.ok]
-    for c in checks:
-        print(f"[{'ok' if c.ok else 'FAIL'}] {c.name}")
-        if c.witness:
-            print(f"  witness: {c.witness}")
-    print(f"{len(checks) - len(bad)}/{len(checks)} checks passed "
-          f"for {t.label} n={t.n}")
+    # each group's verdicts go out as the group ends, so an internal fault
+    # in a later group leaves the earlier verdicts on stdout
+    total = bad = 0
+    for name in wanted:
+        checks = [check for func in groups[name][0] for check in getattr(fock, func)(rep)]
+        for c in checks:
+            print(f"[{'ok' if c.ok else 'FAIL'}] {c.name}")
+            if c.witness:
+                print(f"  witness: {c.witness}")
+        sys.stdout.flush()
+        total += len(checks)
+        bad += sum(not c.ok for c in checks)
+    print(f"{total - bad}/{total} checks passed for {t.label} n={t.n}")
     return 0 if not bad else 1
 
 

@@ -24,9 +24,10 @@ On matrices the two column rules combine by the tensor product rule.  Every
 column string has length at most one, so the rule compares truth values.
 
 That rule is written once, in :func:`step_e` and :func:`step_f`, and
-compiled per rule by :func:`steps` into tables that every walk reads: the
-weights and string lengths, the component search, and the ground-set passes
-and suite walks of ``theorems``.
+compiled per rule by :func:`steps` into tables that every other reader
+steps by: :func:`e_tilde`, :func:`f_tilde` and :func:`weyl_reflection`, the
+weights, the component search, the ground-set passes and suite walks of
+``theorems``, and the crystal match of ``fock``.
 """
 
 from __future__ import annotations
@@ -165,20 +166,17 @@ def _check(t: AffineType, x, i: int = 0):
 def e_tilde(t: AffineType, i: int, x):
     """Raising operator; returns the raised id or None."""
     _check(t, x, i)
-    return step_e(rules(t)[i], x)
+    mask, _, e = steps(rules(t)[i])
+    d = e[x & mask]
+    return x ^ d if d else None
 
 
 def f_tilde(t: AffineType, i: int, x):
     """Lowering operator, the inverse relation of :func:`e_tilde`."""
     _check(t, x, i)
-    return step_f(rules(t)[i], x)
-
-
-def string_lengths(t: AffineType, i: int, x):
-    """(epsilon_i, phi_i): how often the raising/lowering operator applies."""
-    _check(t, x, i)
-    mask, f, e = steps(rules(t)[i])
-    return _string(e, x & mask), _string(f, x & mask)
+    mask, f, _ = steps(rules(t)[i])
+    d = f[x & mask]
+    return x ^ d if d else None
 
 
 def weight(t: AffineType, x):
@@ -302,19 +300,22 @@ def component(t: AffineType, x: int) -> CrystalGraph:
 
 
 def weyl_reflection(t: AffineType, i: int, x: int) -> int:
-    """Simple-reflection action on a regular crystal element."""
+    """Simple-reflection action on a regular crystal element: |m| steps
+    down (m >= 0) or up (m < 0), m = phi_i - epsilon_i.
+
+    The steps and m come from the same tables, and m never exceeds the
+    string it walks (phi_i >= m, epsilon_i >= -m), so the walk cannot end
+    early.  It reads and toggles only the bits of the rule's mask.
+    """
     _check(t, x, i)
-    mask, table = rules(t).weights[i]
-    m = table[x & mask]
-    step = step_f if m >= 0 else step_e
-    rule = rules(t)[i]
-    y = x
+    rs = rules(t)
+    mask, f, e = steps(rs[i])
+    sub = x & mask
+    m = rs.weights[i][1][sub]
+    table = f if m >= 0 else e
     for _ in range(abs(m)):
-        y = step(rule, y)
-        if y is None:
-            kind = "lowering" if m >= 0 else "raising"
-            raise RuntimeError(f"{kind} string ended early at index {i}")
-    return y
+        sub ^= table[sub]
+    return x & ~mask | sub
 
 
 def weyl_action(t: AffineType, word, x: int) -> int:

@@ -29,7 +29,9 @@ Kashiwara's operators act on the blocks separately.  Each block gets the
 kernel, string and change-of-basis steps on its own few members, once per
 block shape: blocks whose weights and entries agree after renumbering share
 one result.  The highest vectors need joint kernels over i = 1..n, which no
-block of one i contains, so they reduce whole weight spaces.
+block of one i contains, so they reduce whole weight spaces: one scan of the
+basis per weight yields both that kernel and the crystal's
+classically-highest ids of the weight, kept together (``WeightSpace``).
 
 The relation checks build only the products they need.  When t_i and
 t_i^-1 are diagonal with one-term entries, t_i x t_i^-1 = qs^k x is decided
@@ -40,9 +42,9 @@ and t_i t_i^-1 = 1 are decided so, and two diagonal t's commute.  A t_i of
 any other form, or a failed entrywise test, falls back to the full product
 and ``_compare``, whose witness names the first differing entry.  The
 Serre sums are taken in Horner form (``_serre_sides``), and serre(i, j) and
-serre(j, i) share their two products.  Matrix products take a fast path
-when one factor is diagonal, multiply one-term entries inline, and index
-each generator once per ``verify_relations`` call.
+serre(j, i) share their two products.  Every matrix product is one
+kernel (``_product``), which multiplies one-term entries inline;
+``verify_relations`` indexes each generator as a left factor once.
 """
 
 from __future__ import annotations
@@ -100,15 +102,6 @@ class SparseOperator:
         return all(r == c for r, c in self.entries)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        a, b = self.entries, other.entries
-        # a diagonal factor scales rows or columns; entries of Z[qs^±1]
-        # have no zero divisors, so no product entry vanishes
-        if self.is_diagonal():
-            return SparseOperator(self.dim, {(r, c): pmul(a[r, r], v)
-                                             for (r, c), v in b.items() if (r, r) in a})
-        if other.is_diagonal():
-            return SparseOperator(self.dim, {(r, c): pmul(v, b[c, c])
-                                             for (r, c), v in a.items() if (c, c) in b})
         return _product(self.dim, _column_index(self), other)
 
     def transpose(self) -> "SparseOperator":
@@ -281,7 +274,7 @@ class Representation:
         self.t = t
         self.tinv = tinv
         self.weights = weights  # basis index (= crystal id) -> coroot pairings
-        # weight -> highest_vectors(rep, weight), filled on first use
+        # weight -> its WeightSpace, filled on first use by highest_vectors
         self.highest = {}
         # ("e" or "f", i) -> _rational_columns of that generator, filled on first use
         self.columns = {}
@@ -717,14 +710,14 @@ def _block_operators(shape, unit: int):
 
 
 def crystal_match(rep: Representation):
-    """Specialize the modified operators at qs = 0 and compare adjacency."""
+    """Specialize the modified operators at qs = 0 and compare adjacency
+    with the step tables of the crystal's rules."""
     t = rep.type
     checks = []
-    for i in range(t.n + 1):
+    for i, rule in enumerate(crys.rules(t)):
         et, ft = kashiwara_operators(rep, i)
-        rule = crys.rules(t)[i]
-        for name, op, step in ((f"e~({i})", et, crys.step_e),
-                               (f"f~({i})", ft, crys.step_f)):
+        mask, f, e = crys.steps(rule)
+        for name, op, table in ((f"e~({i})", et, e), (f"f~({i})", ft, f)):
             regular = all(v.is_regular for v in op.entries.values())
             checks.append(Check(f"{name} lattice-regular", regular))
             if not regular:
@@ -734,12 +727,9 @@ def crystal_match(rep: Representation):
                 val = v.eval_at_zero()
                 if val:
                     reduced[(r, c)] = val
-            adjacency = {}
-            for x in range(rep.dim):
-                y = step(rule, x)
-                if y is not None:
-                    adjacency[(y, x)] = 1
-            same = set(reduced) == set(adjacency) and \
+            adjacency = {(x ^ table[x & mask], x) for x in range(rep.dim)
+                         if table[x & mask]}
+            same = set(reduced) == adjacency and \
                 all(abs(v) == 1 for v in reduced.values())
             checks.append(Check(f"{name} matches the crystal adjacency", same))
             cols = {}
@@ -753,11 +743,24 @@ def crystal_match(rep: Representation):
 # -- highest vectors and the null-root shift -----------------------------------
 
 
-def highest_vectors(rep: Representation, weight_vec):
-    """Exact basis of the joint kernel of the classical raising operators.
+class WeightSpace(list):
+    """One weight space of the module: the exact basis of the joint kernel of
+    the classical raising operators e_1..e_n on it, as a list of vectors,
+    and in ``ids`` the crystal's classically-highest ids of that weight, in
+    id order.  The two sides of the highest-vector count."""
 
-    Computed once per weight and kept on ``rep``; callers must not mutate
-    the returned vectors.
+    __slots__ = ("ids",)
+
+    def __init__(self, kernel, ids):
+        super().__init__(kernel)
+        self.ids = ids
+
+
+def highest_vectors(rep: Representation, weight_vec) -> WeightSpace:
+    """The :class:`WeightSpace` of ``weight_vec``, from one scan of the basis.
+
+    Computed once per weight and kept in ``rep.highest``; callers must not
+    mutate it or its vectors.
     """
     weight_vec = tuple(weight_vec)
     if weight_vec in rep.highest:
@@ -769,14 +772,9 @@ def highest_vectors(rep: Representation, weight_vec):
         for c in idxs:
             for r, v in by_col.get(c, ()):
                 rows.setdefault((i, r), {})[c] = v
-    kernel = rep.highest[weight_vec] = _kernel(rows.values(), idxs)
-    return kernel
-
-
-def _highest_crystal_ids(rep: Representation, weight_vec):
-    weight_vec = tuple(weight_vec)
-    return classically_highest(crys.rules(rep.type),
-                               [x for x in range(rep.dim) if rep.weights[x] == weight_vec])
+    space = rep.highest[weight_vec] = WeightSpace(
+        _kernel(rows.values(), idxs), classically_highest(crys.rules(rep.type), idxs))
+    return space
 
 
 def normalized_highest_vector(rep: Representation, k: int, l: int):
@@ -784,18 +782,16 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
 
     Normalized so the coefficient at the canonical (k, l) basis state is 1
     and the coefficients at all other classically-highest states are 0;
-    checks that the remainder lies in qs times the lattice.
+    checks that the remainder lies in qs times the lattice.  When (k, l)
+    is not classically highest, or the kernel and the crystal count differ,
+    there is nothing to normalize: the vector is empty and the check fails.
     """
     t = rep.type
     target = crys.v_kl(t, k, l)
-    wvec = fundamental_weight_cl(t, k)
-    kernel = highest_vectors(rep, wvec)
-    ids = _highest_crystal_ids(rep, wvec)
-    if target not in ids:
-        raise ValueError(f"({k},{l}) does not index a classically-highest state")
-    if len(kernel) != len(ids):
-        raise ArithmeticError(
-            f"kernel dimension {len(kernel)} differs from crystal count {len(ids)}")
+    kernel = highest_vectors(rep, fundamental_weight_cl(t, k))
+    ids = kernel.ids
+    if target not in ids or len(kernel) != len(ids):
+        return {}, False, len(kernel)
     # solve for the coefficients lam_j of the kernel vectors: sum_j lam_j
     # v_j is 1 at the target and 0 at the other highest states
     unit = len(kernel)
@@ -820,14 +816,16 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
 def verify_highest(rep: Representation):
     """Per component (k, l) of a matrix type: the classical highest vectors
     at its weight are as many as the crystal's classically-highest states,
-    and the normalized highest vector at (k, l) exists."""
+    and the normalized highest vector at (k, l) exists.  A failed count
+    names both sides."""
     t = rep.type
     checks = []
     for (k, l) in h_diamond(t):
-        wvec = fundamental_weight_cl(t, k)
-        kernel = highest_vectors(rep, wvec)
-        checks.append(Check(f"highest-vector count at weight index {k}",
-                            len(kernel) == len(_highest_crystal_ids(rep, wvec))))
+        space = highest_vectors(rep, fundamental_weight_cl(t, k))
+        same = len(space) == len(space.ids)
+        witness = None if same else \
+            f"kernel dimension {len(space)}, crystal count {len(space.ids)}"
+        checks.append(Check(f"highest-vector count at weight index {k}", same, witness))
         _, ok, _ = normalized_highest_vector(rep, k, l)
         checks.append(Check(f"normalized highest vector ({k},{l})", ok))
     return checks
@@ -839,15 +837,14 @@ def apply_extremal_word(rep: Representation, vec: dict, elem, word):
     The divided power x^(k) = x^k / [k]_i! applies the integer power, then
     scales the rational vector by 1/[k]_i!.
     """
-    t = rep.type
     for i in word:
-        m = crys.weight(t, elem)[i]
+        m = rep.weights[elem][i]
         by_col = _columns(rep, "f" if m >= 0 else "e", i)
         for _ in range(abs(m)):
             vec = _apply_columns(by_col, vec)
         inv = rational(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()
         vec = {idx: v * inv for idx, v in vec.items()}
-        elem = crys.weyl_reflection(t, i, elem)
+        elem = crys.weyl_reflection(rep.type, i, elem)
     return vec, elem
 
 

@@ -8,7 +8,8 @@ and the tests compare the id kernel of ``wedge_crystal.crystal`` and
 
 The last section keeps the id kernel's own earlier forms, which the package
 replaced by table reads: the weight tested rule by rule, the text from
-``format``, the component search and the classically-highest test through
+``format``, the string lengths walked in the step tables, the component
+search, the simple reflection and the classically-highest test through
 ``step_f``/``step_e``, and the ground-set passes of ``wedge_crystal.theorems``
 through ``step_f``/``step_e`` and ``UnionFind``.  The package has no
 union-find class any more: its partition is one sweep over a flat parent
@@ -458,6 +459,35 @@ def component_by_steps(t: AffineType, x: int) -> crystal.CrystalGraph:
                 todo.append(y)
     edges.sort()
     return crystal.CrystalGraph(type=t, vertices=tuple(sorted(seen)), edges=tuple(edges))
+
+
+def string_lengths_of_id(t: AffineType, i: int, x: int):
+    """(epsilon_i, phi_i) of the id x, each string walked in the step
+    tables of rule i."""
+    mask, f, e = crystal.steps(crystal.rules(t)[i])
+    lengths = []
+    for table in (e, f):
+        sub, count = x & mask, 0
+        while table[sub]:
+            sub ^= table[sub]
+            count += 1
+        lengths.append(count)
+    return tuple(lengths)
+
+
+def weyl_reflection_by_steps(t: AffineType, i: int, x: int) -> int:
+    """Simple reflection of the id x: m = phi_i - epsilon_i from the rule
+    fields, then |m| calls of ``step_f`` (m >= 0) or ``step_e`` (m < 0)."""
+    rs = crystal.rules(t)
+    m = rule_weight_by_rules(rs, x)[i]
+    step = crystal.step_f if m >= 0 else crystal.step_e
+    y = x
+    for _ in range(abs(m)):
+        y = step(rs[i], y)
+        if y is None:
+            kind = "lowering" if m >= 0 else "raising"
+            raise RuntimeError(f"{kind} string ended early at index {i}")
+    return y
 
 
 class UnionFind:

@@ -395,6 +395,21 @@ def test_internal_fault_exits_3(capsys, monkeypatch):
                                     "message": "singular change of basis"}
 
 
+def test_a_fault_in_a_later_group_keeps_the_earlier_verdicts(capsys, monkeypatch):
+    from wedge_crystal import fock
+
+    argv = ("fock", "verify", "--type", "B1", "--n", "2")
+    relations = run(capsys, *argv, "--relations")[1].splitlines()[:-1]
+
+    def broken(rep, indices=None):
+        raise ArithmeticError("singular change of basis")
+
+    monkeypatch.setattr(fock, "crystal_match", broken)
+    code, out, err = run(capsys, *argv, "--relations", "--crystal-match")
+    assert code == 3 and relations and out.splitlines() == relations
+    assert json.loads(err)["message"] == "singular change of basis"
+
+
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # a delta word asked of a type that has none is an internal fault, not
     # bad input

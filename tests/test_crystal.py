@@ -175,7 +175,7 @@ def test_kernel_matches_oracle_exhaustively(token, n):
             for op, ref in ((e_tilde, oracle.e_tilde), (f_tilde, oracle.f_tilde)):
                 y = ref(t, i, obj)
                 assert op(t, i, x) == (None if y is None else y.id)
-            assert crystal.string_lengths(t, i, x) == oracle.string_lengths(t, i, obj)
+            assert oracle.string_lengths_of_id(t, i, x) == oracle.string_lengths(t, i, obj)
         assert weight(t, x) == oracle.weight(t, obj)
 
 
@@ -308,6 +308,22 @@ def test_weyl_reflection_involutive(token):
             assert crystal.weyl_reflection(t, i, y) == x
             if weight(t, x)[i] == 0:
                 assert y == x
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_weyl_reflection_matches_the_stepping_oracle(token, n):
+    # the involution test above also passes the identity map; this one pins
+    # the image and its weight: weight(S_i x) = weight(x) - weight(x)_i
+    # times column i of the Cartan matrix
+    t = from_label(token, n)
+    a = cartan_data(t).a
+    for x in all_elements(t):
+        w = weight(t, x)
+        for i in range(n + 1):
+            y = crystal.weyl_reflection(t, i, x)
+            assert y == oracle.weyl_reflection_by_steps(t, i, x)
+            assert weight(t, y) == tuple(w[j] - w[i] * a[j][i] for j in range(n + 1))
 
 
 def test_delta_word_examples():

