@@ -219,13 +219,18 @@ def cmd_fock_verify(args) -> int:
         if not applies(t):
             raise UsageError(f"{_flag(name)} needs {kind}")
     if not wanted:
-        wanted = [name for name, (_, (applies, _)) in groups.items() if applies(t)]
-    rep = fock.representation(t)
+        wanted = [name for name, (_, (applies, _), _) in groups.items() if applies(t)]
+    fac = fock.factors(t)
+    rep = None  # the expanded module, built for the first group that reads it
     # each group's verdicts go out as the group ends, so an internal fault
     # in a later group leaves the earlier verdicts on stdout
     total = bad = 0
     for name in wanted:
-        checks = [check for func in groups[name][0] for check in getattr(fock, func)(rep)]
+        funcs, _, expanded = groups[name]
+        if expanded and rep is None:
+            rep = fock.expand(fac)
+        module = rep if expanded else fac
+        checks = [check for func in funcs for check in getattr(fock, func)(module)]
         for c in checks:
             print(f"[{'ok' if c.ok else 'FAIL'}] {c.name}")
             if c.witness:

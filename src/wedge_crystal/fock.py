@@ -7,19 +7,46 @@ carry the usual fermionic phase over the lower bits; the diagonal gauge
 operators carry the deformation parameter of the middle nodes.
 
 On top of the raw operators the module builds the full generator family
-for any of the seven labelings, checks the defining relations and the
-bilinear-form compatibility exactly, extracts the modified root operators
-block by block, and compares their specialization at qs = 0 with the
-combinatorial crystal.
+for any of the seven labelings, checks the defining relations, the weights
+and the bilinear-form compatibility exactly, extracts the modified root
+operators block by block, and compares their specialization at qs = 0 with
+the combinatorial crystal.
 
-Every generator entry is a signed monomial in qs, so generator matrices
-hold integer Laurent polynomials (``laurent`` dicts, Z[qs^±1]) and the
-relation checks, stated with their denominators cleared, never leave that
-ring.  Only the extraction of modified root operators and highest vectors
-works in Q(qs): it converts a generator's entries with ``laurent.rational``
-where they enter a linear system or multiply a rational vector.  Every
-linear system there is solved by one sparse row reduction over Q(qs)
-(``_rref``), fed with the nonzero entries only.
+Every generator is built once in factored form (``Factored``, collected in
+``Factors``): a sum of terms (M, P, L), where L is a local matrix on the
+bits of the support M, at most 4 of them, and every other bit x contributes
+only the sign character (-1)^popcount(x & P), with P disjoint from M.
+``psi`` creates at one bit with the phase over the lower bits as its
+character, ``omega`` is diagonal in one bit, ``parity`` is a pure character
+and ``kron`` puts the second copy's bits above the first's, so every step of
+the construction stays factored.  The product of two terms is one term: an
+entry (r_A, c_A) meets (r_B, c_B) when c_A and r_B agree on M_A & M_B, lands
+at (r_A | r_B & ~M_A, c_B | c_A & ~M_B) with the sign (-1)^(|r_B & P_A| +
+|c_A & P_B|), and the result has support M_A | M_B and character
+(P_A ^ P_B) & ~(M_A | M_B).
+
+The relation, weight and polarization checks read the factors alone, at
+any rank.  Distinct characters of the bits outside U, the union of the
+supports of a sum, are linearly independent over Z[qs^±1], so a sum vanishes
+exactly when, for each such character, its terms extended to U vanish
+(``_compare``); the cost of a check does not depend on n.  A failed check's
+witness is the least differing global entry, with both sides there.  When
+t_i and t_i^-1 are single diagonal terms with one-term entries,
+t_i x t_i^-1 = qs^k x is decided on each local entry of x as one integer
+test, without a product: that is exact because Z[qs^±1] is an integral
+domain; a failed test falls back to the product and ``_compare``.  The
+crystal weights come from the rule tables per submask.
+
+The groups that read a global basis (the crystal match, the highest
+vectors and the null-root shift) work on ``expand``: the factors written
+out as ``SparseOperator``s over all 2^n or 4^n states.  Every generator
+entry is a signed monomial in qs, so generator matrices hold integer
+Laurent polynomials (``laurent`` dicts, Z[qs^±1]).  Only the extraction of
+modified root operators and highest vectors works in Q(qs): it converts a
+generator's entries with ``laurent.rational`` where they enter a linear
+system or multiply a rational vector.  Every linear system there is solved
+by one sparse row reduction over Q(qs) (``_rref``), fed with the nonzero
+entries only.
 
 The modified root operators of node i come from the blocks of the module:
 the cosets of the bits that e_i and f_i change (the union of r ^ c over
@@ -32,19 +59,6 @@ one result.  The highest vectors need joint kernels over i = 1..n, which no
 block of one i contains, so they reduce whole weight spaces: one scan of the
 basis per weight yields both that kernel and the crystal's
 classically-highest ids of the weight, kept together (``WeightSpace``).
-
-The relation checks build only the products they need.  When t_i and
-t_i^-1 are diagonal with one-term entries, t_i x t_i^-1 = qs^k x is decided
-on each nonzero entry x[r, c] as one integer test: the exponents of t_i[r]
-and t_i^-1[c] sum to k and their coefficients multiply to 1.  That is exact,
-because Z[qs^±1] is an integral domain and x[r, c] cancels; the gauge checks
-and t_i t_i^-1 = 1 are decided so, and two diagonal t's commute.  A t_i of
-any other form, or a failed entrywise test, falls back to the full product
-and ``_compare``, whose witness names the first differing entry.  The
-Serre sums are taken in Horner form (``_serre_sides``), and serre(i, j) and
-serre(j, i) share their two products.  Every matrix product is one
-kernel (``_product``), which multiplies one-term entries inline;
-``verify_relations`` indexes each generator as a left factor once.
 """
 
 from __future__ import annotations
@@ -63,9 +77,10 @@ _ONE = RationalScalar.one()
 class SparseOperator:
     """Sparse exact matrix acting on column vectors indexed 0..dim-1.
 
-    Entries map (row, col) to a nonzero Z[qs^±1] dict.  The modified root
+    Entries map (row, col) to a nonzero Z[qs^±1] dict; ``Factored.expand``
+    lets entries share one dict, so none is changed in place.  The modified root
     operators of ``kashiwara_operators`` share this shape with
-    ``RationalScalar`` entries; those are read and compared, not multiplied.
+    ``RationalScalar`` entries.
     """
 
     __slots__ = ("dim", "entries")
@@ -74,97 +89,12 @@ class SparseOperator:
         self.dim = dim
         self.entries = {rc: v for rc, v in entries.items() if v} if entries else {}
 
-    @classmethod
-    def identity(cls, dim: int) -> "SparseOperator":
-        return cls.diagonal(dim, [{0: 1}] * dim)
-
-    @classmethod
-    def diagonal(cls, dim: int, values) -> "SparseOperator":
-        return cls(dim, {(i, i): v for i, v in enumerate(values)})
-
-    def scale(self, p: dict) -> "SparseOperator":
-        return SparseOperator(self.dim, {rc: pmul(v, p) for rc, v in self.entries.items()})
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        e = dict(self.entries)
-        for rc, v in other.entries.items():
-            e[rc] = padd(e[rc], v) if rc in e else v
-        return SparseOperator(self.dim, e)
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator(self.dim, {rc: {k: -s for k, s in v.items()}
-                                         for rc, v in self.entries.items()})
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-other)
-
-    def is_diagonal(self) -> bool:
-        return all(r == c for r, c in self.entries)
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        return _product(self.dim, _column_index(self), other)
-
-    def transpose(self) -> "SparseOperator":
-        return SparseOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
-
     def __eq__(self, other):
         return isinstance(other, SparseOperator) and self.dim == other.dim \
             and self.entries == other.entries
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={len(self.entries)})"
-
-
-def _column_index(op: SparseOperator) -> dict:
-    """col -> [(row, entry, exponent, coefficient)]: ``op`` as a left factor.
-    Exponent and coefficient are None unless the entry has one term."""
-    by_col = {}
-    for (r, c), v in op.entries.items():
-        e, s = next(iter(v.items())) if len(v) == 1 else (None, None)
-        by_col.setdefault(c, []).append((r, v, e, s))
-    return by_col
-
-
-def _product(dim: int, by_col: dict, right: SparseOperator) -> SparseOperator:
-    """The left factor given by its ``_column_index`` times ``right``; the
-    product of two one-term entries is inline."""
-    out = {}
-    for (r2, c2), v2 in right.entries.items():
-        col = by_col.get(r2)
-        if col is None:
-            continue
-        e2, s2 = next(iter(v2.items())) if len(v2) == 1 else (None, None)
-        for r1, v1, e1, s1 in col:
-            acc = out.get((r1, c2))
-            if e1 is None or e2 is None:
-                p = pmul(v1, v2)
-                out[r1, c2] = p if acc is None else padd(acc, p)
-            elif acc is None:
-                out[r1, c2] = {e1 + e2: s1 * s2}
-            else:
-                # in place: every accumulator is a dict built here
-                e = e1 + e2
-                s = acc.get(e, 0) + s1 * s2
-                if s:
-                    acc[e] = s
-                else:
-                    del acc[e]
-    return SparseOperator(dim, out)
-
-
-def kron(low: SparseOperator, high: SparseOperator) -> SparseOperator:
-    """Tensor product; the first factor owns the low index bits."""
-    d = low.dim
-    high_terms = [(r2 * d, c2 * d, v2, *(next(iter(v2.items())) if len(v2) == 1
-                                         else (None, None)))
-                  for (r2, c2), v2 in high.entries.items()]
-    out = {}
-    for (r1, c1), v1 in low.entries.items():
-        e1, s1 = next(iter(v1.items())) if len(v1) == 1 else (None, None)
-        for r2, c2, v2, e2, s2 in high_terms:
-            out[r1 + r2, c1 + c2] = pmul(v1, v2) if e1 is None or e2 is None \
-                else {e1 + e2: s1 * s2}
-    return SparseOperator(d * high.dim, out)
 
 
 def _rational_columns(op: SparseOperator) -> dict:
@@ -190,6 +120,176 @@ def _apply_columns(by_col: dict, vec: dict) -> dict:
     return out
 
 
+# -- factored operators --------------------------------------------------------
+
+
+def _neg(v: dict) -> dict:
+    return {e: -s for e, s in v.items()}
+
+
+def _accumulate(acc: dict, key, v: dict):
+    """acc[key] += v, with a zero sum removed."""
+    if key in acc:
+        s = padd(acc[key], v)
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+    else:
+        acc[key] = v
+
+
+def _spectators(free: int, char: int) -> list:
+    """(s, odd) for every submask s of ``free`` in ascending order, with odd
+    the parity of popcount(s & char)."""
+    out = [(0, 0)]
+    s = (-free) & free
+    while s:
+        out.append((s, (s & char).bit_count() & 1))
+        s = (s - free) & free
+    return out
+
+
+class Factored:
+    """A sum of factored terms acting on the states of ``bits`` bits.
+
+    ``terms`` maps (M, P) to L, a dict {(r, c): nonzero Z[qs^±1] entry}
+    over submasks r, c of M.  The term's global entry at (r | s, c | s), for
+    every s outside M, is L[r, c] (-1)^popcount(s & P); every other global
+    entry is 0.  Terms of one (M, P) are merged, and no L is empty.  ``==``
+    compares the terms; ``_compare`` decides whether the matrices agree.
+    """
+
+    __slots__ = ("bits", "terms")
+
+    def __init__(self, bits: int, terms=None):
+        self.bits = bits
+        self.terms = {k: local for k, local in terms.items() if local} if terms else {}
+
+    @classmethod
+    def identity(cls, bits: int) -> "Factored":
+        return cls(bits, {(0, 0): {(0, 0): {0: 1}}})
+
+    def scale(self, p: dict) -> "Factored":
+        return Factored(self.bits, {k: {rc: pmul(v, p) for rc, v in local.items()}
+                                    for k, local in self.terms.items()})
+
+    def __add__(self, other: "Factored") -> "Factored":
+        terms = {k: dict(local) for k, local in self.terms.items()}
+        for k, local in other.terms.items():
+            acc = terms.setdefault(k, {})
+            for rc, v in local.items():
+                _accumulate(acc, rc, v)
+        return Factored(self.bits, terms)
+
+    def __neg__(self) -> "Factored":
+        return Factored(self.bits, {k: {rc: _neg(v) for rc, v in local.items()}
+                                    for k, local in self.terms.items()})
+
+    def __sub__(self, other: "Factored") -> "Factored":
+        return self + (-other)
+
+    def __matmul__(self, other: "Factored") -> "Factored":
+        terms = {}
+        for (ma, pa), la in self.terms.items():
+            for (mb, pb), lb in other.terms.items():
+                both = ma & mb
+                by_row = {}  # right entries by their row on the shared bits
+                for (rb, cb), vb in lb.items():
+                    by_row.setdefault(rb & both, []).append((rb, cb, vb))
+                m = ma | mb
+                acc = terms.setdefault((m, (pa ^ pb) & ~m), {})
+                for (ra, ca), va in la.items():
+                    for rb, cb, vb in by_row.get(ca & both, ()):
+                        p = pmul(va, vb)
+                        if ((rb & pa).bit_count() + (ca & pb).bit_count()) & 1:
+                            p = _neg(p)
+                        _accumulate(acc, (ra | rb & ~ma, cb | ca & ~mb), p)
+        return Factored(self.bits, terms)
+
+    def transpose(self) -> "Factored":
+        return Factored(self.bits, {k: {(c, r): v for (r, c), v in local.items()}
+                                    for k, local in self.terms.items()})
+
+    def is_diagonal(self) -> bool:
+        return all(r == c for local in self.terms.values() for r, c in local)
+
+    def entry(self, row: int, col: int) -> dict:
+        """The global entry at (row, col)."""
+        total = {}
+        for (m, p), local in self.terms.items():
+            v = local.get((row & m, col & m)) if not (row ^ col) & ~m else None
+            if v:
+                total = padd(total, _neg(v) if (row & p).bit_count() & 1 else v)
+        return total
+
+    def expand(self) -> SparseOperator:
+        """The global matrix: each local entry at every spectator state."""
+        full = (1 << self.bits) - 1
+        out = {}
+        for (m, p), local in self.terms.items():
+            spect = _spectators(full & ~m, p)
+            for (r, c), v in local.items():
+                signed = (v, _neg(v))
+                for s, odd in spect:
+                    _accumulate(out, (r | s, c | s), signed[odd])
+        return SparseOperator(1 << self.bits, out)
+
+    def __eq__(self, other):
+        return isinstance(other, Factored) and self.bits == other.bits \
+            and self.terms == other.terms
+
+    def __repr__(self):
+        return f"Factored(bits={self.bits}, terms={len(self.terms)})"
+
+
+def kron(low: Factored, high: Factored) -> Factored:
+    """Tensor product; the first factor owns the low index bits."""
+    k = low.bits
+    return Factored(k + high.bits, {
+        (m1 | m2 << k, p1 | p2 << k): {(r1 | r2 << k, c1 | c2 << k): pmul(v1, v2)
+                                       for (r1, c1), v1 in l1.items()
+                                       for (r2, c2), v2 in l2.items()}
+        for (m1, p1), l1 in low.terms.items() for (m2, p2), l2 in high.terms.items()})
+
+
+def _least_spectator(coeffs: dict) -> int:
+    """The least s with sum over chi of coeffs[chi] (-1)^popcount(s & chi)
+    nonzero, for a nonzero such sum of distinct characters chi.
+
+    Only the bits of the characters matter.  On the s made of their lowest
+    j bits the sum vanishes exactly when the coefficients of each restricted
+    character sum to 0.  If it does not vanish at s = 0, the least s is 0.
+    Otherwise its top bit b is the j-th lowest for the least j at which the
+    sum does not vanish, and the rest of s is the least s for the sum
+    shifted by b, over the bits below b.
+    """
+    union = 0
+    for chi in coeffs:
+        union |= chi
+    bits = []
+    while union:
+        bits.append(union & -union)
+        union &= union - 1
+    s = 0
+    while True:
+        low = 0
+        for j in range(len(bits) + 1):
+            if j:
+                low |= bits[j - 1]
+            sums = {}
+            for chi, v in coeffs.items():
+                sums[chi & low] = padd(sums.get(chi & low, {}), v)
+            if any(sums.values()):
+                break
+        if not j:
+            return s
+        top = bits[j - 1]
+        s |= top
+        coeffs = {chi: _neg(v) if chi & top else v for chi, v in coeffs.items()}
+        del bits[j - 1:]
+
+
 # -- fermionic generators ------------------------------------------------------
 
 
@@ -197,36 +297,27 @@ def _bit(n: int, j: int) -> int:
     return n - j
 
 
-def _phase(state: int, bit: int) -> int:
-    mask = (1 << bit) - 1
-    return -1 if bin(state & mask).count("1") % 2 else 1
-
-
-def psi(n: int, j: int) -> SparseOperator:
+def psi(n: int, j: int) -> Factored:
     """Creation at row j-bar with the fermionic phase over lower bits."""
-    b = _bit(n, j)
-    return SparseOperator(1 << n, {(s | (1 << b), s): {0: _phase(s, b)}
-                                   for s in range(1 << n) if not (s >> b) & 1})
+    b = 1 << _bit(n, j)
+    return Factored(n, {(b, b - 1): {(b, 0): {0: 1}}})
 
 
-def psi_star(n: int, j: int) -> SparseOperator:
+def psi_star(n: int, j: int) -> Factored:
     """Annihilation at row j-bar, adjoint phase convention."""
-    b = _bit(n, j)
-    return SparseOperator(1 << n, {(s & ~(1 << b), s): {0: _phase(s, b)}
-                                   for s in range(1 << n) if (s >> b) & 1})
+    b = 1 << _bit(n, j)
+    return Factored(n, {(b, b - 1): {(0, b): {0: 1}}})
 
 
-def omega(n: int, j: int, unit: int, power: int = 1) -> SparseOperator:
+def omega(n: int, j: int, unit: int, power: int = 1) -> Factored:
     """Diagonal gauge operator: qs^(unit*power*(m_j - 1)) on each state."""
-    b = _bit(n, j)
-    return SparseOperator.diagonal(
-        1 << n, [{unit * power * (((s >> b) & 1) - 1): 1} for s in range(1 << n)])
+    b = 1 << _bit(n, j)
+    return Factored(n, {(b, 0): {(0, 0): {-unit * power: 1}, (b, b): {0: 1}}})
 
 
-def parity(n: int) -> SparseOperator:
+def parity(n: int) -> Factored:
     """Fermion parity (-1)^(occupation count), the Klein twist factor."""
-    return SparseOperator.diagonal(
-        1 << n, [{0: -1 if bin(s).count("1") % 2 else 1} for s in range(1 << n)])
+    return Factored(n, {(0, (1 << n) - 1): {(0, 0): {0: 1}}})
 
 
 class Check:
@@ -237,7 +328,7 @@ class Check:
     def __init__(self, name: str, ok: bool, witness: str | None = None):
         self.name = name
         self.ok = ok
-        self.witness = witness  # the first differing entry of a failed identity
+        self.witness = witness  # the least differing entry of a failed identity
 
     def __eq__(self, other):
         if other.__class__ is not Check:
@@ -245,17 +336,58 @@ class Check:
         return (self.name, self.ok, self.witness) == (other.name, other.ok, other.witness)
 
 
-def _compare(name: str, lhs: SparseOperator, rhs: SparseOperator) -> Check:
-    """The matrix identity lhs = rhs; a failure names its first differing entry."""
-    a, b = lhs.entries, rhs.entries
-    if a == b:
+def _compare(name: str, lhs: Factored, rhs: Factored) -> Check:
+    """The identity lhs = rhs, decided per character of the bits outside the
+    union U of the supports; a failure names its least differing global
+    entry and both sides there."""
+    if lhs.terms == rhs.terms:
         return Check(name, True)
-    rc = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    return Check(name, False, f"entry {rc}: lhs {format_poly(a.get(rc, {}))}, "
-                              f"rhs {format_poly(b.get(rc, {}))}")
+    diff = lhs - rhs
+    union = 0
+    for m, _ in diff.terms:
+        union |= m
+    by_char = {}  # character outside U -> {(r, c) on U: entry}
+    for (m, p), local in diff.terms.items():
+        acc = by_char.setdefault(p & ~union, {})
+        spect = _spectators(union & ~m, p)
+        for (r, c), v in local.items():
+            signed = (v, _neg(v))
+            for s, odd in spect:
+                _accumulate(acc, (r | s, c | s), signed[odd])
+    by_entry = {}  # (r, c) on U -> {character: entry}
+    for chi, acc in by_char.items():
+        for rc, v in acc.items():
+            by_entry.setdefault(rc, {})[chi] = v
+    if not by_entry:
+        return Check(name, True)
+
+    def least(r, c, coeffs):
+        s = _least_spectator(coeffs)
+        return r | s, c | s
+
+    rc = min(least(r, c, coeffs) for (r, c), coeffs in by_entry.items())
+    return Check(name, False, f"entry {rc}: lhs {format_poly(lhs.entry(*rc))}, "
+                              f"rhs {format_poly(rhs.entry(*rc))}")
 
 
 # -- the generator family ------------------------------------------------------
+
+
+class Factors:
+    """The generators of one labeling as ``Factored`` sums on ``bits`` bits:
+    n on the wedge space, 2n on its square."""
+
+    __slots__ = ("type", "cd", "bits", "e", "f", "t", "tinv")
+
+    def __init__(self, type: AffineType, cd: CartanData, bits: int, e: dict, f: dict,
+                 t: dict, tinv: dict):
+        self.type = type
+        self.cd = cd
+        self.bits = bits
+        self.e = e
+        self.f = f
+        self.t = t
+        self.tinv = tinv
 
 
 class Representation:
@@ -330,8 +462,8 @@ def _end_ops(t: AffineType, cd: CartanData, i: int):
             kron(o, o).scale(q), kron(oi, oi).scale(qinv))
 
 
-def representation(t: AffineType) -> Representation:
-    """Generator matrices realizing the labeling on the appropriate space."""
+def factors(t: AffineType) -> Factors:
+    """The generators realizing the labeling, in factored form."""
     cd = cartan_data(t)
     n = t.n
     unit = cd.qi_exp[1]
@@ -350,94 +482,105 @@ def representation(t: AffineType) -> Representation:
         p = parity(n)
         e1, f1, t1, ti1 = ops[target]
         ops[target] = (e1 @ p, p @ f1, t1, ti1)
-    dim = 1 << n
+    bits = n
     if t.doubled:
-        ident = SparseOperator.identity(dim)
+        ident = Factored.identity(n)
         squared = {i for i, shape in zip((0, n), t.diamond) if shape == DOUBLE}
         for i in range(n + 1):
             if i not in squared:
                 e1, f1, t1, ti1 = ops[i]
                 ops[i] = (kron(e1, ti1) + kron(ident, e1), kron(f1, ident) + kron(t1, f1),
                           kron(t1, t1), kron(ti1, ti1))
-        dim *= dim
+        bits *= 2
     e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
-    weights = crys.rule_weights(crys.rules(t), range(dim))
-    return Representation(type=t, cd=cd, dim=dim,
+    return Factors(type=t, cd=cd, bits=bits, e=e, f=f, t=tt, tinv=tinv)
+
+
+def expand(fac: Factors) -> Representation:
+    """The generators as global matrices over all 2^bits basis states, with
+    the crystal weight of every state."""
+    dim = 1 << fac.bits
+    e, f, tt, tinv = ({i: op.expand() for i, op in ops.items()}
+                      for ops in (fac.e, fac.f, fac.t, fac.tinv))
+    weights = crys.rule_weights(crys.rules(fac.type), range(dim))
+    return Representation(type=fac.type, cd=fac.cd, dim=dim,
                           e=e, f=f, t=tt, tinv=tinv, weights=weights)
 
 
-# -- relation and polarization suites -----------------------------------------
+def representation(t: AffineType) -> Representation:
+    """Generator matrices realizing the labeling on the appropriate space."""
+    return expand(factors(t))
 
 
-def _monomial_diagonal(op: SparseOperator):
-    """(exponents, coefficients) by row when ``op`` is diagonal with a
-    one-term entry on every row, else None."""
-    ent = op.entries
-    if len(ent) != op.dim:
+# -- relation, weight and polarization suites, on the factors -----------------
+
+
+def _monomial_diagonal(op: Factored):
+    """(M, {local state: (exponent, coefficient)}) when ``op`` is one
+    diagonal term without character and with a one-term entry on every
+    local state, else None."""
+    if len(op.terms) != 1:
         return None
-    exps, coeffs = [], []
-    for r in range(op.dim):
-        v = ent.get((r, r))
-        if v is None or len(v) != 1:
+    ((m, p), local), = op.terms.items()
+    if p or len(local) != 1 << m.bit_count():
+        return None
+    values = {}
+    for (r, c), v in local.items():
+        if r != c or len(v) != 1:
             return None
-        (e, s), = v.items()
-        exps.append(e)
-        coeffs.append(s)
-    return exps, coeffs
+        (values[r],) = v.items()
+    return m, values
 
 
-def _conjugates_to(d, dinv, x: SparseOperator, k: int) -> bool:
-    """d x dinv = qs^k x for monomial diagonals d, dinv, decided entrywise:
+def _conjugates_to(d, dinv, x: Factored, k: int) -> bool:
+    """d x dinv = qs^k x for one-term diagonals d, dinv, decided per local
+    entry of x and state of the bits of d and dinv outside its support:
     d[r] x[r, c] dinv[c] = qs^k x[r, c] exactly when the exponents of d[r]
     and dinv[c] sum to k and their coefficients multiply to 1, since x[r, c]
-    is nonzero and Z[qs^±1] has no zero divisors."""
-    (de, ds), (ie, is_) = d, dinv
-    return all(de[r] + ie[c] == k and ds[r] * is_[c] == 1 for r, c in x.entries)
+    is nonzero and Z[qs^±1] has no zero divisors.  True proves the
+    identity; False may come from entries that cancel across terms."""
+    (dm, dv), (im, iv) = d, dinv
+    for (m, _), local in x.terms.items():
+        spect = _spectators((dm | im) & ~m, 0)
+        for r, c in local:
+            for s, _ in spect:
+                (de, ds), (ie, is_) = dv[(r | s) & dm], iv[(c | s) & im]
+                if de + ie != k or ds * is_ != 1:
+                    return False
+    return True
 
 
-def _serre_sides(mul, xi: SparseOperator, ij: SparseOperator, b: SparseOperator,
-                 m: int, unit: int):
-    """Two sides whose difference is sum_k (-1)^k [m choose k] x_i^k x_j x_i^(m-k),
-    from ij = x_i x_j and b = x_j x_i.
-
-    Horner form over B_r = x_j x_i^r: with T_m = B_0 and
-    T_k = [m choose k] B_(m-k) - x_i T_(k+1), the sum is T_0 = B_m - x_i T_1,
-    returned as (B_m, x_i T_1); no power of x_i and no product with the
-    identity is formed.  ``mul`` multiplies two operators.
-    """
-    rhs = ij
-    for k in range(m - 1, 0, -1):
-        rhs = mul(xi, b.scale(qbinomial(m, k, unit)) - rhs)
-        b = b @ xi
-    return b, rhs
+def _serre(xi: Factored, xj: Factored, m: int, unit: int) -> Factored:
+    """sum_k (-1)^k [m choose k] x_i^k x_j x_i^(m-k)."""
+    powers = [Factored.identity(xi.bits)]
+    for _ in range(m):
+        powers.append(powers[-1] @ xi)
+    total = Factored(xi.bits)
+    for k in range(m + 1):
+        term = (powers[k] @ xj @ powers[m - k]).scale(qbinomial(m, k, unit))
+        total = total + term if k % 2 == 0 else total - term
+    return total
 
 
-def verify_relations(rep: Representation):
-    """Every defining relation, checked as an exact matrix identity.
+def verify_relations(fac: Factors):
+    """Every defining relation, checked as an exact identity of factors.
 
     Denominators are cleared, so every check stays in Z[qs^±1]: the string
     identity reads (q_i - q_i^-1)[e_i, f_i] = t_i - t_i^-1, and the Serre
     relation sum_k (-1)^k [m choose k]_i x_i^k x_j x_i^(m-k) = 0 for x = e, f
     and m = 1 - a_ij.
 
-    When t_i and t_i^-1 are diagonal with one-term entries, t_i t_i^-1 = 1
-    and the gauge identities are decided entrywise (``_conjugates_to``), and
-    two diagonal t's commute.  Otherwise, and for every entrywise failure,
-    both sides are built as products and ``_compare`` names the witness, so
-    the output is that of the product form.
+    When t_i and t_i^-1 are one-term diagonals, t_i t_i^-1 = 1 and the gauge
+    identities are decided entrywise (``_conjugates_to``), and two diagonal
+    t's commute.  Otherwise, and for every entrywise failure, both sides are
+    built as products and ``_compare`` names the witness.
     """
-    idx = range(rep.type.n + 1)
-    ident = SparseOperator.identity(rep.dim)
-    zero = SparseOperator(rep.dim)
-    a, qe = rep.cd.a, rep.cd.qi_exp
-    t, tinv = rep.t, rep.tinv
+    idx = range(fac.type.n + 1)
+    ident = Factored.identity(fac.bits)
+    zero = Factored(fac.bits)
+    a, qe = fac.cd.a, fac.cd.qi_exp
+    t, tinv = fac.t, fac.tinv
     mono = {i: (_monomial_diagonal(t[i]), _monomial_diagonal(tinv[i])) for i in idx}
-    # every e and f enters many products as the left factor: index it once
-    index = {id(op): _column_index(op) for ops in (rep.e, rep.f) for op in ops.values()}
-
-    def mul(left, right):
-        by_col = index.get(id(left))
-        return left @ right if by_col is None else _product(rep.dim, by_col, right)
 
     def conjugation(name, i, x, k):
         """The check t_i x t_i^-1 = qs^k x, entrywise where it can be."""
@@ -453,58 +596,50 @@ def verify_relations(rep: Representation):
                for i in idx for j in idx if j > i]
     for i in idx:
         for j in idx:
-            checks.append(conjugation(f"t({i}) e({j}) gauge", i, rep.e[j], qe[i] * a[i][j]))
-            checks.append(conjugation(f"t({i}) f({j}) gauge", i, rep.f[j], -qe[i] * a[i][j]))
+            checks.append(conjugation(f"t({i}) e({j}) gauge", i, fac.e[j], qe[i] * a[i][j]))
+            checks.append(conjugation(f"t({i}) f({j}) gauge", i, fac.f[j], -qe[i] * a[i][j]))
     for i in idx:
         for j in idx:
-            ef, fe = mul(rep.e[i], rep.f[j]), mul(rep.f[j], rep.e[i])
+            ef, fe = fac.e[i] @ fac.f[j], fac.f[j] @ fac.e[i]
             if i == j:
                 checks.append(_compare(f"[e({i}), f({i})] string identity",
                                        (ef - fe).scale({qe[i]: 1, -qe[i]: -1}),
                                        t[i] - tinv[i]))
             else:
                 checks.append(_compare(f"[e({i}), f({j})] = 0", ef, fe))
-    # serre(i, j) and serre(j, i) share the products x_i x_j and x_j x_i:
-    # both are checked at (i, j), i < j, and serre(j, i) waits for its turn.
-    # A sum is zero exactly when its two sides are equal, since entries are
-    # stored without zero terms; only a failure forms the sum, for its witness
-    pending = {}
     for i in idx:
         for j in idx:
-            if j == i:
-                continue
-            for x, ops in (("e", rep.e), ("f", rep.f)):
-                if j > i:
-                    ij, ji = mul(ops[i], ops[j]), mul(ops[j], ops[i])
-                    for p, q, pq, qp in ((i, j, ij, ji), (j, i, ji, ij)):
-                        lhs, rhs = _serre_sides(mul, ops[p], pq, qp, 1 - a[p][q], qe[p])
-                        name = f"serre {x}({p},{q})"
-                        pending[x, p, q] = Check(name, True) if lhs == rhs else \
-                            _compare(name, lhs - rhs, zero)
-                checks.append(pending.pop((x, i, j)))
+            if j != i:
+                for x, ops in (("e", fac.e), ("f", fac.f)):
+                    checks.append(_compare(f"serre {x}({i},{j})",
+                                           _serre(ops[i], ops[j], 1 - a[i][j], qe[i]),
+                                           zero))
     return checks
 
 
-def verify_weight_compatibility(rep: Representation):
-    """Diagonal gauge eigenvalues match the crystal weights exactly."""
-    qe = rep.cd.qi_exp
-    return [_compare(f"t({i}) eigenvalues match weights", rep.t[i],
-                     SparseOperator.diagonal(rep.dim, [{qe[i] * w[i]: 1}
-                                                       for w in rep.weights]))
-            for i in range(rep.type.n + 1)]
+def verify_weight_compatibility(fac: Factors):
+    """Diagonal gauge eigenvalues match the crystal weights exactly: t_i is
+    compared with qs^(q_i-exponent * w_i) on the submasks of rule i."""
+    qe = fac.cd.qi_exp
+    return [_compare(f"t({i}) eigenvalues match weights", fac.t[i],
+                     Factored(fac.bits, {(mask, 0): {(s, s): {qe[i] * w: 1}
+                                                     for s, w in table.items()}}))
+            for i, (mask, table) in enumerate(crys.rules(fac.type).weights)]
 
 
-def verify_polarization(rep: Representation):
+def verify_polarization(fac: Factors):
     """Transpose against the twisted antiautomorphism, entry by entry."""
     checks = []
-    for i in range(rep.type.n + 1):
-        qinv = {-rep.cd.qi_exp[i]: 1}
-        checks.append(_compare(f"polarization e({i})", rep.e[i].transpose(),
-                               (rep.tinv[i] @ rep.f[i]).scale(qinv)))
-        checks.append(_compare(f"polarization f({i})", rep.f[i].transpose(),
-                               (rep.t[i] @ rep.e[i]).scale(qinv)))
-        checks.append(_compare(f"polarization t({i})", rep.t[i].transpose(), rep.t[i]))
+    for i in range(fac.type.n + 1):
+        qinv = {-fac.cd.qi_exp[i]: 1}
+        checks.append(_compare(f"polarization e({i})", fac.e[i].transpose(),
+                               (fac.tinv[i] @ fac.f[i]).scale(qinv)))
+        checks.append(_compare(f"polarization f({i})", fac.f[i].transpose(),
+                               (fac.t[i] @ fac.e[i]).scale(qinv)))
+        checks.append(_compare(f"polarization t({i})", fac.t[i].transpose(), fac.t[i]))
     return checks
+
+
 
 
 # -- exact sparse row reduction ------------------------------------------------
@@ -900,12 +1035,13 @@ def verify_null_shift(rep: Representation):
 
 _ANY_TYPE = (lambda t: True, "any type")
 
-# check group -> (the functions that run it, in order; the type it needs),
-# in the order of the CLI's flags, which run every applicable group by default
+# check group -> (the functions that run it, in order; the type it needs;
+# whether they read the expanded module rather than the factors), in the
+# order of the CLI's flags, which run every applicable group by default
 GROUPS = {
-    "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE),
-    "polarization": (("verify_polarization",), _ANY_TYPE),
-    "crystal_match": (("crystal_match",), _ANY_TYPE),
-    "highest": (("verify_highest",), MATRIX_TYPE),
-    "deltaword": (("verify_null_shift",), FORK_TYPE),
+    "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE, False),
+    "polarization": (("verify_polarization",), _ANY_TYPE, False),
+    "crystal_match": (("crystal_match",), _ANY_TYPE, True),
+    "highest": (("verify_highest",), MATRIX_TYPE, True),
+    "deltaword": (("verify_null_shift",), FORK_TYPE, True),
 }

@@ -6,12 +6,17 @@ entry is a canonical ``RationalScalar``, the string identity divides by
 q_i - q_i^-1 and the Serre relations use divided powers.  The tests compare
 the integer formulation against it, entry for entry and verdict for verdict.
 
-Next to its Clifford relation checks sit the same checks on the integer
-operators of ``fock`` (``integer_clifford_relation_checks``), which the
-package itself never runs, and the integer relation checks in their
-all-products form (``integer_verify_relations``, with the sparse kernel
-``integer_product``), which ``fock.verify_relations`` replaced by entrywise
-diagonal tests and Horner-form Serre sums.
+Next to its Clifford relation checks sit the same checks on the factored
+integer operators of ``fock`` (``integer_clifford_relation_checks``), which
+the package itself never runs.  The integer generators and their relation,
+weight and polarization checks in global form follow: ``fock`` built and
+checked whole 2^n- or 4^n-dimensional matrices (``GlobalOperator``, with
+its one sparse product kernel ``_product``) before it factored them, and
+the tests compare its factors and factored verdicts with them
+(``global_representation``, ``GLOBAL_CHECKS``).  Last come the integer
+relation checks in their all-products form (``integer_verify_relations``,
+with the sparse kernel ``integer_product``), which the global checks
+replaced by entrywise diagonal tests and Horner-form Serre sums.
 
 It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
 before its sparse row reduction, which the tests compare with it on random
@@ -607,14 +612,14 @@ def clifford_relation_checks(n: int, unit: int):
 
 
 def integer_clifford_relation_checks(n: int, unit: int):
-    """The same checks on ``fock``'s integer operators, as ``fock.Check``s.
+    """The same checks on ``fock``'s factored integer operators, as
+    ``fock.Check``s.
 
     The diagonal identities are multiplied through by q - q^-1, so every
     check stays in Z[qs^±1].
     """
     checks = []
-    dim = 1 << n
-    ident, zero = fock.SparseOperator.identity(dim), fock.SparseOperator(dim)
+    ident, zero = fock.Factored.identity(n), fock.Factored(n)
     qdiff = {unit: 1, -unit: -1}
     compare = fock._compare
     for a in range(1, n + 1):
@@ -875,10 +880,341 @@ def verify_polarization(rep: Representation):
     return checks
 
 
+# -- the integer generators and relation checks in global form ------------------
+
+
+class GlobalOperator(fock.SparseOperator):
+    """A ``fock.SparseOperator`` with the global arithmetic that ``fock``
+    used before its generators were factored: every product is one sparse
+    kernel (``_product``) that multiplies one-term entries inline."""
+
+    __slots__ = ()
+
+    @classmethod
+    def identity(cls, dim: int) -> "GlobalOperator":
+        return cls.diagonal(dim, [{0: 1}] * dim)
+
+    @classmethod
+    def diagonal(cls, dim: int, values) -> "GlobalOperator":
+        return cls(dim, {(i, i): v for i, v in enumerate(values)})
+
+    def scale(self, p: dict) -> "GlobalOperator":
+        return GlobalOperator(self.dim, {rc: pmul(v, p) for rc, v in self.entries.items()})
+
+    def __add__(self, other: fock.SparseOperator) -> "GlobalOperator":
+        e = dict(self.entries)
+        for rc, v in other.entries.items():
+            e[rc] = padd(e[rc], v) if rc in e else v
+        return GlobalOperator(self.dim, e)
+
+    def __neg__(self) -> "GlobalOperator":
+        return GlobalOperator(self.dim, {rc: {k: -s for k, s in v.items()}
+                                         for rc, v in self.entries.items()})
+
+    def __sub__(self, other: fock.SparseOperator) -> "GlobalOperator":
+        return self + (-other)
+
+    def is_diagonal(self) -> bool:
+        return all(r == c for r, c in self.entries)
+
+    def __matmul__(self, other: fock.SparseOperator) -> "GlobalOperator":
+        return _product(self.dim, _column_index(self), other)
+
+    def transpose(self) -> "GlobalOperator":
+        return GlobalOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
+
+
+def _column_index(op: fock.SparseOperator) -> dict:
+    """col -> [(row, entry, exponent, coefficient)]: ``op`` as a left factor.
+    Exponent and coefficient are None unless the entry has one term."""
+    by_col = {}
+    for (r, c), v in op.entries.items():
+        e, s = next(iter(v.items())) if len(v) == 1 else (None, None)
+        by_col.setdefault(c, []).append((r, v, e, s))
+    return by_col
+
+
+def _product(dim: int, by_col: dict, right: fock.SparseOperator) -> GlobalOperator:
+    """The left factor given by its ``_column_index`` times ``right``; the
+    product of two one-term entries is inline."""
+    out = {}
+    for (r2, c2), v2 in right.entries.items():
+        col = by_col.get(r2)
+        if col is None:
+            continue
+        e2, s2 = next(iter(v2.items())) if len(v2) == 1 else (None, None)
+        for r1, v1, e1, s1 in col:
+            acc = out.get((r1, c2))
+            if e1 is None or e2 is None:
+                p = pmul(v1, v2)
+                out[r1, c2] = p if acc is None else padd(acc, p)
+            elif acc is None:
+                out[r1, c2] = {e1 + e2: s1 * s2}
+            else:
+                # in place: every accumulator is a dict built here
+                e = e1 + e2
+                s = acc.get(e, 0) + s1 * s2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    return GlobalOperator(dim, out)
+
+
+def global_kron(low: fock.SparseOperator, high: fock.SparseOperator) -> GlobalOperator:
+    """Tensor product; the first factor owns the low index bits."""
+    d = low.dim
+    return GlobalOperator(d * high.dim, {(r1 + r2 * d, c1 + c2 * d): pmul(v1, v2)
+                                         for (r1, c1), v1 in low.entries.items()
+                                         for (r2, c2), v2 in high.entries.items()})
+
+
+def _integer_phase(state: int, bit: int) -> int:
+    return -1 if bin(state & ((1 << bit) - 1)).count("1") % 2 else 1
+
+
+def global_psi(n: int, j: int) -> GlobalOperator:
+    """Creation at row j-bar with the fermionic phase over lower bits."""
+    b = _bit(n, j)
+    return GlobalOperator(1 << n, {(s | (1 << b), s): {0: _integer_phase(s, b)}
+                                   for s in range(1 << n) if not (s >> b) & 1})
+
+
+def global_psi_star(n: int, j: int) -> GlobalOperator:
+    """Annihilation at row j-bar, adjoint phase convention."""
+    b = _bit(n, j)
+    return GlobalOperator(1 << n, {(s & ~(1 << b), s): {0: _integer_phase(s, b)}
+                                   for s in range(1 << n) if (s >> b) & 1})
+
+
+def global_omega(n: int, j: int, unit: int, power: int = 1) -> GlobalOperator:
+    """Diagonal gauge operator: qs^(unit*power*(m_j - 1)) on each state."""
+    b = _bit(n, j)
+    return GlobalOperator.diagonal(
+        1 << n, [{unit * power * (((s >> b) & 1) - 1): 1} for s in range(1 << n)])
+
+
+def global_parity(n: int) -> GlobalOperator:
+    """Fermion parity (-1)^(occupation count), the Klein twist factor."""
+    return GlobalOperator.diagonal(
+        1 << n, [{0: -1 if bin(s).count("1") % 2 else 1} for s in range(1 << n)])
+
+
+def _global_end_ops(t: AffineType, cd: CartanData, i: int):
+    """Raw (e, f, t, t^-1) of end node i, for i = 0 or n, as matrices."""
+    n = t.n
+    unit = cd.qi_exp[1]
+    if i == 0:
+        shape, a, b, up, down, s = t.end0, 1, 2, global_psi, global_psi_star, 1
+    else:
+        shape, a, b, up, down, s = t.end_n, n, n - 1, global_psi_star, global_psi, -1
+    q, qinv = {s * cd.qi_exp[i]: 1}, {-s * cd.qi_exp[i]: 1}
+    omega = global_omega
+    if shape == SINGLE:
+        return (up(n, a), down(n, a),
+                omega(n, a, unit, s).scale(q), omega(n, a, unit, -s).scale(qinv))
+    if shape == FORK:
+        return (up(n, a) @ up(n, b), down(n, b) @ down(n, a),
+                (omega(n, a, unit, s) @ omega(n, b, unit, s)).scale(q),
+                (omega(n, a, unit, -s) @ omega(n, b, unit, -s)).scale(qinv))
+    o, oi = omega(n, a, unit, 2 * s), omega(n, a, unit, -2 * s)
+    return (global_kron(up(n, a), up(n, a)), global_kron(down(n, a), down(n, a)),
+            global_kron(o, o).scale(q), global_kron(oi, oi).scale(qinv))
+
+
+def global_representation(t: AffineType) -> fock.Representation:
+    """``fock.representation`` as it was before the factors: every step of
+    the construction on whole 2^n- or 4^n-dimensional matrices."""
+    cd = cartan_data(t)
+    n = t.n
+    unit = cd.qi_exp[1]
+    ops = {0: _global_end_ops(t, cd, 0)}
+    for i in range(1, n):
+        ops[i] = (global_psi(n, i + 1) @ global_psi_star(n, i),
+                  global_psi(n, i) @ global_psi_star(n, i + 1),
+                  global_omega(n, i + 1, unit) @ global_omega(n, i, unit, power=-1),
+                  global_omega(n, i + 1, unit, power=-1) @ global_omega(n, i, unit))
+    ops[n] = _global_end_ops(t, cd, n)
+    target = fock._klein_target(t)
+    if target is not None:
+        p = global_parity(n)
+        e1, f1, t1, ti1 = ops[target]
+        ops[target] = (e1 @ p, p @ f1, t1, ti1)
+    dim = 1 << n
+    if t.doubled:
+        ident = GlobalOperator.identity(dim)
+        squared = {i for i, shape in zip((0, n), t.diamond) if shape == DOUBLE}
+        kron = global_kron
+        for i in range(n + 1):
+            if i not in squared:
+                e1, f1, t1, ti1 = ops[i]
+                ops[i] = (kron(e1, ti1) + kron(ident, e1), kron(f1, ident) + kron(t1, f1),
+                          kron(t1, t1), kron(ti1, ti1))
+        dim *= dim
+    e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
+    weights = crys.rule_weights(crys.rules(t), range(dim))
+    return fock.Representation(type=t, cd=cd, dim=dim, e=e, f=f, t=tt, tinv=tinv,
+                               weights=weights)
+
+
+def global_module(rep: fock.Representation) -> fock.Representation:
+    """``rep`` with its generators as ``GlobalOperator``s (entries shared)."""
+    e, f, tt, tinv = ({i: GlobalOperator(rep.dim, op.entries) for i, op in ops.items()}
+                      for ops in (rep.e, rep.f, rep.t, rep.tinv))
+    return fock.Representation(type=rep.type, cd=rep.cd, dim=rep.dim, e=e, f=f, t=tt,
+                               tinv=tinv, weights=rep.weights)
+
+
+def global_compare(name: str, lhs: fock.SparseOperator, rhs: fock.SparseOperator
+                   ) -> fock.Check:
+    """The matrix identity lhs = rhs; a failure names its first differing entry."""
+    a, b = lhs.entries, rhs.entries
+    if a == b:
+        return fock.Check(name, True)
+    rc = min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    return fock.Check(name, False, f"entry {rc}: lhs {laurent.format_poly(a.get(rc, {}))}, "
+                                   f"rhs {laurent.format_poly(b.get(rc, {}))}")
+
+
+def _monomial_diagonal(op: fock.SparseOperator):
+    """(exponents, coefficients) by row when ``op`` is diagonal with a
+    one-term entry on every row, else None."""
+    ent = op.entries
+    if len(ent) != op.dim:
+        return None
+    exps, coeffs = [], []
+    for r in range(op.dim):
+        v = ent.get((r, r))
+        if v is None or len(v) != 1:
+            return None
+        (e, s), = v.items()
+        exps.append(e)
+        coeffs.append(s)
+    return exps, coeffs
+
+
+def _conjugates_to(d, dinv, x: fock.SparseOperator, k: int) -> bool:
+    """d x dinv = qs^k x for monomial diagonals d, dinv, decided entrywise:
+    d[r] x[r, c] dinv[c] = qs^k x[r, c] exactly when the exponents of d[r]
+    and dinv[c] sum to k and their coefficients multiply to 1, since x[r, c]
+    is nonzero and Z[qs^±1] has no zero divisors."""
+    (de, ds), (ie, is_) = d, dinv
+    return all(de[r] + ie[c] == k and ds[r] * is_[c] == 1 for r, c in x.entries)
+
+
+def _serre_sides(mul, xi: GlobalOperator, ij: GlobalOperator, b: GlobalOperator,
+                 m: int, unit: int):
+    """Two sides whose difference is sum_k (-1)^k [m choose k] x_i^k x_j x_i^(m-k),
+    from ij = x_i x_j and b = x_j x_i.
+
+    Horner form over B_r = x_j x_i^r: with T_m = B_0 and
+    T_k = [m choose k] B_(m-k) - x_i T_(k+1), the sum is T_0 = B_m - x_i T_1,
+    returned as (B_m, x_i T_1); no power of x_i and no product with the
+    identity is formed.  ``mul`` multiplies two operators.
+    """
+    rhs = ij
+    for k in range(m - 1, 0, -1):
+        rhs = mul(xi, b.scale(qbinomial(m, k, unit)) - rhs)
+        b = b @ xi
+    return b, rhs
+
+
+def global_verify_relations(rep: fock.Representation):
+    """``fock.verify_relations`` on whole matrices, as it was before the
+    factors: entrywise tests for one-term diagonal t's, Horner-form Serre
+    sums, and both full products with ``global_compare`` otherwise."""
+    rep = global_module(rep)
+    idx = range(rep.type.n + 1)
+    ident = GlobalOperator.identity(rep.dim)
+    zero = GlobalOperator(rep.dim)
+    a, qe = rep.cd.a, rep.cd.qi_exp
+    t, tinv = rep.t, rep.tinv
+    compare = global_compare
+    mono = {i: (_monomial_diagonal(t[i]), _monomial_diagonal(tinv[i])) for i in idx}
+    # every e and f enters many products as the left factor: index it once
+    index = {id(op): _column_index(op) for ops in (rep.e, rep.f) for op in ops.values()}
+
+    def mul(left, right):
+        by_col = index.get(id(left))
+        return left @ right if by_col is None else _product(rep.dim, by_col, right)
+
+    def conjugation(name, i, x, k):
+        d, dinv = mono[i]
+        if d is not None and dinv is not None and _conjugates_to(d, dinv, x, k):
+            return fock.Check(name, True)
+        return compare(name, t[i] @ x @ tinv[i], x.scale({k: 1}))
+
+    checks = [conjugation(f"t({i}) t({i})^-1 = 1", i, ident, 0) for i in idx]
+    checks += [fock.Check(f"t({i}) t({j}) commute", True)
+               if t[i].is_diagonal() and t[j].is_diagonal()
+               else compare(f"t({i}) t({j}) commute", t[i] @ t[j], t[j] @ t[i])
+               for i in idx for j in idx if j > i]
+    for i in idx:
+        for j in idx:
+            checks.append(conjugation(f"t({i}) e({j}) gauge", i, rep.e[j], qe[i] * a[i][j]))
+            checks.append(conjugation(f"t({i}) f({j}) gauge", i, rep.f[j], -qe[i] * a[i][j]))
+    for i in idx:
+        for j in idx:
+            ef, fe = mul(rep.e[i], rep.f[j]), mul(rep.f[j], rep.e[i])
+            if i == j:
+                checks.append(compare(f"[e({i}), f({i})] string identity",
+                                      (ef - fe).scale({qe[i]: 1, -qe[i]: -1}),
+                                      t[i] - tinv[i]))
+            else:
+                checks.append(compare(f"[e({i}), f({j})] = 0", ef, fe))
+    # serre(i, j) and serre(j, i) share the products x_i x_j and x_j x_i:
+    # both are checked at (i, j), i < j, and serre(j, i) waits for its turn
+    pending = {}
+    for i in idx:
+        for j in idx:
+            if j == i:
+                continue
+            for x, ops in (("e", rep.e), ("f", rep.f)):
+                if j > i:
+                    ij, ji = mul(ops[i], ops[j]), mul(ops[j], ops[i])
+                    for p, q, pq, qp in ((i, j, ij, ji), (j, i, ji, ij)):
+                        lhs, rhs = _serre_sides(mul, ops[p], pq, qp, 1 - a[p][q], qe[p])
+                        name = f"serre {x}({p},{q})"
+                        pending[x, p, q] = fock.Check(name, True) if lhs == rhs else \
+                            compare(name, lhs - rhs, zero)
+                checks.append(pending.pop((x, i, j)))
+    return checks
+
+
+def global_verify_weight_compatibility(rep: fock.Representation):
+    """Diagonal gauge eigenvalues match the crystal weights of every state."""
+    qe = rep.cd.qi_exp
+    return [global_compare(f"t({i}) eigenvalues match weights", rep.t[i],
+                           GlobalOperator.diagonal(rep.dim, [{qe[i] * w[i]: 1}
+                                                             for w in rep.weights]))
+            for i in range(rep.type.n + 1)]
+
+
+def global_verify_polarization(rep: fock.Representation):
+    """Transpose against the twisted antiautomorphism, on whole matrices."""
+    rep = global_module(rep)
+    checks = []
+    for i in range(rep.type.n + 1):
+        qinv = {-rep.cd.qi_exp[i]: 1}
+        checks.append(global_compare(f"polarization e({i})", rep.e[i].transpose(),
+                                     (rep.tinv[i] @ rep.f[i]).scale(qinv)))
+        checks.append(global_compare(f"polarization f({i})", rep.f[i].transpose(),
+                                     (rep.t[i] @ rep.e[i]).scale(qinv)))
+        checks.append(global_compare(f"polarization t({i})", rep.t[i].transpose(),
+                                     rep.t[i]))
+    return checks
+
+
+# the global form of each check function that reads the factors
+GLOBAL_CHECKS = {"verify_relations": global_verify_relations,
+                 "verify_weight_compatibility": global_verify_weight_compatibility,
+                 "verify_polarization": global_verify_polarization}
+
+
 # -- the integer relation checks in product form --------------------------------
 
 
-def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> fock.SparseOperator:
+def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> GlobalOperator:
     """lhs @ rhs by the general sparse kernel ``fock`` used before its
     diagonal and one-term fast paths: every entry product through ``pmul``."""
     by_col = {}
@@ -889,19 +1225,20 @@ def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> fock.
         for r1, v1 in by_col.get(r2, ()):
             p = pmul(v1, v2)
             out[r1, c2] = padd(out[r1, c2], p) if (r1, c2) in out else p
-    return fock.SparseOperator(lhs.dim, out)
+    return GlobalOperator(lhs.dim, out)
 
 
 def integer_verify_relations(rep: fock.Representation):
-    """``fock.verify_relations`` as it was before its entrywise t and gauge
-    checks and its Horner-form Serre sums: every check builds both sides as
-    full matrix products in Z[qs^±1] and compares them with ``fock._compare``,
+    """``global_verify_relations`` without its entrywise t and gauge checks
+    and its Horner-form Serre sums: every check builds both sides as full
+    matrix products in Z[qs^±1] and compares them with ``global_compare``,
     so the (name, ok, witness) lists of the two must agree."""
+    rep = global_module(rep)
     mul = integer_product
-    compare = fock._compare
+    compare = global_compare
     idx = range(rep.type.n + 1)
-    ident = fock.SparseOperator.identity(rep.dim)
-    zero = fock.SparseOperator(rep.dim)
+    ident = GlobalOperator.identity(rep.dim)
+    zero = GlobalOperator(rep.dim)
     a, qe = rep.cd.a, rep.cd.qi_exp
     t, tinv = rep.t, rep.tinv
     checks = [compare(f"t({i}) t({i})^-1 = 1", mul(t[i], tinv[i]), ident) for i in idx]

@@ -107,11 +107,11 @@ def test_criterion_9_symbolic_module():
     start = time.time()
     for token in ALL_LABELS:
         for n in (2, 3, 4, 5):
-            rep = fock.representation(from_label(token, n))
-            ok = ok and all(c.ok for c in fock.verify_relations(rep))
-            ok = ok and all(c.ok for c in fock.verify_weight_compatibility(rep))
-            ok = ok and all(c.ok for c in fock.verify_polarization(rep))
-            ok = ok and all(c.ok for c in fock.crystal_match(rep))
+            fac = fock.factors(from_label(token, n))
+            ok = ok and all(c.ok for c in fock.verify_relations(fac))
+            ok = ok and all(c.ok for c in fock.verify_weight_compatibility(fac))
+            ok = ok and all(c.ok for c in fock.verify_polarization(fac))
+            ok = ok and all(c.ok for c in fock.crystal_match(fock.expand(fac)))
     elapsed = time.time() - start
     _report(9, ok, f"defining relations, weights, polarization, lattice regularity "
                    f"and crystal match for n=2..5, all types ({elapsed:.1f}s)")

@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import time
+from pathlib import Path
 
 import pytest
 
@@ -459,18 +462,22 @@ def test_verify_prints_each_verdict_as_its_suite_ends(capsys, monkeypatch):
 def test_fock_failure_prints_witness(capsys, monkeypatch):
     from wedge_crystal import fock
 
-    build = fock.representation
+    build = fock.factors
 
     def mutated(t):
-        rep = build(t)
-        rc = min(rep.f[1].entries)
-        rep.f[1].entries[rc] = {e: -v for e, v in rep.f[1].entries[rc].items()}
-        return rep
+        fac = build(t)
+        op = fac.f[1]
+        key = min(op.terms)
+        local = dict(op.terms[key])
+        rc = min(local)
+        local[rc] = {e: -v for e, v in local[rc].items()}
+        fac.f[1] = fock.Factored(op.bits, {**op.terms, key: local})
+        return fac
 
     code, out, _ = run(capsys, "fock", "verify", "--type", "C1", "--n", "2",
                        "--polarization")
     assert code == 0 and "witness" not in out
-    monkeypatch.setattr(fock, "representation", mutated)
+    monkeypatch.setattr(fock, "factors", mutated)
     code, out, _ = run(capsys, "fock", "verify", "--type", "C1", "--n", "2",
                        "--polarization")
     assert code == 1
@@ -479,6 +486,36 @@ def test_fock_failure_prints_witness(capsys, monkeypatch):
     assert lines[at + 1].startswith("  witness: entry (")
     assert all(lines[k - 1].startswith("[FAIL]")
                for k, line in enumerate(lines) if line.startswith("  witness:"))
+
+
+def _perfbench_oracles():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracles", Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("token", ("B1", "C1", "D1", "A2even", "A2evenDagger",
+                                   "A2odd", "D2"))
+def test_relations_at_rank_12_read_only_the_factors(capsys, monkeypatch, token):
+    from wedge_crystal import fock
+
+    def refuse(*args):
+        raise AssertionError("the relation groups expanded the module")
+
+    monkeypatch.setattr(fock, "expand", refuse)
+    monkeypatch.setattr(fock.Factored, "expand", refuse)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fock", "verify", "--relations", "--polarization",
+                         "--type", token, "--n", "12")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    total = _perfbench_oracles().fock_check_count(token, 12, ("relations", "polarization"))
+    *checks, summary = out.splitlines()
+    assert len(checks) == total and all(line.startswith("[ok] ") for line in checks)
+    assert summary == f"{total}/{total} checks passed for {from_label(token, 12).label} n=12"
+    assert elapsed < 10, elapsed
 
 
 # the function behind each --suite choice, in the order argparse lists them

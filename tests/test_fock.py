@@ -1,12 +1,14 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fock_oracle as oracle
 from wedge_crystal.cartan import ALL_LABELS, from_label, \
     fundamental_weight_cl
 from wedge_crystal import crystal, fock, theorems
-from wedge_crystal.fock import (SparseOperator, crystal_match, highest_vectors,
+from wedge_crystal.fock import (Factored, crystal_match, factors, highest_vectors,
                                 kashiwara_operators, kron,
                                 normalized_highest_vector, omega, parity, psi,
                                 psi_star, representation, verify_null_shift,
@@ -17,35 +19,39 @@ from wedge_crystal.laurent import RationalScalar, rational
 ONE = {0: 1}  # the unit of Z[qs^±1]
 
 
-def _column(dim, vec):
-    """The vector {index: Z[qs^±1] dict} as a one-column operator."""
-    return SparseOperator(dim, {(r, 0): v for r, v in vec.items()})
+def _global(op):
+    """The global entries of a factored operator."""
+    return op.expand().entries
 
 
-def _vac(dim):
-    return _column(dim, {0: ONE})
+def _column(bits, vec):
+    """The vector {index: Z[qs^±1] dict} as a one-column operator, one term
+    on every bit."""
+    return Factored(bits, {((1 << bits) - 1, 0): {(r, 0): v for r, v in vec.items()}})
+
+
+def _vac(bits):
+    return _column(bits, {0: ONE})
 
 
 def test_vacuum_conditions():
     n = 3
     for a in range(1, n + 1):
-        assert not (psi_star(n, a) @ _vac(8)).entries
+        assert not (psi_star(n, a) @ _vac(n)).terms
     for a in range(1, n + 1):
-        w = (omega(n, a, 1) @ _vac(8)).entries
-        assert w == {(0, 0): {-1: 1}}
+        assert _global(omega(n, a, 1) @ _vac(n)) == {(0, 0): {-1: 1}}
 
 
 def test_creation_squares_to_zero():
     n = 3
     for a in range(1, n + 1):
-        assert not (psi(n, a) @ psi(n, a)).entries
-        assert not (psi_star(n, a) @ psi_star(n, a)).entries
+        assert not (psi(n, a) @ psi(n, a)).terms
+        assert not (psi_star(n, a) @ psi_star(n, a)).terms
 
 
 def test_transit_identity_on_vacuum():
     n = 2
-    out = (psi_star(n, 1) @ psi(n, 1) @ _vac(4)).entries
-    assert out == {(0, 0): ONE}
+    assert _global(psi_star(n, 1) @ psi(n, 1) @ _vac(n)) == {(0, 0): ONE}
 
 
 @pytest.mark.parametrize("unit", (1, 2))
@@ -62,45 +68,39 @@ def test_phases_anticommute():
 
 
 def test_kron_index_convention():
-    a = SparseOperator(2, {(1, 0): ONE})
-    b = SparseOperator(2, {(0, 1): ONE})
-    k = kron(a, b)
-    assert k.entries == {(1, 2): ONE}  # low bits from the first factor
+    a = Factored(1, {(1, 0): {(1, 0): ONE}})
+    b = Factored(1, {(1, 0): {(0, 1): ONE}})
+    assert _global(kron(a, b)) == {(1, 2): ONE}  # low bits from the first factor
 
 
 def test_middle_action_example():
-    rep = representation(from_label("B1", 2))  # single space, n = 2
+    fac = factors(from_label("B1", 2))  # single space, n = 2
     # raising moves the occupied bottom row to the top row
-    vec = _column(rep.dim, {2: ONE})  # state with only row 1-bar occupied
-    out = (rep.e[1] @ vec).entries
-    assert out == {(1, 0): ONE}
+    vec = _column(fac.bits, {2: ONE})  # state with only row 1-bar occupied
+    assert _global(fac.e[1] @ vec) == {(1, 0): ONE}
 
 
 def test_doubled_bottom_end_on_vacuum():
-    rep = representation(from_label("C1", 2))
-    out = (rep.f[2] @ _vac(rep.dim)).entries
+    fac = factors(from_label("C1", 2))
     # both factors gain their top-row state (id 1 each)
-    assert out == {(1 + (1 << 2), 0): ONE}
+    assert _global(fac.f[2] @ _vac(fac.bits)) == {(1 + (1 << 2), 0): ONE}
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_relations_exact(label):
-    rep = representation(from_label(label, 2))
-    checks = verify_relations(rep)
+    checks = verify_relations(factors(from_label(label, 2)))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_polarization_exact(label):
-    rep = representation(from_label(label, 2))
-    checks = verify_polarization(rep)
+    checks = verify_polarization(factors(from_label(label, 2)))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_weight_compatibility(label):
-    rep = representation(from_label(label, 2))
-    assert all(c.ok for c in verify_weight_compatibility(rep))
+    assert all(c.ok for c in verify_weight_compatibility(factors(from_label(label, 2))))
 
 
 def test_kashiwara_string_calculus():
@@ -139,9 +139,9 @@ def test_highest_vector_counts():
 
 def test_vacuum_pair_is_classically_highest():
     t = from_label("A2even", 2)
-    rep = representation(t)
+    fac = factors(t)
     for i in range(1, t.n + 1):
-        assert not (rep.e[i] @ _vac(rep.dim)).entries
+        assert not (fac.e[i] @ _vac(fac.bits)).terms
 
 
 def test_normalized_highest_vector():
@@ -259,34 +259,69 @@ def _verdicts(module, rep):
     return [(c.name, c.ok) for name in SUITES for c in getattr(module, name)(rep)]
 
 
-def _relation_checks(rep):
-    """(name, ok, witness) of ``fock.verify_relations`` and of the product form."""
-    return ([(c.name, c.ok, c.witness) for c in verify_relations(rep)],
-            [(c.name, c.ok, c.witness) for c in oracle.integer_verify_relations(rep)])
+def _triples(checks):
+    return [(c.name, c.ok, c.witness) for c in checks]
+
+
+def _relation_checks(fac):
+    """(name, ok, witness) of ``fock.verify_relations`` on the factors, and of
+    the oracle's global form and all-products form on their expansion."""
+    rep = fock.expand(fac)
+    return (_triples(verify_relations(fac)), _triples(oracle.global_verify_relations(rep)),
+            _triples(oracle.integer_verify_relations(rep)))
+
+
+def _rational(rep):
+    """The oracle's rational generator family holding the entries of ``rep``."""
+    ref = oracle.representation(rep.type)
+    for name in ("e", "f", "t", "tinv"):
+        for i, op in getattr(rep, name).items():
+            getattr(ref, name)[i] = oracle.SparseOperator(
+                rep.dim, {rc: oracle.scalar(rational(v)) for rc, v in op.entries.items()})
+    return ref
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_integer_formulation_matches_oracle(label, n):
     t = from_label(label, n)
-    rep, ref = representation(t), oracle.representation(t)
+    fac = factors(t)
+    rep, ref = fock.expand(fac), oracle.representation(t)
     for name in ("e", "f", "t", "tinv"):
         for i in range(n + 1):
             ours = {rc: oracle.scalar(rational(v))
                     for rc, v in getattr(rep, name)[i].entries.items()}
             assert ours == getattr(ref, name)[i].entries, (name, i)
-    # the entrywise and Horner-form relation checks against the product form
-    ours, products = _relation_checks(rep)
-    assert ours == products
+    # the factored relation checks against the global and the product form
+    ours, whole, products = _relation_checks(fac)
+    assert ours == whole == products
     assert all(ok for _, ok, _ in ours)
     # n = 2, 3 reach only the small-rank collisions of the two ends (the
     # fork rows overlap for D1 at n = 3); the mirrored ends' general case
     # starts at n = 4, where the rational verdicts are not compared
     if n == 4:
         return
-    verdicts = _verdicts(fock, rep)
+    verdicts = _verdicts(fock, fac)
     assert verdicts == _verdicts(oracle, ref)
     assert all(ok for _, ok in verdicts)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, pytest.param(7, marks=pytest.mark.large)))
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_factors_match_the_global_form(label, n):
+    # the expansion is the global construction entry for entry, and every
+    # factored check gives the global form's (name, ok, witness)
+    t = from_label(label, n)
+    fac = factors(t)
+    rep, ref = fock.expand(fac), oracle.global_representation(t)
+    for name in ("e", "f", "t", "tinv"):
+        for i in range(n + 1):
+            assert getattr(rep, name)[i].entries == getattr(ref, name)[i].entries, (name, i)
+    assert rep.weights == ref.weights
+    for name, global_form in oracle.GLOBAL_CHECKS.items():
+        ours = _triples(getattr(fock, name)(fac))
+        assert ours == _triples(global_form(rep))
+        assert all(ok for _, ok, _ in ours)
 
 
 @pytest.mark.parametrize("unit", (1, 2))
@@ -296,37 +331,39 @@ def test_clifford_checks_match_oracle(n, unit):
     assert ours == oracle.clifford_relation_checks(n, unit)
 
 
-def _flip_first(op):
-    rc = min(op.entries)
-    op.entries[rc] = {e: -v for e, v in op.entries[rc].items()}
-    return rc
+def _first_entry(op):
+    """(key, (r, c)) of the least local entry of the least term of ``op``."""
+    key = min(op.terms)
+    return key, min(op.terms[key])
 
 
 @pytest.mark.parametrize("label", ("C1", "A2odd", "B1"))
 def test_sign_mutation_fails_the_same_checks(label):
     t = from_label(label, 3)
-    rep, ref = representation(t), oracle.representation(t)
-    r, c = _flip_first(rep.f[1])
-    ref.f[1].entries[(r, c)] = -ref.f[1].entries[(r, c)]
-    ours, theirs = _verdicts(fock, rep), _verdicts(oracle, ref)
+    fac = factors(t)
+    _replace(fac, "f", 1, _flip_sign)
+    _, (r, c) = _first_entry(fac.f[1])
+    ours, theirs = _verdicts(fock, fac), _verdicts(oracle, _rational(fock.expand(fac)))
     assert ours == theirs
     failed = [name for name, ok in ours if not ok]
     assert "polarization f(1)" in failed and "polarization e(1)" in failed
     # the witnesses name the flipped entry and its transposed position
-    witness = {ch.name: ch.witness for ch in verify_polarization(rep)}
+    witness = {ch.name: ch.witness for ch in verify_polarization(fac)}
     assert witness["polarization e(1)"].startswith(f"entry {(r, c)}: ")
     assert witness["polarization f(1)"].startswith(f"entry {(c, r)}: ")
-    assert all(ch.witness is None for ch in verify_polarization(representation(t))
-               if ch.ok)
+    assert all(ch.witness is None for ch in verify_polarization(factors(t)) if ch.ok)
+    assert _triples(verify_polarization(fac)) == \
+        _triples(oracle.global_verify_polarization(fock.expand(fac)))
 
 
 def test_witness_shows_both_entries():
-    a = SparseOperator(4, {(1, 2): {1: 1}, (3, 0): {0: 2}})
-    b = SparseOperator(4, {(1, 2): {-1: -1}, (3, 0): {0: 2}})
+    # one term on both bits: the local entries are the global ones
+    a = Factored(2, {(3, 0): {(1, 2): {1: 1}, (3, 0): {0: 2}}})
+    b = Factored(2, {(3, 0): {(1, 2): {-1: -1}, (3, 0): {0: 2}}})
     check = fock._compare("demo", a, b)
     assert not check.ok
     assert check.witness == "entry (1, 2): lhs qs, rhs -qs^-1"
-    check = fock._compare("demo", a, SparseOperator(4, {(1, 2): {1: 1}}))
+    check = fock._compare("demo", a, Factored(2, {(3, 0): {(1, 2): {1: 1}}}))
     assert check.witness == "entry (3, 0): lhs 2, rhs 0"
     assert fock._compare("demo", a, a) == fock.Check("demo", True)
 
@@ -342,7 +379,7 @@ def test_checks_are_equal_when_name_verdict_and_witness_are():
     assert [fock.Check("a", True)] == [fock.Check("a", True)]
 
 
-# -- the matrix product and the relation checks against the product form --------
+# -- the factored algebra against the global forms ------------------------------
 
 
 def _random_operator(rng, dim, diagonal=False):
@@ -350,9 +387,9 @@ def _random_operator(rng, dim, diagonal=False):
     products both merge and cancel."""
     cells = [(r, r) for r in range(dim)] if diagonal else \
         [(r, c) for r in range(dim) for c in range(dim) if rng.random() < 0.4]
-    return SparseOperator(dim, {rc: {rng.randrange(-2, 3): rng.choice((-2, -1, 1, 2))
-                                     for _ in range(rng.choice((1, 1, 2, 3)))}
-                                for rc in cells})
+    return oracle.GlobalOperator(dim, {rc: {rng.randrange(-2, 3): rng.choice((-2, -1, 1, 2))
+                                            for _ in range(rng.choice((1, 1, 2, 3)))}
+                                       for rc in cells})
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -366,32 +403,140 @@ def test_product_matches_the_general_kernel(seed):
         assert a.is_diagonal() >= left and b.is_diagonal() >= right
 
 
-def _replace(rep, kind, i, edit):
-    """Swap generator ``kind`` i of ``rep`` for a copy changed by ``edit``."""
-    entries = dict(getattr(rep, kind)[i].entries)
-    edit(entries)
-    getattr(rep, kind)[i] = SparseOperator(rep.dim, entries)
+BITS = 6
 
 
-def _shift_exponent(entries):
-    rc = min(entries)
-    (e, s), = entries[rc].items()
-    entries[rc] = {e + 1: s}
+@st.composite
+def _terms(draw, bits=BITS, count=(1, 3)):
+    """A factored sum of ``count`` random terms on ``bits`` bits: a support,
+    a character off it, and signed monomial entries on submasks of the
+    support."""
+    terms = {}
+    for _ in range(draw(st.integers(*count))):
+        m = draw(st.integers(0, (1 << bits) - 1).filter(lambda m: m.bit_count() <= 3))
+        p = draw(st.integers(0, (1 << bits) - 1)) & ~m
+        subs = [s for s in range(m + 1) if s & m == s]
+        local = draw(st.dictionaries(
+            st.tuples(st.sampled_from(subs), st.sampled_from(subs)),
+            st.builds(lambda e, s: {e: s}, st.integers(-2, 2), st.sampled_from((-2, -1, 1, 2))),
+            min_size=1, max_size=4))
+        terms.setdefault((m, p), {}).update(local)
+    return Factored(bits, terms)
 
 
-def _add_off_diagonal(entries):
-    entries[0, 1] = {0: 1}
+def _refactor(op, rng):
+    """``op`` with each term moved onto one more bit of its character, where
+    it has one: the same global matrix, with a character that differs
+    inside the new support and coincides outside it."""
+    out = Factored(op.bits)
+    for (m, p), local in op.terms.items():
+        if not p:
+            out = out + Factored(op.bits, {(m, p): local})
+            continue
+        bit = rng.choice([1 << k for k in range(op.bits) if p >> k & 1])
+        moved = {}
+        for (r, c), v in local.items():
+            moved[r, c] = v
+            moved[r | bit, c | bit] = {e: -s for e, s in v.items()}
+        out = out + Factored(op.bits, {(m | bit, p & ~bit): moved})
+    return out
 
 
-def _flip_sign(entries):
-    rc = min(entries)
-    entries[rc] = {e: -s for e, s in entries[rc].items()}
+def _agree(lhs, rhs):
+    """``fock._compare`` on the factors gives the global form's triple."""
+    ours = fock._compare("x", lhs, rhs)
+    whole = oracle.global_compare("x", lhs.expand(), rhs.expand())
+    assert (ours.ok, ours.witness) == (whole.ok, whole.witness)
+    return ours
 
 
-def _move_off_weight(entries):
-    (r, c) = rc = min(entries)
-    row = next(row for row in (r ^ 1, r ^ 2) if (row, c) not in entries)
-    entries[row, c] = entries.pop(rc)
+def _global_form(op):
+    return oracle.GlobalOperator(1 << op.bits, op.expand().entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(), _terms(), st.randoms(use_true_random=False))
+def test_factored_algebra_matches_the_global_forms(a, b, rng):
+    ga, gb = _global_form(a), _global_form(b)
+    assert (a @ b).expand() == ga @ gb
+    assert (a + b).expand() == ga + gb
+    assert (a - b).expand() == ga - gb
+    assert a.transpose().expand() == ga.transpose()
+    assert a.scale({1: 1, -1: -1}).expand() == ga.scale({1: 1, -1: -1})
+    assert kron(a, b).expand() == oracle.global_kron(ga, gb)
+    _agree(a, b)
+    _agree(a @ b, b @ a)
+    # characters that coincide off the union of the supports: equal sums
+    same = _refactor(a, rng)
+    assert same.expand() == a.expand()
+    assert _agree(a, same).ok and _agree(a + b, same + b).ok
+    # terms that cancel across characters
+    assert _agree(a - same, Factored(BITS)).ok
+    assert _agree(b + a - same, b).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms(count=(1, 2)), st.integers(1, (1 << BITS) - 1), st.integers(0, (1 << BITS) - 1),
+       _terms(count=(0, 2)))
+def test_a_difference_that_vanishes_at_spectator_zero(a, flip, second, rest):
+    # the same terms under characters changed outside their union U: the
+    # two sides agree on every entry whose bits outside U are 0, so the
+    # least differing entry is not the least local one at spectator 0.  The
+    # difference a - a(flip) - a(second) + a(flip ^ second) also vanishes
+    # where the spectator bits meet only one of the two flips
+    union = 0
+    for m, _ in a.terms:
+        union |= m
+    flip &= ~union
+    second &= ~union
+
+    def moved(chars):
+        return Factored(BITS, {(m, p ^ chars): local for (m, p), local in a.terms.items()})
+
+    for lhs, rhs in ((a, moved(flip)), (a + moved(flip ^ second), moved(flip) + moved(second))):
+        check = _agree(lhs + rest, rhs + rest)
+        if not check.ok:
+            row = int(re.match(r"entry \((\d+), \d+\)", check.witness).group(1))
+            assert row & ~union
+
+
+# -- generator mutants: the factored checks against the global forms ------------
+
+
+def _replace(fac, kind, i, edit):
+    """Swap generator ``kind`` i of ``fac`` for a copy whose least term is
+    changed by ``edit`` (its local entries and its support)."""
+    op = getattr(fac, kind)[i]
+    terms = {k: dict(local) for k, local in op.terms.items()}
+    key = min(terms)
+    edit(terms[key], key[0])
+    getattr(fac, kind)[i] = Factored(op.bits, terms)
+
+
+def _shift_exponent(local, support):
+    rc = min(local)
+    (e, s), = local[rc].items()
+    local[rc] = {e + 1: s}
+
+
+def _add_off_diagonal(local, support):
+    local[0, support & -support] = {0: 1}
+
+
+def _flip_sign(local, support):
+    rc = min(local)
+    local[rc] = {e: -s for e, s in local[rc].items()}
+
+
+def _move_off_weight(local, support):
+    (r, c) = rc = min(local)
+    row = next(r ^ b for b in (1 << k for k in range(support.bit_length()))
+               if b & support and (r ^ b, c) not in local)
+    local[row, c] = local.pop(rc)
+
+
+def _drop_entry(local, support):
+    del local[min(local)]
 
 
 # mutation -> (the generator it edits, the edit, a check that must then fail)
@@ -400,7 +545,8 @@ MUTATIONS = {
     "t off-diagonal": ("t", _add_off_diagonal, "t({i}) t({i})^-1 = 1"),
     "t^-1 sign": ("tinv", _flip_sign, "t({i}) t({i})^-1 = 1"),
     "e exponent": ("e", _shift_exponent, "[e({i}), f({i})] string identity"),
-    "e off its weight": ("e", _move_off_weight, "t(2) e({i}) gauge"),
+    "e off its weight": ("e", _move_off_weight, "t({i}) e({i}) gauge"),
+    "e entry dropped": ("e", _drop_entry, "[e({i}), f({i})] string identity"),
 }
 
 
@@ -409,15 +555,15 @@ MUTATIONS = {
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_mutated_relations_match_the_product_form(label, node, mutation):
     kind, edit, must_fail = MUTATIONS[mutation]
-    rep = representation(from_label(label, 2))
-    _replace(rep, kind, node, edit)
-    ours, ref = _relation_checks(rep)
-    assert ours == ref
+    fac = factors(from_label(label, 2))
+    _replace(fac, kind, node, edit)
+    ours, whole, products = _relation_checks(fac)
+    assert ours == whole == products
     failed = {name: witness for name, ok, witness in ours if not ok}
     assert must_fail.format(i=node) in failed
     assert all(witness.startswith("entry ") for witness in failed.values())
     if mutation == "t off-diagonal":
-        assert not rep.t[node].is_diagonal()  # the entrywise tests do not apply
+        assert not fac.t[node].is_diagonal()  # the entrywise tests do not apply
     if mutation == "e off its weight":
         # the value-blind gauge test and the Serre sums both see the move
         assert any(name.startswith("serre e(") for name in failed)

@@ -1,8 +1,9 @@
-"""Large-rank runs for the matrix labelings, each in its own process.
+"""Large-rank runs, each in its own process.
 
 ``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes 5-21 s
-per labeling on a 2-core host; ``fock verify --relations --polarization`` at
-rank 7 checks the relations on the 4^7-dimensional square;
+per labeling on a 2-core host; ``fock verify --relations --polarization``
+checks the relations, weights and polarization from the factored
+generators at rank 7 and, for every labeling, at rank 20 (each under 10 s);
 ``fock verify --crystal-match`` compares the modified root operators at
 qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
 A_{2n-1}^(2).  These tests are deselected by default; run them with
@@ -12,6 +13,7 @@ A_{2n-1}^(2).  These tests are deselected by default; run them with
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,15 @@ def _fock_verify_passes(*args):
 @pytest.mark.parametrize("token", ("C1", "A2even", "A2evenDagger", "A2odd"))
 def test_fock_relations_at_rank_7(token):
     _fock_verify_passes("--relations", "--polarization", "--type", token, "--n", "7")
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("token", ("B1", "C1", "D1", "A2even", "A2evenDagger", "A2odd",
+                                   "D2"))
+def test_fock_relations_at_rank_20(token):
+    start = time.perf_counter()
+    _fock_verify_passes("--relations", "--polarization", "--type", token, "--n", "20")
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.large
