@@ -37,28 +37,35 @@ test, without a product: that is exact because Z[qs^±1] is an integral
 domain; a failed test falls back to the product and ``_compare``.  The
 crystal weights come from the rule tables per submask.
 
-The groups that read a global basis (the crystal match, the highest
-vectors and the null-root shift) work on ``expand``: the factors written
-out as ``SparseOperator``s over all 2^n or 4^n states.  Every generator
-entry is a signed monomial in qs, so generator matrices hold integer
-Laurent polynomials (``laurent`` dicts, Z[qs^±1]).  Only the extraction of
-modified root operators and highest vectors works in Q(qs): it converts a
-generator's entries with ``laurent.rational`` where they enter a linear
-system or multiply a rational vector.  Every linear system there is solved
-by one sparse row reduction over Q(qs) (``_rref``), fed with the nonzero
-entries only.
+Every other group reads the factors too.  The crystal match, the highest
+vectors and the null-root shift need the columns of e_i and f_i and the
+i-weights, id by id.  A global column x of a generator is the sum, over its
+terms (M, P, L) with local entries in column x & M, of those entries at the
+rows r | (x & ~M), with the sign (-1)^popcount(x & P) (``_column``, from the
+terms indexed by local column once per generator and kept on ``Factors``);
+the i-weights come from the rule tables per submask.  No global matrix and
+no list of all weights is built.  Every generator entry is a signed
+monomial in qs, so generator entries are integer Laurent polynomials
+(``laurent`` dicts, Z[qs^±1]).  Only the extraction of modified root
+operators and highest vectors works in Q(qs): it converts a generator's
+entries with ``laurent.rational`` where they enter a linear system or
+multiply a rational vector.  Every linear system there is solved by one
+sparse row reduction over Q(qs) (``_rref``), fed with the nonzero entries
+only.
 
 The modified root operators of node i come from the blocks of the module:
 the cosets of the bits that e_i and f_i change (the union of r ^ c over
-their entries).  Each coset is closed under e_i and f_i by construction,
-and t_i is diagonal, so each block is a U_q(sl_2)_i-submodule, and
-Kashiwara's operators act on the blocks separately.  Each block gets the
-kernel, string and change-of-basis steps on its own few members, once per
-block shape: blocks whose weights and entries agree after renumbering share
-one result.  The highest vectors need joint kernels over i = 1..n, which no
-block of one i contains, so they reduce whole weight spaces: one scan of the
-basis per weight yields both that kernel and the crystal's
-classically-highest ids of the weight, kept together (``WeightSpace``).
+their local entries, which every global entry shares).  Each coset is
+closed under e_i and f_i by construction, and t_i is diagonal, so each
+block is a U_q(sl_2)_i-submodule, and Kashiwara's operators act on the
+blocks separately.  Each block gets the kernel, string and change-of-basis
+steps on its own few members, once per block shape: blocks whose weights
+and entries agree after renumbering share one result.  The highest vectors
+need joint kernels over i = 1..n, which no block of one i contains, so they
+reduce whole weight spaces: the ids of a weight are narrowed from the basis
+one rule's weight table at a time, and yield both that kernel and the
+crystal's classically-highest ids of the weight, kept together
+(``WeightSpace``).
 """
 
 from __future__ import annotations
@@ -72,37 +79,6 @@ from .theorems import FORK_TYPE, MATRIX_TYPE, classically_highest, h_diamond
 
 _ZERO = RationalScalar.zero()
 _ONE = RationalScalar.one()
-
-
-class SparseOperator:
-    """Sparse exact matrix acting on column vectors indexed 0..dim-1.
-
-    Entries map (row, col) to a nonzero Z[qs^±1] dict; ``Factored.expand``
-    lets entries share one dict, so none is changed in place.  The modified root
-    operators of ``kashiwara_operators`` share this shape with
-    ``RationalScalar`` entries.
-    """
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries=None):
-        self.dim = dim
-        self.entries = {rc: v for rc, v in entries.items() if v} if entries else {}
-
-    def __eq__(self, other):
-        return isinstance(other, SparseOperator) and self.dim == other.dim \
-            and self.entries == other.entries
-
-    def __repr__(self):
-        return f"SparseOperator(dim={self.dim}, nnz={len(self.entries)})"
-
-
-def _rational_columns(op: SparseOperator) -> dict:
-    """col -> [(row, RationalScalar)]: a generator's entries over Q(qs)."""
-    by_col = {}
-    for (r, c), v in op.entries.items():
-        by_col.setdefault(c, []).append((r, rational(v)))
-    return by_col
 
 
 def _apply_columns(by_col: dict, vec: dict) -> dict:
@@ -222,18 +198,6 @@ class Factored:
             if v:
                 total = padd(total, _neg(v) if (row & p).bit_count() & 1 else v)
         return total
-
-    def expand(self) -> SparseOperator:
-        """The global matrix: each local entry at every spectator state."""
-        full = (1 << self.bits) - 1
-        out = {}
-        for (m, p), local in self.terms.items():
-            spect = _spectators(full & ~m, p)
-            for (r, c), v in local.items():
-                signed = (v, _neg(v))
-                for s, odd in spect:
-                    _accumulate(out, (r | s, c | s), signed[odd])
-        return SparseOperator(1 << self.bits, out)
 
     def __eq__(self, other):
         return isinstance(other, Factored) and self.bits == other.bits \
@@ -377,7 +341,7 @@ class Factors:
     """The generators of one labeling as ``Factored`` sums on ``bits`` bits:
     n on the wedge space, 2n on its square."""
 
-    __slots__ = ("type", "cd", "bits", "e", "f", "t", "tinv")
+    __slots__ = ("type", "cd", "bits", "e", "f", "t", "tinv", "indexed", "highest")
 
     def __init__(self, type: AffineType, cd: CartanData, bits: int, e: dict, f: dict,
                  t: dict, tinv: dict):
@@ -388,35 +352,39 @@ class Factors:
         self.f = f
         self.t = t
         self.tinv = tinv
-
-
-class Representation:
-    """Generator matrices for one labeling on the wedge space or its square."""
-
-    __slots__ = ("type", "cd", "dim", "e", "f", "t", "tinv", "weights", "highest",
-                 "columns")
-
-    def __init__(self, type: AffineType, cd: CartanData, dim: int, e: dict, f: dict,
-                 t: dict, tinv: dict, weights: list):
-        self.type = type
-        self.cd = cd
-        self.dim = dim
-        self.e = e
-        self.f = f
-        self.t = t
-        self.tinv = tinv
-        self.weights = weights  # basis index (= crystal id) -> coroot pairings
+        # ("e" or "f", i) -> _index of that generator, filled on first use by _column
+        self.indexed = {}
         # weight -> its WeightSpace, filled on first use by highest_vectors
         self.highest = {}
-        # ("e" or "f", i) -> _rational_columns of that generator, filled on first use
-        self.columns = {}
 
 
-def _columns(rep: Representation, kind: str, i: int) -> dict:
-    """The Q(qs) column form of ``rep.e[i]`` or ``rep.f[i]``, converted once."""
-    if (kind, i) not in rep.columns:
-        rep.columns[kind, i] = _rational_columns(getattr(rep, kind)[i])
-    return rep.columns[kind, i]
+def _index(op: Factored) -> list:
+    """[(M, P, {local col: [(local row, entry)]})], one item per term."""
+    out = []
+    for (m, p), local in op.terms.items():
+        by_col = {}
+        for (r, c), v in local.items():
+            by_col.setdefault(c, []).append((r, v))
+        out.append((m, p, by_col))
+    return out
+
+
+def _column(fac: Factors, kind: str, i: int, x: int) -> dict:
+    """Global column x of ``fac.e[i]`` or ``fac.f[i]`` ({row: Z[qs^±1]
+    entry}): each term (M, P, L) puts its local entries (r, x & M) at row
+    r | s, s = x & ~M, with the sign (-1)^popcount(s & P)."""
+    index = fac.indexed.get((kind, i))
+    if index is None:
+        index = fac.indexed[kind, i] = _index(getattr(fac, kind)[i])
+    out = {}
+    for m, p, by_col in index:
+        rows = by_col.get(x & m)
+        if rows:
+            s = x & ~m
+            odd = (s & p).bit_count() & 1
+            for r, v in rows:
+                _accumulate(out, r | s, _neg(v) if odd else v)
+    return out
 
 
 def _klein_target(t: AffineType) -> int | None:
@@ -494,22 +462,6 @@ def factors(t: AffineType) -> Factors:
         bits *= 2
     e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
     return Factors(type=t, cd=cd, bits=bits, e=e, f=f, t=tt, tinv=tinv)
-
-
-def expand(fac: Factors) -> Representation:
-    """The generators as global matrices over all 2^bits basis states, with
-    the crystal weight of every state."""
-    dim = 1 << fac.bits
-    e, f, tt, tinv = ({i: op.expand() for i, op in ops.items()}
-                      for ops in (fac.e, fac.f, fac.t, fac.tinv))
-    weights = crys.rule_weights(crys.rules(fac.type), range(dim))
-    return Representation(type=fac.type, cd=fac.cd, dim=dim,
-                          e=e, f=f, t=tt, tinv=tinv, weights=weights)
-
-
-def representation(t: AffineType) -> Representation:
-    """Generator matrices realizing the labeling on the appropriate space."""
-    return expand(factors(t))
 
 
 # -- relation, weight and polarization suites, on the factors -----------------
@@ -640,8 +592,6 @@ def verify_polarization(fac: Factors):
     return checks
 
 
-
-
 # -- exact sparse row reduction ------------------------------------------------
 
 
@@ -714,65 +664,75 @@ def _solve(rows, cols) -> dict:
 # -- modified root operators from the module -----------------------------------
 
 
-def kashiwara_operators(rep: Representation, i: int):
-    """(raising, lowering) modified root operators, extracted block by block.
+def kashiwara_operators(fac: Factors, i: int):
+    """(raising, lowering) modified root operators, as {(row, col): Q(qs)
+    entry}, extracted block by block.
 
-    An entry (r, c) of e_i or f_i changes only the bits of r ^ c, so with
-    ``mask`` the union of those bits, each coset of ``mask`` (the ids x of
-    one x & ~mask, a block) is closed under e_i, f_i and the diagonal t_i.
-    It spans a U_q(sl_2)_i-submodule, and Kashiwara's operators act on each
-    block separately.  Each block is solved by ``_block_operators``, once
+    An entry (r, c) of e_i or f_i changes only the bits of r ^ c, the same
+    for a local entry and each of its global copies, so with ``mask`` the
+    union of those bits over the local entries, each coset of ``mask`` (the
+    ids x of one x & ~mask, a block) is closed under e_i, f_i and the
+    diagonal t_i.  It spans a U_q(sl_2)_i-submodule, and Kashiwara's
+    operators act on each block separately (``_operators_by_block``).
+    """
+    mask = 0
+    for op in (fac.e[i], fac.f[i]):
+        for local in op.terms.values():
+            for r, c in local:
+                mask |= r ^ c
+    return _operators_by_block(1 << fac.bits, i, fac.cd.qi_exp[i], mask,
+                               crys.rules(fac.type).weights[i],
+                               lambda kind, x: _column(fac, kind, i, x))
+
+
+def _operators_by_block(dim: int, i: int, unit: int, mask: int, weights, column):
+    """Kashiwara's operators of node i on the ids 0..dim-1, one block (coset
+    of ``mask``) at a time: ``weights`` is a weight table (mask, table) of
+    the i-weights, and ``column(kind, x)`` the global column x of e_i
+    ("e") or f_i ("f").  Each block is solved by ``_block_operators``, once
     per block shape (``_block_shape``).
     """
-    dim = rep.dim
-    unit = rep.cd.qi_exp[i]
-    w = [wt[i] for wt in rep.weights]
-    mask = 0
-    e_cols, f_cols = {}, {}  # col -> [(row, Z[qs^±1] entry)]
-    for (r, c), v in rep.e[i].entries.items():
-        if w[r] != w[c] + 2:
-            raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
-        e_cols.setdefault(c, []).append((r, v))
-        mask |= r ^ c
-    for (r, c), v in rep.f[i].entries.items():
-        if w[r] != w[c] - 2:
-            raise ArithmeticError(f"lowering operator {i} is not weight-homogeneous")
-        f_cols.setdefault(c, []).append((r, v))
-        mask |= r ^ c
     blocks = {}
     for x in range(dim):
         blocks.setdefault(x & ~mask, []).append(x)
-
-    et = SparseOperator(dim)
-    ft = SparseOperator(dim)
+    et, ft = {}, {}
     total = 0
     solved = {}  # block shape -> _block_operators of it
     for members in blocks.values():
-        shape = _block_shape(members, w, e_cols, f_cols)
+        shape = _block_shape(members, weights, column, i)
         if shape not in solved:
             solved[shape] = _block_operators(shape, unit)
         count, block_et, block_ft = solved[shape]
         total += count
         for op, block_op in ((et, block_et), (ft, block_ft)):
             for (r, c), v in block_op.items():
-                op.entries[members[r], members[c]] = v
+                op[members[r], members[c]] = v
     if total != dim:
         raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
     return et, ft
 
 
-def _block_shape(members, w, e_cols, f_cols):
+def _block_shape(members, weights, column, i: int):
     """The block renumbered 0..s-1 in the order of its ascending members:
     the i-weights, then the entries of e_i and of f_i as sorted
     (row, col, terms) tuples.  ``_block_operators`` depends on nothing else
-    and keeps that order, so blocks of one shape share its result."""
+    and keeps that order, so blocks of one shape share its result.  An entry
+    that does not raise (e_i) or lower (f_i) the i-weight by 2 is an error."""
+    wmask, table = weights
     local = {x: k for k, x in enumerate(members)}
+    w = [table[x & wmask] for x in members]
 
-    def entries(cols):
-        return tuple(sorted((local[r], local[c], tuple(sorted(v.items())))
-                            for c in members for r, v in cols.get(c, ())))
+    def entries(kind, step, name):
+        out = []
+        for c, x in enumerate(members):
+            for r, v in column(kind, x).items():
+                r = local[r]
+                if w[r] != w[c] + step:
+                    raise ArithmeticError(f"{name} operator {i} is not weight-homogeneous")
+                out.append((r, c, tuple(sorted(v.items()))))
+        return tuple(sorted(out))
 
-    return tuple(w[x] for x in members), entries(e_cols), entries(f_cols)
+    return tuple(w), entries("e", 2, "raising"), entries("f", -2, "lowering")
 
 
 def _block_operators(shape, unit: int):
@@ -844,26 +804,25 @@ def _block_operators(shape, unit: int):
     return sum(m + 1 for m, _ in strings), et, ft
 
 
-def crystal_match(rep: Representation):
+def crystal_match(fac: Factors):
     """Specialize the modified operators at qs = 0 and compare adjacency
     with the step tables of the crystal's rules."""
-    t = rep.type
+    dim = 1 << fac.bits
     checks = []
-    for i, rule in enumerate(crys.rules(t)):
-        et, ft = kashiwara_operators(rep, i)
+    for i, rule in enumerate(crys.rules(fac.type)):
+        et, ft = kashiwara_operators(fac, i)
         mask, f, e = crys.steps(rule)
         for name, op, table in ((f"e~({i})", et, e), (f"f~({i})", ft, f)):
-            regular = all(v.is_regular for v in op.entries.values())
+            regular = all(v.is_regular for v in op.values())
             checks.append(Check(f"{name} lattice-regular", regular))
             if not regular:
                 continue
             reduced = {}
-            for (r, c), v in op.entries.items():
+            for (r, c), v in op.items():
                 val = v.eval_at_zero()
                 if val:
                     reduced[(r, c)] = val
-            adjacency = {(x ^ table[x & mask], x) for x in range(rep.dim)
-                         if table[x & mask]}
+            adjacency = {(x ^ table[x & mask], x) for x in range(dim) if table[x & mask]}
             same = set(reduced) == adjacency and \
                 all(abs(v) == 1 for v in reduced.values())
             checks.append(Check(f"{name} matches the crystal adjacency", same))
@@ -891,28 +850,32 @@ class WeightSpace(list):
         self.ids = ids
 
 
-def highest_vectors(rep: Representation, weight_vec) -> WeightSpace:
-    """The :class:`WeightSpace` of ``weight_vec``, from one scan of the basis.
+def highest_vectors(fac: Factors, weight_vec) -> WeightSpace:
+    """The :class:`WeightSpace` of ``weight_vec``: its ids narrowed from the
+    basis one rule's weight table at a time, and the columns of e_1..e_n
+    there.
 
-    Computed once per weight and kept in ``rep.highest``; callers must not
+    Computed once per weight and kept in ``fac.highest``; callers must not
     mutate it or its vectors.
     """
     weight_vec = tuple(weight_vec)
-    if weight_vec in rep.highest:
-        return rep.highest[weight_vec]
-    idxs = [idx for idx in range(rep.dim) if rep.weights[idx] == weight_vec]
+    if weight_vec in fac.highest:
+        return fac.highest[weight_vec]
+    rs = crys.rules(fac.type)
+    idxs = range(1 << fac.bits)
+    for (mask, table), value in zip(rs.weights, weight_vec):
+        idxs = [x for x in idxs if table[x & mask] == value]
     rows = {}
-    for i in range(1, rep.type.n + 1):
-        by_col = _columns(rep, "e", i)
+    for i in range(1, fac.type.n + 1):
         for c in idxs:
-            for r, v in by_col.get(c, ()):
-                rows.setdefault((i, r), {})[c] = v
-    space = rep.highest[weight_vec] = WeightSpace(
-        _kernel(rows.values(), idxs), classically_highest(crys.rules(rep.type), idxs))
+            for r, v in _column(fac, "e", i, c).items():
+                rows.setdefault((i, r), {})[c] = rational(v)
+    space = fac.highest[weight_vec] = WeightSpace(_kernel(rows.values(), idxs),
+                                                  classically_highest(rs, idxs))
     return space
 
 
-def normalized_highest_vector(rep: Representation, k: int, l: int):
+def normalized_highest_vector(fac: Factors, k: int, l: int):
     """The classical highest vector with unit coefficient on its leading term.
 
     Normalized so the coefficient at the canonical (k, l) basis state is 1
@@ -921,9 +884,9 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     is not classically highest, or the kernel and the crystal count differ,
     there is nothing to normalize: the vector is empty and the check fails.
     """
-    t = rep.type
+    t = fac.type
     target = crys.v_kl(t, k, l)
-    kernel = highest_vectors(rep, fundamental_weight_cl(t, k))
+    kernel = highest_vectors(fac, fundamental_weight_cl(t, k))
     ids = kernel.ids
     if target not in ids or len(kernel) != len(ids):
         return {}, False, len(kernel)
@@ -948,42 +911,46 @@ def normalized_highest_vector(rep: Representation, k: int, l: int):
     return out, ok, len(kernel)
 
 
-def verify_highest(rep: Representation):
+def verify_highest(fac: Factors):
     """Per component (k, l) of a matrix type: the classical highest vectors
     at its weight are as many as the crystal's classically-highest states,
     and the normalized highest vector at (k, l) exists.  A failed count
     names both sides."""
-    t = rep.type
+    t = fac.type
     checks = []
     for (k, l) in h_diamond(t):
-        space = highest_vectors(rep, fundamental_weight_cl(t, k))
+        space = highest_vectors(fac, fundamental_weight_cl(t, k))
         same = len(space) == len(space.ids)
         witness = None if same else \
             f"kernel dimension {len(space)}, crystal count {len(space.ids)}"
         checks.append(Check(f"highest-vector count at weight index {k}", same, witness))
-        _, ok, _ = normalized_highest_vector(rep, k, l)
+        _, ok, _ = normalized_highest_vector(fac, k, l)
         checks.append(Check(f"normalized highest vector ({k},{l})", ok))
     return checks
 
 
-def apply_extremal_word(rep: Representation, vec: dict, elem, word):
+def apply_extremal_word(fac: Factors, vec: dict, elem, word):
     """Divided-power word application tracking the crystal element.
 
     The divided power x^(k) = x^k / [k]_i! applies the integer power, then
     scales the rational vector by 1/[k]_i!.
     """
+    rs = crys.rules(fac.type)
     for i in word:
-        m = rep.weights[elem][i]
-        by_col = _columns(rep, "f" if m >= 0 else "e", i)
+        mask, table = rs.weights[i]
+        m = table[elem & mask]
+        kind = "f" if m >= 0 else "e"
         for _ in range(abs(m)):
-            vec = _apply_columns(by_col, vec)
-        inv = rational(qfactorial(abs(m), rep.cd.qi_exp[i])).inverse()
+            vec = _apply_columns({c: [(r, rational(v)) for r, v
+                                      in _column(fac, kind, i, c).items()]
+                                  for c in vec}, vec)
+        inv = rational(qfactorial(abs(m), fac.cd.qi_exp[i])).inverse()
         vec = {idx: v * inv for idx, v in vec.items()}
-        elem = crys.weyl_reflection(rep.type, i, elem)
+        elem = crys.weyl_reflection(fac.type, i, elem)
     return vec, elem
 
 
-def verify_null_shift(rep: Representation):
+def verify_null_shift(fac: Factors):
     """Leading-coefficient behavior of the shift word on highest vectors.
 
     For each middle k the word is applied by divided powers to the
@@ -994,7 +961,7 @@ def verify_null_shift(rep: Representation):
     vectors exactly, with one common sign: the two sign combinations are
     then exact eigenvectors with eigenvalues +1 and -1.
     """
-    t = rep.type
+    t = fac.type
     if t.diamond != (FORK, DOUBLE):
         raise ValueError("null-root shift check needs the fork-plus-double type")
     n = t.n
@@ -1004,12 +971,12 @@ def verify_null_shift(rep: Representation):
         word = crys.delta_word(t, k)
         va_el = crys.v_kl(t, k, n - k)
         vb_el = crys.v_kl(t, k, n - k - 1)
-        va, ok_a, dim_a = normalized_highest_vector(rep, k, n - k)
-        vb, ok_b, _ = normalized_highest_vector(rep, k, n - k - 1)
+        va, ok_a, dim_a = normalized_highest_vector(fac, k, n - k)
+        vb, ok_b, _ = normalized_highest_vector(fac, k, n - k - 1)
         checks.append(Check(f"k={k} highest vector ({k},{n-k}) congruent", ok_a))
         checks.append(Check(f"k={k} highest vector ({k},{n-k-1}) congruent", ok_b))
-        img_a, end_a = apply_extremal_word(rep, va, va_el, word)
-        img_b, end_b = apply_extremal_word(rep, vb, vb_el, word)
+        img_a, end_a = apply_extremal_word(fac, va, va_el, word)
+        img_b, end_b = apply_extremal_word(fac, vb, vb_el, word)
         checks.append(Check(f"k={k} word moves the crystal representatives",
                             end_a == vb_el and end_b == va_el))
         signs = []
@@ -1035,13 +1002,13 @@ def verify_null_shift(rep: Representation):
 
 _ANY_TYPE = (lambda t: True, "any type")
 
-# check group -> (the functions that run it, in order; the type it needs;
-# whether they read the expanded module rather than the factors), in the
-# order of the CLI's flags, which run every applicable group by default
+# check group -> (the functions that run it on the factors, in order; the
+# type it needs), in the order of the CLI's flags, which run every applicable
+# group by default
 GROUPS = {
-    "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE, False),
-    "polarization": (("verify_polarization",), _ANY_TYPE, False),
-    "crystal_match": (("crystal_match",), _ANY_TYPE, True),
-    "highest": (("verify_highest",), MATRIX_TYPE, True),
-    "deltaword": (("verify_null_shift",), FORK_TYPE, True),
+    "relations": (("verify_relations", "verify_weight_compatibility"), _ANY_TYPE),
+    "polarization": (("verify_polarization",), _ANY_TYPE),
+    "crystal_match": (("crystal_match",), _ANY_TYPE),
+    "highest": (("verify_highest",), MATRIX_TYPE),
+    "deltaword": (("verify_null_shift",), FORK_TYPE),
 }

@@ -13,7 +13,10 @@ weight and polarization checks in global form follow: ``fock`` built and
 checked whole 2^n- or 4^n-dimensional matrices (``GlobalOperator``, with
 its one sparse product kernel ``_product``) before it factored them, and
 the tests compare its factors and factored verdicts with them
-(``global_representation``, ``GLOBAL_CHECKS``).  Last come the integer
+(``global_representation``, ``GLOBAL_CHECKS``).  ``expand`` and
+``expand_module`` write the factors out as such matrices: the one bridge
+from ``fock``'s factors, which ``fock`` itself never writes out, to these
+global forms.  Last come the integer
 relation checks in their all-products form (``integer_verify_relations``,
 with the sparse kernel ``integer_product``), which the global checks
 replaced by entrywise diagonal tests and Horner-form Serre sums.
@@ -39,8 +42,7 @@ from fractions import Fraction
 
 from wedge_crystal import crystal as crys
 from wedge_crystal import fock
-from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data, \
-    fundamental_weight_cl
+from wedge_crystal.cartan import AffineType, DOUBLE, FORK, SINGLE, CartanData, cartan_data
 from wedge_crystal import laurent
 from wedge_crystal.laurent import NotRegular, padd, pmul, qbinomial
 
@@ -883,12 +885,28 @@ def verify_polarization(rep: Representation):
 # -- the integer generators and relation checks in global form ------------------
 
 
-class GlobalOperator(fock.SparseOperator):
-    """A ``fock.SparseOperator`` with the global arithmetic that ``fock``
-    used before its generators were factored: every product is one sparse
-    kernel (``_product``) that multiplies one-term entries inline."""
+class GlobalOperator:
+    """A sparse exact matrix on whole 2^n- or 4^n-dimensional spaces, with
+    the global arithmetic that ``fock`` used before its generators were
+    factored: every product is one sparse kernel (``_product``) that
+    multiplies one-term entries inline.
 
-    __slots__ = ()
+    Entries map (row, col) to a nonzero Z[qs^±1] dict; ``expand`` lets
+    entries share one dict, so none is changed in place.
+    """
+
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, dim: int, entries=None):
+        self.dim = dim
+        self.entries = {rc: v for rc, v in entries.items() if v} if entries else {}
+
+    def __eq__(self, other):
+        return isinstance(other, GlobalOperator) and self.dim == other.dim \
+            and self.entries == other.entries
+
+    def __repr__(self):
+        return f"GlobalOperator(dim={self.dim}, nnz={len(self.entries)})"
 
     @classmethod
     def identity(cls, dim: int) -> "GlobalOperator":
@@ -901,7 +919,7 @@ class GlobalOperator(fock.SparseOperator):
     def scale(self, p: dict) -> "GlobalOperator":
         return GlobalOperator(self.dim, {rc: pmul(v, p) for rc, v in self.entries.items()})
 
-    def __add__(self, other: fock.SparseOperator) -> "GlobalOperator":
+    def __add__(self, other: "GlobalOperator") -> "GlobalOperator":
         e = dict(self.entries)
         for rc, v in other.entries.items():
             e[rc] = padd(e[rc], v) if rc in e else v
@@ -911,20 +929,20 @@ class GlobalOperator(fock.SparseOperator):
         return GlobalOperator(self.dim, {rc: {k: -s for k, s in v.items()}
                                          for rc, v in self.entries.items()})
 
-    def __sub__(self, other: fock.SparseOperator) -> "GlobalOperator":
+    def __sub__(self, other: "GlobalOperator") -> "GlobalOperator":
         return self + (-other)
 
     def is_diagonal(self) -> bool:
         return all(r == c for r, c in self.entries)
 
-    def __matmul__(self, other: fock.SparseOperator) -> "GlobalOperator":
+    def __matmul__(self, other: "GlobalOperator") -> "GlobalOperator":
         return _product(self.dim, _column_index(self), other)
 
     def transpose(self) -> "GlobalOperator":
         return GlobalOperator(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
 
 
-def _column_index(op: fock.SparseOperator) -> dict:
+def _column_index(op: GlobalOperator) -> dict:
     """col -> [(row, entry, exponent, coefficient)]: ``op`` as a left factor.
     Exponent and coefficient are None unless the entry has one term."""
     by_col = {}
@@ -934,7 +952,7 @@ def _column_index(op: fock.SparseOperator) -> dict:
     return by_col
 
 
-def _product(dim: int, by_col: dict, right: fock.SparseOperator) -> GlobalOperator:
+def _product(dim: int, by_col: dict, right: GlobalOperator) -> GlobalOperator:
     """The left factor given by its ``_column_index`` times ``right``; the
     product of two one-term entries is inline."""
     out = {}
@@ -961,7 +979,7 @@ def _product(dim: int, by_col: dict, right: fock.SparseOperator) -> GlobalOperat
     return GlobalOperator(dim, out)
 
 
-def global_kron(low: fock.SparseOperator, high: fock.SparseOperator) -> GlobalOperator:
+def global_kron(low: GlobalOperator, high: GlobalOperator) -> GlobalOperator:
     """Tensor product; the first factor owns the low index bits."""
     d = low.dim
     return GlobalOperator(d * high.dim, {(r1 + r2 * d, c1 + c2 * d): pmul(v1, v2)
@@ -1022,9 +1040,10 @@ def _global_end_ops(t: AffineType, cd: CartanData, i: int):
             global_kron(o, o).scale(q), global_kron(oi, oi).scale(qinv))
 
 
-def global_representation(t: AffineType) -> fock.Representation:
-    """``fock.representation`` as it was before the factors: every step of
-    the construction on whole 2^n- or 4^n-dimensional matrices."""
+def global_representation(t: AffineType) -> Representation:
+    """The generator matrices as ``fock`` built them before the factors:
+    every step of the construction on whole 2^n- or 4^n-dimensional
+    matrices."""
     cd = cartan_data(t)
     n = t.n
     unit = cd.qi_exp[1]
@@ -1040,9 +1059,8 @@ def global_representation(t: AffineType) -> fock.Representation:
         p = global_parity(n)
         e1, f1, t1, ti1 = ops[target]
         ops[target] = (e1 @ p, p @ f1, t1, ti1)
-    dim = 1 << n
     if t.doubled:
-        ident = GlobalOperator.identity(dim)
+        ident = GlobalOperator.identity(1 << n)
         squared = {i for i, shape in zip((0, n), t.diamond) if shape == DOUBLE}
         kron = global_kron
         for i in range(n + 1):
@@ -1050,23 +1068,42 @@ def global_representation(t: AffineType) -> fock.Representation:
                 e1, f1, t1, ti1 = ops[i]
                 ops[i] = (kron(e1, ti1) + kron(ident, e1), kron(f1, ident) + kron(t1, f1),
                           kron(t1, t1), kron(ti1, ti1))
-        dim *= dim
     e, f, tt, tinv = ({i: ops[i][k] for i in range(n + 1)} for k in range(4))
-    weights = crys.rule_weights(crys.rules(t), range(dim))
-    return fock.Representation(type=t, cd=cd, dim=dim, e=e, f=f, t=tt, tinv=tinv,
-                               weights=weights)
+    return _global_module(t, cd, e, f, tt, tinv)
 
 
-def global_module(rep: fock.Representation) -> fock.Representation:
-    """``rep`` with its generators as ``GlobalOperator``s (entries shared)."""
-    e, f, tt, tinv = ({i: GlobalOperator(rep.dim, op.entries) for i, op in ops.items()}
-                      for ops in (rep.e, rep.f, rep.t, rep.tinv))
-    return fock.Representation(type=rep.type, cd=rep.cd, dim=rep.dim, e=e, f=f, t=tt,
-                               tinv=tinv, weights=rep.weights)
+def _global_module(t: AffineType, cd: CartanData, e, f, tt, tinv) -> Representation:
+    """The generators as ``GlobalOperator``s, with the crystal weight of every
+    basis state."""
+    dim = 1 << (2 * t.n if t.doubled else t.n)
+    return Representation(type=t, cd=cd, copies=2 if t.doubled else 1, dim=dim,
+                          e=e, f=f, t=tt, tinv=tinv,
+                          weights=crys.rule_weights(crys.rules(t), range(dim)))
 
 
-def global_compare(name: str, lhs: fock.SparseOperator, rhs: fock.SparseOperator
-                   ) -> fock.Check:
+def expand(op: fock.Factored) -> GlobalOperator:
+    """The global matrix of a factored sum: each local entry at every
+    spectator state."""
+    full = (1 << op.bits) - 1
+    out = {}
+    for (m, p), local in op.terms.items():
+        spect = fock._spectators(full & ~m, p)
+        for (r, c), v in local.items():
+            signed = (v, fock._neg(v))
+            for s, odd in spect:
+                fock._accumulate(out, (r | s, c | s), signed[odd])
+    return GlobalOperator(1 << op.bits, out)
+
+
+def expand_module(fac: fock.Factors) -> Representation:
+    """The factors written out as global matrices over all 2^bits basis
+    states: the bridge from ``fock``'s factored module to the global forms."""
+    e, f, tt, tinv = ({i: expand(op) for i, op in ops.items()}
+                      for ops in (fac.e, fac.f, fac.t, fac.tinv))
+    return _global_module(fac.type, fac.cd, e, f, tt, tinv)
+
+
+def global_compare(name: str, lhs: GlobalOperator, rhs: GlobalOperator) -> fock.Check:
     """The matrix identity lhs = rhs; a failure names its first differing entry."""
     a, b = lhs.entries, rhs.entries
     if a == b:
@@ -1076,7 +1113,7 @@ def global_compare(name: str, lhs: fock.SparseOperator, rhs: fock.SparseOperator
                                    f"rhs {laurent.format_poly(b.get(rc, {}))}")
 
 
-def _monomial_diagonal(op: fock.SparseOperator):
+def _monomial_diagonal(op: GlobalOperator):
     """(exponents, coefficients) by row when ``op`` is diagonal with a
     one-term entry on every row, else None."""
     ent = op.entries
@@ -1093,7 +1130,7 @@ def _monomial_diagonal(op: fock.SparseOperator):
     return exps, coeffs
 
 
-def _conjugates_to(d, dinv, x: fock.SparseOperator, k: int) -> bool:
+def _conjugates_to(d, dinv, x: GlobalOperator, k: int) -> bool:
     """d x dinv = qs^k x for monomial diagonals d, dinv, decided entrywise:
     d[r] x[r, c] dinv[c] = qs^k x[r, c] exactly when the exponents of d[r]
     and dinv[c] sum to k and their coefficients multiply to 1, since x[r, c]
@@ -1119,11 +1156,11 @@ def _serre_sides(mul, xi: GlobalOperator, ij: GlobalOperator, b: GlobalOperator,
     return b, rhs
 
 
-def global_verify_relations(rep: fock.Representation):
-    """``fock.verify_relations`` on whole matrices, as it was before the
-    factors: entrywise tests for one-term diagonal t's, Horner-form Serre
-    sums, and both full products with ``global_compare`` otherwise."""
-    rep = global_module(rep)
+def global_verify_relations(rep: Representation):
+    """``fock.verify_relations`` on whole matrices (``GlobalOperator``s), as
+    it was before the factors: entrywise tests for one-term diagonal t's,
+    Horner-form Serre sums, and both full products with ``global_compare``
+    otherwise."""
     idx = range(rep.type.n + 1)
     ident = GlobalOperator.identity(rep.dim)
     zero = GlobalOperator(rep.dim)
@@ -1181,7 +1218,7 @@ def global_verify_relations(rep: fock.Representation):
     return checks
 
 
-def global_verify_weight_compatibility(rep: fock.Representation):
+def global_verify_weight_compatibility(rep: Representation):
     """Diagonal gauge eigenvalues match the crystal weights of every state."""
     qe = rep.cd.qi_exp
     return [global_compare(f"t({i}) eigenvalues match weights", rep.t[i],
@@ -1190,9 +1227,8 @@ def global_verify_weight_compatibility(rep: fock.Representation):
             for i in range(rep.type.n + 1)]
 
 
-def global_verify_polarization(rep: fock.Representation):
+def global_verify_polarization(rep: Representation):
     """Transpose against the twisted antiautomorphism, on whole matrices."""
-    rep = global_module(rep)
     checks = []
     for i in range(rep.type.n + 1):
         qinv = {-rep.cd.qi_exp[i]: 1}
@@ -1214,7 +1250,7 @@ GLOBAL_CHECKS = {"verify_relations": global_verify_relations,
 # -- the integer relation checks in product form --------------------------------
 
 
-def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> GlobalOperator:
+def integer_product(lhs: GlobalOperator, rhs: GlobalOperator) -> GlobalOperator:
     """lhs @ rhs by the general sparse kernel ``fock`` used before its
     diagonal and one-term fast paths: every entry product through ``pmul``."""
     by_col = {}
@@ -1228,12 +1264,11 @@ def integer_product(lhs: fock.SparseOperator, rhs: fock.SparseOperator) -> Globa
     return GlobalOperator(lhs.dim, out)
 
 
-def integer_verify_relations(rep: fock.Representation):
+def integer_verify_relations(rep: Representation):
     """``global_verify_relations`` without its entrywise t and gauge checks
     and its Horner-form Serre sums: every check builds both sides as full
     matrix products in Z[qs^±1] and compares them with ``global_compare``,
     so the (name, ok, witness) lists of the two must agree."""
-    rep = global_module(rep)
     mul = integer_product
     compare = global_compare
     idx = range(rep.type.n + 1)
@@ -1285,8 +1320,17 @@ def integer_verify_relations(rep: fock.Representation):
 # -- modified root operators per whole weight space ---------------------------
 
 
-def kashiwara_operators_by_weight_space(rep: fock.Representation, i: int):
-    """(raising, lowering) operators extracted per i-weight space.
+def _rational_columns(op: GlobalOperator) -> dict:
+    """col -> [(row, RationalScalar)]: a generator's entries over Q(qs)."""
+    by_col = {}
+    for (r, c), v in op.entries.items():
+        by_col.setdefault(c, []).append((r, laurent.rational(v)))
+    return by_col
+
+
+def kashiwara_operators_by_weight_space(rep: Representation, i: int):
+    """(raising, lowering) operators extracted per i-weight space, as
+    {(row, col): Q(qs) entry}, from the global matrices of ``rep``.
 
     ``fock.kashiwara_operators`` as it was before it split the module into
     the connected blocks of e_i and f_i: one kernel and one change of basis
@@ -1300,7 +1344,7 @@ def kashiwara_operators_by_weight_space(rep: fock.Representation, i: int):
     for r, c in rep.e[i].entries:
         if rep.weights[r][i] != rep.weights[c][i] + 2:
             raise ArithmeticError(f"raising operator {i} is not weight-homogeneous")
-    by_col, f_cols = fock._columns(rep, "e", i), fock._columns(rep, "f", i)
+    by_col, f_cols = _rational_columns(rep.e[i]), _rational_columns(rep.f[i])
 
     strings = []  # (top_weight m, [w_r dicts for r = 0..m])
     for m, cols in sorted(buckets.items(), reverse=True):
@@ -1342,8 +1386,7 @@ def kashiwara_operators_by_weight_space(rep: fock.Representation, i: int):
             if r < m:
                 row.update((2 * dim + k, v) for k, v in vecs[r + 1].items())
             by_weight.setdefault(m - 2 * r, []).append(row)
-    et = fock.SparseOperator(dim)
-    ft = fock.SparseOperator(dim)
+    et, ft = {}, {}
     for lam, rows in by_weight.items():
         idxs = buckets[lam]
         if len(rows) != len(idxs):
@@ -1352,9 +1395,9 @@ def kashiwara_operators_by_weight_space(rep: fock.Representation, i: int):
         for c in idxs:
             for k, v in red[c].items():
                 if k >= 2 * dim:
-                    ft.entries[(k - 2 * dim, c)] = v
+                    ft[k - 2 * dim, c] = v
                 elif k >= dim:
-                    et.entries[(k - dim, c)] = v
+                    et[k - dim, c] = v
     return et, ft
 
 

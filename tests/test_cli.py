@@ -502,10 +502,9 @@ def test_relations_at_rank_12_read_only_the_factors(capsys, monkeypatch, token):
     from wedge_crystal import fock
 
     def refuse(*args):
-        raise AssertionError("the relation groups expanded the module")
+        raise AssertionError("the relation groups read a basis state")
 
-    monkeypatch.setattr(fock, "expand", refuse)
-    monkeypatch.setattr(fock.Factored, "expand", refuse)
+    monkeypatch.setattr(fock, "_column", refuse)
     start = time.perf_counter()
     code, out, err = run(capsys, "fock", "verify", "--relations", "--polarization",
                          "--type", token, "--n", "12")

@@ -9,9 +9,11 @@ arithmetic of the row reduction.  Rank-deficient cases are built on purpose by
 appending combinations of the drawn rows.
 
 The modified root operators, which ``fock.kashiwara_operators`` extracts
-block by block, are compared entry for entry with the extraction per whole
-i-weight space kept in ``fock_oracle``, on every labeling and on small
-hand-built modules; the hand-built ones also reach each of its failures.
+block by block from the factors, are compared entry for entry with the
+extraction per whole i-weight space kept in ``fock_oracle``, run on the
+expanded module, on every labeling.  Small hand-built modules reach the
+block extraction beneath it (``fock._operators_by_block``) directly, with
+their own weights and columns; they also reach each of its failures.
 """
 
 import pytest
@@ -113,14 +115,29 @@ def test_singular_change_of_basis_raises():
 
 
 def _one_node(weights, e, f):
-    """A module of node i = 0 alone on len(weights) basis vectors: their
-    i-weights, and e_0 and f_0 as {(row, col): Z[qs^±1] entry}."""
+    """A module of node i = 0 alone on len(weights) basis vectors, as the
+    oracle's global module: their i-weights, and e_0 and f_0 as
+    {(row, col): Z[qs^±1] entry}."""
     t = from_label("A2odd", 2)
     dim = len(weights)
-    return fock.Representation(type=t, cd=cartan_data(t), dim=dim,
-                               e={0: fock.SparseOperator(dim, e)},
-                               f={0: fock.SparseOperator(dim, f)},
-                               t={}, tinv={}, weights=[(w,) for w in weights])
+    return oracle.Representation(type=t, cd=cartan_data(t), copies=1, dim=dim,
+                                 e={0: oracle.GlobalOperator(dim, e)},
+                                 f={0: oracle.GlobalOperator(dim, f)},
+                                 t={}, tinv={}, weights=[(w,) for w in weights])
+
+
+def _by_blocks(rep):
+    """``fock``'s block extraction of node 0 on a hand-built module: its
+    weights as one table over whole ids, its columns read from its entries,
+    its blocks the cosets of the bits its entries change."""
+    cols, mask = {}, 0
+    for kind in ("e", "f"):
+        for (r, c), v in getattr(rep, kind)[0].entries.items():
+            cols.setdefault((kind, c), {})[r] = v
+            mask |= r ^ c
+    weights = (~0, {x: w for x, (w,) in enumerate(rep.weights)})
+    return fock._operators_by_block(rep.dim, 0, rep.cd.qi_exp[0], mask, weights,
+                                    lambda kind, x: cols.get((kind, x), {}))
 
 
 # one block holding two 2-strings: f_0 maps b0 to b2 and b1 to b2 + b3,
@@ -134,20 +151,23 @@ def _as_rational(op):
     return {rc: rational(v) for rc, v in op.entries.items()}
 
 
-def _assert_same(rep, i):
-    et, ft = fock.kashiwara_operators(rep, i)
+def _assert_same(rep, i=0, ours=None):
+    """``ours`` (by default ``_by_blocks(rep)``) against the oracle's
+    extraction on ``rep``; returns the raising and lowering operators."""
+    et, ft = _by_blocks(rep) if ours is None else ours
     oracle_et, oracle_ft = oracle.kashiwara_operators_by_weight_space(rep, i)
-    assert et.entries == oracle_et.entries
-    assert ft.entries == oracle_ft.entries
+    assert et == oracle_et
+    assert ft == oracle_ft
     return et, ft
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 @pytest.mark.parametrize("n", range(2, 6))
 def test_blocks_match_whole_weight_spaces(label, n):
-    rep = fock.representation(from_label(label, n))
+    fac = fock.factors(from_label(label, n))
+    rep = oracle.expand_module(fac)
     for i in range(n + 1):
-        _assert_same(rep, i)
+        _assert_same(rep, i, fock.kashiwara_operators(fac, i))
 
 
 def test_blocks_of_one_pattern_with_other_entries():
@@ -160,9 +180,9 @@ def test_blocks_of_one_pattern_with_other_entries():
     f = {(4, 0): {0: 1}, (4, 2): {0: 1}, (6, 2): {0: 1},
          (5, 1): {1: 1}, (5, 3): {0: 1}, (7, 3): {0: 1}}
     rep = _one_node(weights, e, f)
-    et, ft = _assert_same(rep, 0)
-    assert et.entries == _as_rational(rep.e[0])
-    assert ft.entries == _as_rational(rep.f[0])
+    et, ft = _assert_same(rep)
+    assert et == _as_rational(rep.e[0])
+    assert ft == _as_rational(rep.f[0])
 
 
 def test_single_strings():
@@ -172,28 +192,28 @@ def test_single_strings():
     two = qfactorial(2, unit)
     rep = _one_node([2, 0, -2], {(0, 1): two, (1, 2): {0: 1}},
                     {(1, 0): {0: 1}, (2, 1): two})
-    et, ft = _assert_same(rep, 0)
+    et, ft = _assert_same(rep)
     one = RationalScalar.one()
-    assert et.entries == {(0, 1): one, (1, 2): one}
-    assert ft.entries == {(1, 0): one, (2, 1): one}
+    assert et == {(0, 1): one, (1, 2): one}
+    assert ft == {(1, 0): one, (2, 1): one}
     # a 2-string with f_0 b0 = qs b1: e~ divides by qs where f~ multiplies
-    et, ft = _assert_same(_one_node([1, -1], {(0, 1): {-1: 1}}, {(1, 0): {1: 1}}), 0)
-    assert et.entries == {(0, 1): rational({-1: 1})}
-    assert ft.entries == {(1, 0): rational({1: 1})}
+    et, ft = _assert_same(_one_node([1, -1], {(0, 1): {-1: 1}}, {(1, 0): {1: 1}}))
+    assert et == {(0, 1): rational({-1: 1})}
+    assert ft == {(1, 0): rational({1: 1})}
 
 
 def test_one_block_of_several_strings():
     # e_0 and f_0 change both bits, so one coset holds every id: the 2-string
     # b0, b3 and the singletons b1, b2 at weight 0
     rep = _one_node([1, 0, 0, -1], {(0, 3): {1: 1}}, {(3, 0): {-1: 1}})
-    et, ft = _assert_same(rep, 0)
-    assert et.entries == {(0, 3): rational({1: 1})}
-    assert ft.entries == {(3, 0): rational({-1: 1})}
+    et, ft = _assert_same(rep)
+    assert et == {(0, 3): rational({1: 1})}
+    assert ft == {(3, 0): rational({-1: 1})}
 
 
 def test_weight_zero_singleton_contributes_nothing():
-    et, ft = _assert_same(_one_node([0], {}, {}), 0)
-    assert not et.entries and not ft.entries
+    et, ft = _assert_same(_one_node([0], {}, {}))
+    assert not et and not ft
 
 
 @pytest.mark.parametrize("weights, e, f, message", [
@@ -212,7 +232,7 @@ def test_weight_zero_singleton_contributes_nothing():
 ])
 def test_malformed_blocks_raise(weights, e, f, message):
     with pytest.raises(ArithmeticError, match=message):
-        fock.kashiwara_operators(_one_node(weights, e, f), 0)
+        _by_blocks(_one_node(weights, e, f))
 
 
 def test_dependent_strings_are_a_singular_change_of_basis(monkeypatch):
@@ -224,11 +244,11 @@ def test_dependent_strings_are_a_singular_change_of_basis(monkeypatch):
         basis = kernel(rows, cols)
         return basis[:-1] + basis[:1] if len(basis) > 1 else basis
 
-    rep = fock.representation(from_label("A2odd", 3))
+    fac = fock.factors(from_label("A2odd", 3))
     monkeypatch.setattr(fock, "_kernel", repeated)
     with pytest.raises(ArithmeticError, match="singular change of basis"):
-        fock.normalized_highest_vector(rep, 1, 2)
+        fock.normalized_highest_vector(fac, 1, 2)
     # every block of a labeling at n = 3 has kernels of dimension at most
     # one; this block has a two-dimensional kernel at weight 1
     with pytest.raises(ArithmeticError, match="singular change of basis"):
-        fock.kashiwara_operators(_one_node(*TWO_STRINGS), 0)
+        _by_blocks(_one_node(*TWO_STRINGS))

@@ -11,7 +11,7 @@ from wedge_crystal import crystal, fock, theorems
 from wedge_crystal.fock import (Factored, crystal_match, factors, highest_vectors,
                                 kashiwara_operators, kron,
                                 normalized_highest_vector, omega, parity, psi,
-                                psi_star, representation, verify_null_shift,
+                                psi_star, verify_null_shift,
                                 verify_polarization, verify_relations,
                                 verify_weight_compatibility)
 from wedge_crystal.laurent import RationalScalar, rational
@@ -21,7 +21,7 @@ ONE = {0: 1}  # the unit of Z[qs^±1]
 
 def _global(op):
     """The global entries of a factored operator."""
-    return op.expand().entries
+    return oracle.expand(op).entries
 
 
 def _column(bits, vec):
@@ -104,34 +104,34 @@ def test_weight_compatibility(label):
 
 
 def test_kashiwara_string_calculus():
-    rep = representation(from_label("C1", 2))
+    t = from_label("C1", 2)
+    fac = factors(t)
+    dim = 1 << fac.bits
     for i in range(3):
         # the modified operators have Q(qs) entries; multiply them as such
-        et, ft = (oracle.SparseOperator(rep.dim, {rc: oracle.scalar(v)
-                                                  for rc, v in op.entries.items()})
-                  for op in kashiwara_operators(rep, i))
+        et, ft = (oracle.SparseOperator(dim, {rc: oracle.scalar(v) for rc, v in op.items()})
+                  for op in kashiwara_operators(fac, i))
         # the two modified operators are mutually inverse along strings
         assert (et @ ft @ et) == et
         assert (ft @ et @ ft) == ft
         # raising is nilpotent with order bounded by the longest string
-        m = max(rep.weights[idx][i] for idx in range(rep.dim))
+        m = max(crystal.weight(t, x)[i] for x in range(dim))
         assert et.power(m + 1).is_zero
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_crystal_match_small(label):
-    rep = representation(from_label(label, 2))
-    checks = crystal_match(rep)
+    checks = crystal_match(factors(from_label(label, 2)))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 def test_highest_vector_counts():
     t = from_label("C1", 2)
-    rep = representation(t)
+    fac = factors(t)
     for (k, l) in theorems.h_diamond(t):
         wvec = fundamental_weight_cl(t, k)
-        space = highest_vectors(rep, wvec)
-        ids = [x for x in range(rep.dim) if crystal.weight(t, x) == wvec]
+        space = highest_vectors(fac, wvec)
+        ids = [x for x in range(1 << fac.bits) if crystal.weight(t, x) == wvec]
         expected = theorems.classically_highest(crystal.rules(t), ids)
         assert space.ids == expected
         assert len(space) == len(expected)
@@ -146,8 +146,7 @@ def test_vacuum_pair_is_classically_highest():
 
 def test_normalized_highest_vector():
     t = from_label("C1", 2)
-    rep = representation(t)
-    vec, ok, dim = normalized_highest_vector(rep, 1, 1)
+    vec, ok, dim = normalized_highest_vector(factors(t), 1, 1)
     assert ok
     target = crystal.v_kl(t, 1, 1)
     assert vec[target] == RationalScalar.one()
@@ -157,16 +156,15 @@ def test_normalized_highest_vector():
 
 @pytest.mark.parametrize("n", (2, 3))
 def test_null_shift(n):
-    rep = representation(from_label("A2odd", n))
-    checks = verify_null_shift(rep)
+    checks = verify_null_shift(factors(from_label("A2odd", n)))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 
 def test_highest_vectors_are_computed_once_per_weight(capsys, monkeypatch):
     from wedge_crystal.cli import main
 
-    kernels, filters = [], []
-    kernel, highest = fock._kernel, fock.classically_highest
+    kernels, filters, built = [], [], []
+    kernel, highest, build = fock._kernel, fock.classically_highest, fock.factors
 
     def counted_kernel(rows, cols):
         kernels.append(tuple(cols))
@@ -176,13 +174,21 @@ def test_highest_vectors_are_computed_once_per_weight(capsys, monkeypatch):
         filters.append(tuple(ids))
         return highest(rs, ids)
 
+    def kept_factors(t):
+        built.append(build(t))
+        return built[-1]
+
     monkeypatch.setattr(fock, "_kernel", counted_kernel)
     monkeypatch.setattr(fock, "classically_highest", counted_highest)
+    monkeypatch.setattr(fock, "factors", kept_factors)
     assert main(["fock", "verify", "--type", "A2odd", "--n", "4", "--highest",
                  "--deltaword"]) == 0
-    # 5 weights: one elimination and one crystal filter each, over one scan
+    # 5 weights: one elimination and one crystal filter each, over the ids
+    # of the weight, kept on the one set of factors that both groups read
     assert len(kernels) == len(set(kernels)) == 5
     assert filters == kernels
+    fac, = built
+    assert len(fac.highest) == len(kernels)
 
 
 def _kernel_without_first_vector(monkeypatch):
@@ -207,7 +213,7 @@ def test_a_count_mismatch_is_a_failed_check(capsys, monkeypatch):
 
 def test_the_null_shift_reports_a_count_mismatch(monkeypatch):
     _kernel_without_first_vector(monkeypatch)
-    checks = verify_null_shift(representation(from_label("A2odd", 2)))
+    checks = verify_null_shift(factors(from_label("A2odd", 2)))
     failed = {c.name for c in checks if not c.ok}
     assert {"k=1 highest vector (1,1) congruent", "k=1 highest vector (1,0) congruent",
             "k=1 image of (1,1) is a signed unit leading term"} <= failed
@@ -217,37 +223,51 @@ def test_a_representative_that_is_not_highest_is_a_failed_check(monkeypatch):
     # the canonical (1, 0) state of C1 n = 2 lowered by f_1 is not
     # classically highest; nothing is normalized at it
     t = from_label("C1", 2)
-    rep = representation(t)
+    fac = factors(t)
     v_kl = crystal.v_kl
     lowered = crystal.f_tilde(t, 1, v_kl(t, 1, 0))
     monkeypatch.setattr(crystal, "v_kl",
                         lambda t, k, l: lowered if (k, l) == (1, 0) else v_kl(t, k, l))
-    assert normalized_highest_vector(rep, 1, 0) == ({}, False, 2)
-    checks = fock.verify_highest(rep)
+    assert normalized_highest_vector(fac, 1, 0) == ({}, False, 2)
+    checks = fock.verify_highest(fac)
     assert [c.name for c in checks if not c.ok] == ["normalized highest vector (1,0)"]
 
 
-def test_generators_are_converted_once(capsys, monkeypatch):
+def test_generators_are_indexed_once(capsys, monkeypatch):
     from wedge_crystal.cli import main
 
-    converted = []
-    columns = fock._rational_columns
+    indexed = []
+    index = fock._index
 
     def counted(op):
-        converted.append(id(op))
-        return columns(op)
+        indexed.append(id(op))
+        return index(op)
 
-    monkeypatch.setattr(fock, "_rational_columns", counted)
+    monkeypatch.setattr(fock, "_index", counted)
     assert main(["fock", "verify", "--crystal-match", "--highest", "--deltaword",
                  "--type", "A2odd", "--n", "4"]) == 0
     # each of e_0..e_4 and f_0..f_4 at most once
-    assert len(converted) == len(set(converted)) <= 2 * 5
+    assert len(indexed) == len(set(indexed)) <= 2 * 5
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_columns_match_the_expansion(label, n):
+    # every global column of every e_i and f_i, read from the factors id by
+    # id, is that column of the expanded matrix, entry for entry
+    fac = factors(from_label(label, n))
+    dim = 1 << fac.bits
+    for kind in ("e", "f"):
+        for i in range(n + 1):
+            by_col = {}
+            for (r, c), v in oracle.expand(getattr(fac, kind)[i]).entries.items():
+                by_col.setdefault(c, {})[r] = v
+            for x in range(dim):
+                assert fock._column(fac, kind, i, x) == by_col.get(x, {}), (kind, i, x)
 
 
 def test_empty_weight_space():
-    t = from_label("C1", 2)
-    rep = representation(t)
-    assert highest_vectors(rep, (5, 5, 5)) == []
+    assert highest_vectors(factors(from_label("C1", 2)), (5, 5, 5)) == []
 
 
 # -- the integer formulation against the rational oracle ------------------------
@@ -266,7 +286,7 @@ def _triples(checks):
 def _relation_checks(fac):
     """(name, ok, witness) of ``fock.verify_relations`` on the factors, and of
     the oracle's global form and all-products form on their expansion."""
-    rep = fock.expand(fac)
+    rep = oracle.expand_module(fac)
     return (_triples(verify_relations(fac)), _triples(oracle.global_verify_relations(rep)),
             _triples(oracle.integer_verify_relations(rep)))
 
@@ -286,7 +306,7 @@ def _rational(rep):
 def test_integer_formulation_matches_oracle(label, n):
     t = from_label(label, n)
     fac = factors(t)
-    rep, ref = fock.expand(fac), oracle.representation(t)
+    rep, ref = oracle.expand_module(fac), oracle.representation(t)
     for name in ("e", "f", "t", "tinv"):
         for i in range(n + 1):
             ours = {rc: oracle.scalar(rational(v))
@@ -313,7 +333,7 @@ def test_factors_match_the_global_form(label, n):
     # factored check gives the global form's (name, ok, witness)
     t = from_label(label, n)
     fac = factors(t)
-    rep, ref = fock.expand(fac), oracle.global_representation(t)
+    rep, ref = oracle.expand_module(fac), oracle.global_representation(t)
     for name in ("e", "f", "t", "tinv"):
         for i in range(n + 1):
             assert getattr(rep, name)[i].entries == getattr(ref, name)[i].entries, (name, i)
@@ -343,7 +363,7 @@ def test_sign_mutation_fails_the_same_checks(label):
     fac = factors(t)
     _replace(fac, "f", 1, _flip_sign)
     _, (r, c) = _first_entry(fac.f[1])
-    ours, theirs = _verdicts(fock, fac), _verdicts(oracle, _rational(fock.expand(fac)))
+    ours, theirs = _verdicts(fock, fac), _verdicts(oracle, _rational(oracle.expand_module(fac)))
     assert ours == theirs
     failed = [name for name, ok in ours if not ok]
     assert "polarization f(1)" in failed and "polarization e(1)" in failed
@@ -353,7 +373,7 @@ def test_sign_mutation_fails_the_same_checks(label):
     assert witness["polarization f(1)"].startswith(f"entry {(c, r)}: ")
     assert all(ch.witness is None for ch in verify_polarization(factors(t)) if ch.ok)
     assert _triples(verify_polarization(fac)) == \
-        _triples(oracle.global_verify_polarization(fock.expand(fac)))
+        _triples(oracle.global_verify_polarization(oracle.expand_module(fac)))
 
 
 def test_witness_shows_both_entries():
@@ -445,30 +465,27 @@ def _refactor(op, rng):
 def _agree(lhs, rhs):
     """``fock._compare`` on the factors gives the global form's triple."""
     ours = fock._compare("x", lhs, rhs)
-    whole = oracle.global_compare("x", lhs.expand(), rhs.expand())
+    whole = oracle.global_compare("x", oracle.expand(lhs), oracle.expand(rhs))
     assert (ours.ok, ours.witness) == (whole.ok, whole.witness)
     return ours
-
-
-def _global_form(op):
-    return oracle.GlobalOperator(1 << op.bits, op.expand().entries)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_terms(), _terms(), st.randoms(use_true_random=False))
 def test_factored_algebra_matches_the_global_forms(a, b, rng):
-    ga, gb = _global_form(a), _global_form(b)
-    assert (a @ b).expand() == ga @ gb
-    assert (a + b).expand() == ga + gb
-    assert (a - b).expand() == ga - gb
-    assert a.transpose().expand() == ga.transpose()
-    assert a.scale({1: 1, -1: -1}).expand() == ga.scale({1: 1, -1: -1})
-    assert kron(a, b).expand() == oracle.global_kron(ga, gb)
+    expand = oracle.expand
+    ga, gb = expand(a), expand(b)
+    assert expand(a @ b) == ga @ gb
+    assert expand(a + b) == ga + gb
+    assert expand(a - b) == ga - gb
+    assert expand(a.transpose()) == ga.transpose()
+    assert expand(a.scale({1: 1, -1: -1})) == ga.scale({1: 1, -1: -1})
+    assert expand(kron(a, b)) == oracle.global_kron(ga, gb)
     _agree(a, b)
     _agree(a @ b, b @ a)
     # characters that coincide off the union of the supports: equal sums
     same = _refactor(a, rng)
-    assert same.expand() == a.expand()
+    assert expand(same) == expand(a)
     assert _agree(a, same).ok and _agree(a + b, same + b).ok
     # terms that cancel across characters
     assert _agree(a - same, Factored(BITS)).ok

@@ -6,11 +6,15 @@ checks the relations, weights and polarization from the factored
 generators at rank 7 and, for every labeling, at rank 20 (each under 10 s);
 ``fock verify --crystal-match`` compares the modified root operators at
 qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
-A_{2n-1}^(2).  These tests are deselected by default; run them with
-``python -m pytest -m large``.
+A_{2n-1}^(2); and ``fock verify`` with every group at rank 8, on C_n^(1)
+and A_{2n-1}^(2), reads only the factors, so it passes in under 30 s with a
+peak resident size under 128 MiB.  These tests are deselected by default;
+run them with ``python -m pytest -m large``.
 """
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +22,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
 
 
 @pytest.mark.large
@@ -68,3 +73,50 @@ def test_fock_relations_at_rank_20(token):
 ])
 def test_fock_crystal_match_at_rank_6_and_7(token, n):
     _fock_verify_passes("--crystal-match", "--type", token, "--n", str(n))
+
+
+# ``wedge_crystal.cli.main`` on the arguments, then the child's own peak
+# resident size (VmHWM) on stderr, where /proc/self/status has it
+_MAIN_WITH_PEAK = """
+import sys
+from wedge_crystal.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as status:
+        print(next(line for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+except (OSError, StopIteration):
+    pass
+sys.exit(code)
+"""
+
+
+def _fock_check_count(token, n, groups):
+    spec = importlib.util.spec_from_file_location("perfbench_oracles",
+                                                  ROOT / "perfbench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.fock_check_count(token, n, groups)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("token, groups", [
+    ("A2odd", ("relations", "polarization", "crystal_match", "highest", "deltaword")),
+    ("C1", ("relations", "polarization", "crystal_match", "highest")),
+])
+def test_fock_every_group_at_rank_8(token, groups):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_WITH_PEAK, "fock", "verify", "--type", token, "--n", "8"],
+        capture_output=True, text=True, env=env, timeout=600)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    total = _fock_check_count(token, 8, groups)
+    *checks, summary = proc.stdout.splitlines()
+    assert len(checks) == total and all(line.startswith("[ok] ") for line in checks)
+    assert summary.startswith(f"{total}/{total} checks passed")
+    assert elapsed < 30, elapsed
+    peak = re.search(r"^VmHWM:\s+(\d+) kB", proc.stderr, re.M)
+    if peak is None:
+        pytest.skip("no VmHWM in /proc/self/status on this platform")
+    assert int(peak.group(1)) < 128 * 1024, proc.stderr
