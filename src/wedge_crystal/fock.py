@@ -54,18 +54,26 @@ sparse row reduction over Q(qs) (``_rref``), fed with the nonzero entries
 only.
 
 The modified root operators of node i come from the blocks of the module:
-the cosets of the bits that e_i and f_i change (the union of r ^ c over
+the cosets of K, the bits that e_i and f_i change (the union of r ^ c over
 their local entries, which every global entry shares).  Each coset is
 closed under e_i and f_i by construction, and t_i is diagonal, so each
 block is a U_q(sl_2)_i-submodule, and Kashiwara's operators act on the
-blocks separately.  Each block gets the kernel, string and change-of-basis
-steps on its own few members, once per block shape: blocks whose weights
-and entries agree after renumbering share one result.  The highest vectors
-need joint kernels over i = 1..n, which no block of one i contains, so they
-reduce whole weight spaces: the ids of a weight are narrowed from the basis
-one rule's weight table at a time, and yield both that kernel and the
+blocks separately.  Most blocks are alike.  With U the union of the
+supports of e_i's and f_i's terms and of rule i's mask, take two ids that
+agree on U & ~K and have the same parity against every term character
+outside U: they differ by some d outside U on which every character is
+even, and y -> y ^ d maps one coset onto the other keeping entries, signs,
+i-weights and crystal steps.  So one block per class (``_classes``: a
+submask of U & ~K with a parity vector the spectators reach, at most 4 per
+node on every labeling) gets the kernel, string and change-of-basis steps,
+and the crystal match compares each with the step tables on its members:
+it solves O(n) blocks of at most 16 ids.  The highest vectors need joint
+kernels over i = 1..n, which no block of one i contains, so they reduce
+whole weight spaces: the ids of a weight are narrowed from the basis one
+rule's weight table at a time, and yield both that kernel and the
 crystal's classically-highest ids of the weight, kept together
-(``WeightSpace``).
+(``WeightSpace``).  They and the null-root shift still visit 2^n or 4^n
+states.
 """
 
 from __future__ import annotations
@@ -664,93 +672,90 @@ def _solve(rows, cols) -> dict:
 # -- modified root operators from the module -----------------------------------
 
 
+def _classes(fac: Factors, i: int):
+    """(mask, bases): the bits that e_i and f_i change, and one base id per
+    class of their cosets, with no bit of ``mask`` set.
+
+    With U the union of the supports of e_i's and f_i's terms and of rule
+    i's step mask (which is also its weight mask), a class is a submask of
+    U & ~mask together with a parity vector of the terms' characters outside
+    U that some spectator reaches.  The spectators are found one per vector
+    by adding the bits one at a time: a bit outside the characters' union
+    reaches no new vector.
+    """
+    mask = union = 0
+    chars = set()
+    for op in (fac.e[i], fac.f[i]):
+        for (m, p), local in op.terms.items():
+            union |= m
+            chars.add(p)
+            for r, c in local:
+                mask |= r ^ c
+    union |= crys.rules(fac.type).weights[i][0]
+    chars = [p & ~union for p in chars]
+    spect = {0: 0}  # parity vector of the characters -> a spectator reaching it
+    for b in (1 << k for k in range(fac.bits)):
+        flips = sum(1 << k for k, p in enumerate(chars) if p & b)
+        for vec, s in list(spect.items()):
+            spect.setdefault(vec ^ flips, s | b)
+    return mask, [sub | s for sub, _ in _spectators(union & ~mask, 0)
+                  for s in spect.values()]
+
+
 def kashiwara_operators(fac: Factors, i: int):
-    """(raising, lowering) modified root operators, as {(row, col): Q(qs)
-    entry}, extracted block by block.
+    """[(members, raising, lowering)]: Kashiwara's modified root operators of
+    node i on one block per class of blocks, the operators as {(row, col):
+    Q(qs) entry} numbered in the order of the ascending members.
 
     An entry (r, c) of e_i or f_i changes only the bits of r ^ c, the same
     for a local entry and each of its global copies, so with ``mask`` the
-    union of those bits over the local entries, each coset of ``mask`` (the
-    ids x of one x & ~mask, a block) is closed under e_i, f_i and the
-    diagonal t_i.  It spans a U_q(sl_2)_i-submodule, and Kashiwara's
-    operators act on each block separately (``_operators_by_block``).
+    union of those bits over the local entries, each coset of ``mask`` (a
+    block) is closed under e_i, f_i and the diagonal t_i.  It spans a
+    U_q(sl_2)_i-submodule, and Kashiwara's operators act on each block
+    separately.  Two blocks of one class (``_classes``) differ by a shift
+    y -> y ^ d with d outside U, the supports of the terms and the rule's
+    mask, and even on every character, which keeps their entries, signs,
+    i-weights and crystal steps; so the class's base block stands for all
+    of them.
     """
-    mask = 0
-    for op in (fac.e[i], fac.f[i]):
-        for local in op.terms.values():
-            for r, c in local:
-                mask |= r ^ c
-    return _operators_by_block(1 << fac.bits, i, fac.cd.qi_exp[i], mask,
-                               crys.rules(fac.type).weights[i],
-                               lambda kind, x: _column(fac, kind, i, x))
+    mask, bases = _classes(fac, i)
+    inside = [s for s, _ in _spectators(mask, 0)]
+    weights = crys.rules(fac.type).weights[i]
+    out = []
+    for base in bases:
+        members = [base | s for s in inside]
+        out.append((members, *_block_operators(members, weights,
+                                               lambda kind, x: _column(fac, kind, i, x),
+                                               i, fac.cd.qi_exp[i])))
+    return out
 
 
-def _operators_by_block(dim: int, i: int, unit: int, mask: int, weights, column):
-    """Kashiwara's operators of node i on the ids 0..dim-1, one block (coset
-    of ``mask``) at a time: ``weights`` is a weight table (mask, table) of
-    the i-weights, and ``column(kind, x)`` the global column x of e_i
-    ("e") or f_i ("f").  Each block is solved by ``_block_operators``, once
-    per block shape (``_block_shape``).
+def _block_operators(members, weights, column, i: int, unit: int):
+    """Kashiwara's operators of node i on one block by exact elimination:
+    ({(row, col): e~ entry}, {(row, col): f~ entry}), numbered in the order
+    of ``members``, the block's ids in ascending order.
+
+    ``weights`` is a weight table (mask, table) of the i-weights, and
+    ``column(kind, x)`` the column x of e_i ("e") or f_i ("f"), every row in
+    the block.  An entry that does not raise (e_i) or lower (f_i) the
+    i-weight by 2 is an error.  The strings start at a basis of the kernel
+    of e_i on each weight space of weight m >= 0 and run through the
+    divided powers f^(r), r = 0..m; a change of basis per weight space then
+    reads off both operators.  The strings must fill the block.
     """
-    blocks = {}
-    for x in range(dim):
-        blocks.setdefault(x & ~mask, []).append(x)
-    et, ft = {}, {}
-    total = 0
-    solved = {}  # block shape -> _block_operators of it
-    for members in blocks.values():
-        shape = _block_shape(members, weights, column, i)
-        if shape not in solved:
-            solved[shape] = _block_operators(shape, unit)
-        count, block_et, block_ft = solved[shape]
-        total += count
-        for op, block_op in ((et, block_et), (ft, block_ft)):
-            for (r, c), v in block_op.items():
-                op[members[r], members[c]] = v
-    if total != dim:
-        raise ArithmeticError(f"string count {total} does not fill dimension {dim}")
-    return et, ft
-
-
-def _block_shape(members, weights, column, i: int):
-    """The block renumbered 0..s-1 in the order of its ascending members:
-    the i-weights, then the entries of e_i and of f_i as sorted
-    (row, col, terms) tuples.  ``_block_operators`` depends on nothing else
-    and keeps that order, so blocks of one shape share its result.  An entry
-    that does not raise (e_i) or lower (f_i) the i-weight by 2 is an error."""
     wmask, table = weights
+    size = len(members)
     local = {x: k for k, x in enumerate(members)}
     w = [table[x & wmask] for x in members]
-
-    def entries(kind, step, name):
-        out = []
+    e_rat, f_rat, buckets = {}, {}, {}
+    for cols, kind, step, name in ((e_rat, "e", 2, "raising"), (f_rat, "f", -2, "lowering")):
         for c, x in enumerate(members):
             for r, v in column(kind, x).items():
                 r = local[r]
                 if w[r] != w[c] + step:
                     raise ArithmeticError(f"{name} operator {i} is not weight-homogeneous")
-                out.append((r, c, tuple(sorted(v.items()))))
-        return tuple(sorted(out))
-
-    return tuple(w), entries("e", 2, "raising"), entries("f", -2, "lowering")
-
-
-def _block_operators(shape, unit: int):
-    """Kashiwara's operators on one block shape by exact elimination:
-    (number of string vectors, {(row, col): e~ entry}, {(row, col): f~
-    entry}), all in the shape's numbering.
-
-    The strings start at a basis of the kernel of e_i on each weight space
-    of weight m >= 0 and run through the divided powers f^(r), r = 0..m;
-    a change of basis per weight space then reads off both operators.
-    """
-    weights, e_entries, f_entries = shape
-    size = len(weights)
-    e_rat, f_rat, buckets = {}, {}, {}
-    for cols, entries in ((e_rat, e_entries), (f_rat, f_entries)):
-        for r, c, terms in entries:
-            cols.setdefault(c, []).append((r, rational(dict(terms))))
-    for x, wt in enumerate(weights):
+                cols.setdefault(c, []).append((r, rational(v)))
+    for x, wt in enumerate(w):
         buckets.setdefault(wt, []).append(x)
 
     strings = []  # (top_weight m, [w_r dicts for r = 0..m])
@@ -801,36 +806,39 @@ def _block_operators(shape, unit: int):
                     ft[k - 2 * size, c] = v
                 elif k >= size:
                     et[k - size, c] = v
-    return sum(m + 1 for m, _ in strings), et, ft
+    count = sum(m + 1 for m, _ in strings)
+    if count != size:
+        raise ArithmeticError(f"string count {count} does not fill dimension {size}")
+    return et, ft
 
 
 def crystal_match(fac: Factors):
     """Specialize the modified operators at qs = 0 and compare adjacency
-    with the step tables of the crystal's rules."""
-    dim = 1 << fac.bits
+    with the step tables of the crystal's rules, on one block per class."""
     checks = []
     for i, rule in enumerate(crys.rules(fac.type)):
-        et, ft = kashiwara_operators(fac, i)
+        blocks = kashiwara_operators(fac, i)
         mask, f, e = crys.steps(rule)
-        for name, op, table in ((f"e~({i})", et, e), (f"f~({i})", ft, f)):
-            regular = all(v.is_regular for v in op.values())
+        for name, k, table in ((f"e~({i})", 1, e), (f"f~({i})", 2, f)):
+            regular = all(v.is_regular for block in blocks for v in block[k].values())
             checks.append(Check(f"{name} lattice-regular", regular))
             if not regular:
                 continue
-            reduced = {}
-            for (r, c), v in op.items():
-                val = v.eval_at_zero()
-                if val:
-                    reduced[(r, c)] = val
-            adjacency = {(x ^ table[x & mask], x) for x in range(dim) if table[x & mask]}
-            same = set(reduced) == adjacency and \
-                all(abs(v) == 1 for v in reduced.values())
+            same = single = True
+            for block in blocks:
+                members = block[0]
+                reduced = {}
+                for (r, c), v in block[k].items():
+                    val = v.eval_at_zero()
+                    if val:
+                        reduced[members[r], members[c]] = val
+                adjacency = {(x ^ table[x & mask], x) for x in members if table[x & mask]}
+                same = same and set(reduced) == adjacency and \
+                    all(abs(v) == 1 for v in reduced.values())
+                cols = [c for _, c in reduced]
+                single = single and len(cols) == len(set(cols))
             checks.append(Check(f"{name} matches the crystal adjacency", same))
-            cols = {}
-            for (r, c), v in reduced.items():
-                cols[c] = cols.get(c, 0) + 1
-            checks.append(Check(f"{name} single-valued columns",
-                                all(v == 1 for v in cols.values())))
+            checks.append(Check(f"{name} single-valued columns", single))
     return checks
 
 

@@ -14,7 +14,8 @@ search, the simple reflection and the classically-highest test through
 through ``step_f``/``step_e`` and ``UnionFind``.  The package has no
 union-find class any more: its partition is one sweep over a flat parent
 list, and the blocks of ``fock.kashiwara_operators`` are cosets of a bit
-mask, so ``UnionFind`` lives here with its last user.
+mask, one solved per class of cosets, so ``UnionFind`` lives here with its
+last user.
 """
 
 from __future__ import annotations

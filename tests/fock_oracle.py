@@ -25,7 +25,9 @@ It also keeps the dense Gauss-Jordan kernel and solver that ``fock`` used
 before its sparse row reduction, which the tests compare with it on random
 matrices, and the extraction of the modified root operators per whole
 i-weight space (``kashiwara_operators_by_weight_space``) that ``fock`` used
-before it worked block by block.
+before it worked block by block, and the crystal match over every id of the
+expanded module (``global_crystal_match``) that ``fock`` ran before it
+solved one block per class of blocks.
 
 Its scalars are the Q(qs) arithmetic that ``wedge_crystal.laurent`` used
 before the fraction field moved to pairs of integer Laurent dicts: Laurent
@@ -1399,6 +1401,35 @@ def kashiwara_operators_by_weight_space(rep: Representation, i: int):
                 elif k >= dim:
                     et[k - dim, c] = v
     return et, ft
+
+
+def global_crystal_match(fac: fock.Factors):
+    """``fock.crystal_match`` over the whole expanded module: the modified
+    operators of every node from ``kashiwara_operators_by_weight_space``,
+    specialised at qs = 0 and compared with the crystal's adjacency over
+    every id.  The same check names, in the same order."""
+    rep = expand_module(fac)
+    checks = []
+    for i, rule in enumerate(crys.rules(fac.type)):
+        et, ft = kashiwara_operators_by_weight_space(rep, i)
+        mask, f, e = crys.steps(rule)
+        for name, op, table in ((f"e~({i})", et, e), (f"f~({i})", ft, f)):
+            regular = all(v.is_regular for v in op.values())
+            checks.append(fock.Check(f"{name} lattice-regular", regular))
+            if not regular:
+                continue
+            reduced = {}
+            for rc, v in op.items():
+                val = v.eval_at_zero()
+                if val:
+                    reduced[rc] = val
+            adjacency = {(x ^ table[x & mask], x) for x in range(rep.dim) if table[x & mask]}
+            same = set(reduced) == adjacency and all(abs(v) == 1 for v in reduced.values())
+            checks.append(fock.Check(f"{name} matches the crystal adjacency", same))
+            cols = [c for _, c in reduced]
+            checks.append(fock.Check(f"{name} single-valued columns",
+                                     len(cols) == len(set(cols))))
+    return checks
 
 
 # -- dense exact linear algebra (small blocks) ---------------------------------

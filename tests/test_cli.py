@@ -517,6 +517,35 @@ def test_relations_at_rank_12_read_only_the_factors(capsys, monkeypatch, token):
     assert elapsed < 10, elapsed
 
 
+@pytest.mark.parametrize("n", (12, pytest.param(20, marks=pytest.mark.large)))
+@pytest.mark.parametrize("token", ("B1", "C1", "D1", "A2even", "A2evenDagger",
+                                   "A2odd", "D2"))
+def test_crystal_match_at_rank_12_and_20_reads_one_block_per_class(capsys, monkeypatch,
+                                                                   token, n):
+    from wedge_crystal import fock
+
+    column = fock._column
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return column(*args)
+
+    monkeypatch.setattr(fock, "_column", counted)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fock", "verify", "--crystal-match",
+                         "--type", token, "--n", str(n))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    total = _perfbench_oracles().fock_check_count(token, n, ("crystal_match",))
+    *checks, summary = out.splitlines()
+    assert len(checks) == total and all(line.startswith("[ok] ") for line in checks)
+    assert summary == f"{total}/{total} checks passed for {from_label(token, n).label} n={n}"
+    # at most 4 classes of at most 16 members, each read once for e_i and f_i
+    assert len(calls) <= 128 * (n + 1), len(calls)
+    assert elapsed < 10, elapsed
+
+
 # the function behind each --suite choice, in the order argparse lists them
 SUITE_FUNCTIONS = {
     "prop41": "verify_component_partition",

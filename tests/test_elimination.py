@@ -9,18 +9,21 @@ arithmetic of the row reduction.  Rank-deficient cases are built on purpose by
 appending combinations of the drawn rows.
 
 The modified root operators, which ``fock.kashiwara_operators`` extracts
-block by block from the factors, are compared entry for entry with the
-extraction per whole i-weight space kept in ``fock_oracle``, run on the
-expanded module, on every labeling.  Small hand-built modules reach the
-block extraction beneath it (``fock._operators_by_block``) directly, with
-their own weights and columns; they also reach each of its failures.
+from the factors on one block per class of blocks, are compared entry for
+entry with the extraction per whole i-weight space kept in ``fock_oracle``,
+run on the expanded module and restricted to each block's members, on every
+labeling; and every block of every node is checked to have its class
+representative's weights and columns.  Small hand-built modules reach the
+extraction of one block (``fock._block_operators``) directly, block by
+block, with their own weights and columns; they also reach each of its
+failures.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fock_oracle as oracle
-from wedge_crystal import fock
+from wedge_crystal import crystal, fock
 from wedge_crystal.cartan import ALL_LABELS, cartan_data, from_label
 from wedge_crystal.laurent import RationalScalar, qfactorial, rational
 
@@ -127,17 +130,27 @@ def _one_node(weights, e, f):
 
 
 def _by_blocks(rep):
-    """``fock``'s block extraction of node 0 on a hand-built module: its
-    weights as one table over whole ids, its columns read from its entries,
-    its blocks the cosets of the bits its entries change."""
+    """``fock._block_operators`` of node 0 on every block of a hand-built
+    module, renumbered to its ids: its weights as one table over whole ids,
+    its columns read from its entries, its blocks the cosets of the bits its
+    entries change."""
     cols, mask = {}, 0
     for kind in ("e", "f"):
         for (r, c), v in getattr(rep, kind)[0].entries.items():
             cols.setdefault((kind, c), {})[r] = v
             mask |= r ^ c
     weights = (~0, {x: w for x, (w,) in enumerate(rep.weights)})
-    return fock._operators_by_block(rep.dim, 0, rep.cd.qi_exp[0], mask, weights,
-                                    lambda kind, x: cols.get((kind, x), {}))
+    blocks = {}
+    for x in range(rep.dim):
+        blocks.setdefault(x & ~mask, []).append(x)
+    et, ft = {}, {}
+    for members in blocks.values():
+        ops = fock._block_operators(members, weights, lambda kind, x: cols.get((kind, x), {}),
+                                    0, rep.cd.qi_exp[0])
+        for op, block_op in zip((et, ft), ops):
+            for (r, c), v in block_op.items():
+                op[members[r], members[c]] = v
+    return et, ft
 
 
 # one block holding two 2-strings: f_0 maps b0 to b2 and b1 to b2 + b3,
@@ -151,11 +164,11 @@ def _as_rational(op):
     return {rc: rational(v) for rc, v in op.entries.items()}
 
 
-def _assert_same(rep, i=0, ours=None):
-    """``ours`` (by default ``_by_blocks(rep)``) against the oracle's
-    extraction on ``rep``; returns the raising and lowering operators."""
-    et, ft = _by_blocks(rep) if ours is None else ours
-    oracle_et, oracle_ft = oracle.kashiwara_operators_by_weight_space(rep, i)
+def _assert_same(rep):
+    """``_by_blocks(rep)`` against the oracle's extraction on ``rep``;
+    returns the raising and lowering operators."""
+    et, ft = _by_blocks(rep)
+    oracle_et, oracle_ft = oracle.kashiwara_operators_by_weight_space(rep, 0)
     assert et == oracle_et
     assert ft == oracle_ft
     return et, ft
@@ -164,10 +177,54 @@ def _assert_same(rep, i=0, ours=None):
 @pytest.mark.parametrize("label", ALL_LABELS)
 @pytest.mark.parametrize("n", range(2, 6))
 def test_blocks_match_whole_weight_spaces(label, n):
+    # each class block's operators are the oracle's on its members, in their
+    # order
     fac = fock.factors(from_label(label, n))
     rep = oracle.expand_module(fac)
     for i in range(n + 1):
-        _assert_same(rep, i, fock.kashiwara_operators(fac, i))
+        whole = oracle.kashiwara_operators_by_weight_space(rep, i)
+        for members, *ops in fock.kashiwara_operators(fac, i):
+            local = {x: k for k, x in enumerate(members)}
+            for ours, theirs in zip(ops, whole):
+                assert ours == {(local[r], local[c]): v for (r, c), v in theirs.items()
+                                if c in local}, (i, members)
+
+
+def _block(fac, i, members):
+    """The i-weights and the columns of e_i and f_i on ``members``,
+    renumbered in their order."""
+    mask, table = crystal.rules(fac.type).weights[i]
+    local = {x: k for k, x in enumerate(members)}
+    return ([table[x & mask] for x in members],
+            [{local[r]: v for r, v in fock._column(fac, kind, i, x).items()}
+             for kind in ("e", "f") for x in members])
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_block_is_its_class_representative(label, n):
+    # the class of a coset, recomputed here from the factors: its bits on
+    # U & ~mask, with U the supports of e_i and f_i and the rule's weight
+    # mask, and its parities against the terms' characters outside U
+    fac = fock.factors(from_label(label, n))
+    for i in range(n + 1):
+        mask, bases = fock._classes(fac, i)
+        union, chars = crystal.rules(fac.type).weights[i][0], set()
+        for op in (fac.e[i], fac.f[i]):
+            for m, p in op.terms:
+                union |= m
+                chars.add(p)
+        chars = sorted(chars)
+
+        def key(x):
+            return x & union & ~mask, tuple((x & p & ~union).bit_count() & 1 for p in chars)
+
+        inside = [s for s, _ in fock._spectators(mask, 0)]
+        shapes = {key(b): _block(fac, i, [b | s for s in inside]) for b in bases}
+        assert len(shapes) == len(bases)  # one base per class
+        for y in range(1 << fac.bits):
+            if not y & mask:
+                assert _block(fac, i, [y | s for s in inside]) == shapes[key(y)], (i, y)
 
 
 def test_blocks_of_one_pattern_with_other_entries():

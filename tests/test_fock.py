@@ -106,17 +106,18 @@ def test_weight_compatibility(label):
 def test_kashiwara_string_calculus():
     t = from_label("C1", 2)
     fac = factors(t)
-    dim = 1 << fac.bits
     for i in range(3):
-        # the modified operators have Q(qs) entries; multiply them as such
-        et, ft = (oracle.SparseOperator(dim, {rc: oracle.scalar(v) for rc, v in op.items()})
-                  for op in kashiwara_operators(fac, i))
-        # the two modified operators are mutually inverse along strings
-        assert (et @ ft @ et) == et
-        assert (ft @ et @ ft) == ft
-        # raising is nilpotent with order bounded by the longest string
-        m = max(crystal.weight(t, x)[i] for x in range(dim))
-        assert et.power(m + 1).is_zero
+        for members, *ops in kashiwara_operators(fac, i):
+            # the modified operators have Q(qs) entries; multiply them as such
+            et, ft = (oracle.SparseOperator(len(members), {rc: oracle.scalar(v)
+                                                           for rc, v in op.items()})
+                      for op in ops)
+            # the two modified operators are mutually inverse along strings
+            assert (et @ ft @ et) == et
+            assert (ft @ et @ ft) == ft
+            # raising is nilpotent with order bounded by the longest string
+            m = max(crystal.weight(t, x)[i] for x in members)
+            assert et.power(m + 1).is_zero
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -584,3 +585,59 @@ def test_mutated_relations_match_the_product_form(label, node, mutation):
     if mutation == "e off its weight":
         # the value-blind gauge test and the Serre sums both see the move
         assert any(name.startswith("serre e(") for name in failed)
+
+
+# -- the crystal match on one block per class, against the global match ---------
+
+
+def _matches(fac):
+    """(name, ok) of ``fock.crystal_match`` and of the oracle's match over
+    every id, each ArithmeticError when it raises one."""
+    out = []
+    for match in (crystal_match, oracle.global_crystal_match):
+        try:
+            out.append([(c.name, c.ok) for c in match(fac)])
+        except ArithmeticError:
+            out.append(ArithmeticError)
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(2, 6),
+                               *(pytest.param(n, marks=pytest.mark.large) for n in (6, 7))])
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_crystal_match_equals_the_global_match(label, n):
+    ours, whole = _matches(factors(from_label(label, n)))
+    assert ours == whole and ours is not ArithmeticError
+
+
+CRYSTAL_MUTATIONS = {"sign flipped": _flip_sign, "exponent shifted": _shift_exponent,
+                     "entry dropped": _drop_entry}
+
+
+@pytest.mark.parametrize("mutation", sorted(CRYSTAL_MUTATIONS))
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_mutated_crystal_match_equals_the_global_match(label, mutation):
+    # on e and f at nodes 0, 1 and n: the same verdicts, or both raise
+    for n in (2, 3):
+        for kind in ("e", "f"):
+            for node in (0, 1, n):
+                fac = factors(from_label(label, n))
+                _replace(fac, kind, node, CRYSTAL_MUTATIONS[mutation])
+                ours, whole = _matches(fac)
+                assert ours == whole, (n, kind, node)
+
+
+def test_crystal_match_reads_one_block_per_value_of_a_bit_e_and_f_only_read():
+    # f_1 times qs where row 3-bar of column one is set: that bit is outside
+    # the bits e_1 and f_1 change but inside their supports, so it splits the
+    # blocks into two classes, and only the blocks with the bit set break
+    n = 3
+    fac = factors(from_label("C1", n))
+    b = 1 << fock._bit(n, 3)
+    fac.f[1] = fac.f[1] @ Factored(fac.bits, {(b, 0): {(0, 0): ONE, (b, b): {1: 1}}})
+    mask, bases = fock._classes(fac, 1)
+    assert not mask & b and len(bases) == 2
+    ours, whole = _matches(fac)
+    assert ours == whole
+    assert [name for name, ok in ours if not ok] == ["e~(1) lattice-regular",
+                                                      "f~(1) matches the crystal adjacency"]

@@ -8,8 +8,12 @@ generators at rank 7 and, for every labeling, at rank 20 (each under 10 s);
 qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
 A_{2n-1}^(2); and ``fock verify`` with every group at rank 8, on C_n^(1)
 and A_{2n-1}^(2), reads only the factors, so it passes in under 30 s with a
-peak resident size under 128 MiB.  These tests are deselected by default;
-run them with ``python -m pytest -m large``.
+peak resident size under 128 MiB.  Next to their tier-1 forms, in process,
+run ``fock verify --crystal-match`` at rank 20 for every labeling, under
+10 s and reading one block per class (``tests/test_cli.py``), and the
+crystal match against the global match over every id at ranks 6 and 7
+(``tests/test_fock.py``).  These tests are deselected by default; run them
+with ``python -m pytest -m large``.
 """
 
 import importlib.util
