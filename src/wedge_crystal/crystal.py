@@ -28,6 +28,10 @@ compiled per rule by :func:`steps` into tables that every other reader
 steps by: :func:`e_tilde`, :func:`f_tilde` and :func:`weyl_reflection`, the
 weights, the component search, the ground-set passes and suite walks of
 ``theorems``, and the crystal match of ``fock``.
+
+Each per-id quantity has one implementation, a list kernel over a sequence
+of ids: :func:`rule_weights`, :func:`texts` and :func:`with_weight`.
+:func:`weight` and :func:`text` read it on one id.
 """
 
 from __future__ import annotations
@@ -137,19 +141,24 @@ def _string(table, sub) -> int:
     return count
 
 
-def rule_weight(rs, x):
-    """:func:`weight` from the weight tables of ``rs = rules(t)``, without
-    argument checks."""
-    return tuple([table[x & mask] for mask, table in rs.weights])
-
-
 def rule_weights(rs, ids) -> list:
-    """:func:`rule_weight` of each of ``ids``, one rule at a time.
+    """:func:`weight` of each of ``ids`` from the weight tables of
+    ``rs = rules(t)``, one rule at a time, without argument checks.
 
     ``ids`` is read once per rule, so it must be a sequence (a tuple, list,
     range or array), not an iterator.
     """
     return list(zip(*[[table[x & mask] for x in ids] for mask, table in rs.weights]))
+
+
+def with_weight(rs, ids, weight) -> list:
+    """The ids of ``ids``, in order, whose weight under the rules ``rs`` is
+    ``weight``, narrowed one rule's weight table at a time: at C1 n = 9 the
+    first rule keeps about a quarter of a component, the fourth under 3 %.
+    """
+    for (mask, table), value in zip(rs.weights, weight):
+        ids = [x for x in ids if table[x & mask] == value]
+    return ids
 
 
 def ground_size(t: AffineType) -> int:
@@ -183,7 +192,7 @@ def weight(t: AffineType, x):
     """Coroot pairings (phi_i - epsilon_i) over the full index set, read
     from the weight tables of the rules."""
     _check(t, x)
-    return rule_weight(rules(t), x)
+    return rule_weights(rules(t), (x,))[0]
 
 
 # rows per chunk of :func:`text`: a chunk's table holds 4^_CHUNK strings
@@ -210,19 +219,15 @@ def _text_chunks(n: int, doubled: bool) -> tuple:
 
 
 def text(t: AffineType, x: int) -> str:
-    """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``.
-
-    Row n-bar is bit 0 of each column, so the chunks of rows come from the
-    low bits up.  On a vector the column-two bits ``x >> (shift + n)`` are 0.
-    """
-    n = t.n
-    return "/".join([table[x >> s & m | (x >> (s + n) & m) << w]
-                     for s, m, w, table in _text_chunks(n, t.doubled)])
+    """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``."""
+    return texts(t, (x,))[0]
 
 
 def texts(t: AffineType, ids) -> list:
     """:func:`text` of each of ``ids``, one chunk of rows at a time.
 
+    Row n-bar is bit 0 of each column, so the chunks of rows come from the
+    low bits up.  On a vector the column-two bits ``x >> (shift + n)`` are 0.
     ``ids`` is read once per chunk, so it must be a sequence (a tuple, list,
     range or array), not an iterator.
     """

@@ -41,8 +41,8 @@ Every other group reads the factors too.  The crystal match, the highest
 vectors and the null-root shift need the columns of e_i and f_i and the
 i-weights, id by id.  A global column x of a generator is the sum, over its
 terms (M, P, L) with local entries in column x & M, of those entries at the
-rows r | (x & ~M), with the sign (-1)^popcount(x & P) (``_column``, from the
-terms indexed by local column once per generator and kept on ``Factors``);
+rows r | (x & ~M), with the sign (-1)^popcount(x & P) (``_column``, which
+scans the terms' local entries: no generator of a labeling has more than 5);
 the i-weights come from the rule tables per submask.  No global matrix and
 no list of all weights is built.  Every generator entry is a signed
 monomial in qs, so generator entries are integer Laurent polynomials
@@ -70,10 +70,10 @@ and the crystal match compares each with the step tables on its members:
 it solves O(n) blocks of at most 16 ids.  The highest vectors need joint
 kernels over i = 1..n, which no block of one i contains, so they reduce
 whole weight spaces: the ids of a weight are narrowed from the basis one
-rule's weight table at a time, and yield both that kernel and the
-crystal's classically-highest ids of the weight, kept together
-(``WeightSpace``).  They and the null-root shift still visit 2^n or 4^n
-states.
+rule's weight table at a time (``crystal.with_weight``), and yield both
+that kernel and the crystal's classically-highest ids of the weight, kept
+together (``WeightSpace``).  They and the null-root shift still visit 2^n
+or 4^n states.
 """
 
 from __future__ import annotations
@@ -200,12 +200,7 @@ class Factored:
 
     def entry(self, row: int, col: int) -> dict:
         """The global entry at (row, col)."""
-        total = {}
-        for (m, p), local in self.terms.items():
-            v = local.get((row & m, col & m)) if not (row ^ col) & ~m else None
-            if v:
-                total = padd(total, _neg(v) if (row & p).bit_count() & 1 else v)
-        return total
+        return _column(self, col).get(row, {})
 
     def __eq__(self, other):
         return isinstance(other, Factored) and self.bits == other.bits \
@@ -349,7 +344,7 @@ class Factors:
     """The generators of one labeling as ``Factored`` sums on ``bits`` bits:
     n on the wedge space, 2n on its square."""
 
-    __slots__ = ("type", "cd", "bits", "e", "f", "t", "tinv", "indexed", "highest")
+    __slots__ = ("type", "cd", "bits", "e", "f", "t", "tinv", "highest")
 
     def __init__(self, type: AffineType, cd: CartanData, bits: int, e: dict, f: dict,
                  t: dict, tinv: dict):
@@ -360,37 +355,20 @@ class Factors:
         self.f = f
         self.t = t
         self.tinv = tinv
-        # ("e" or "f", i) -> _index of that generator, filled on first use by _column
-        self.indexed = {}
         # weight -> its WeightSpace, filled on first use by highest_vectors
         self.highest = {}
 
 
-def _index(op: Factored) -> list:
-    """[(M, P, {local col: [(local row, entry)]})], one item per term."""
-    out = []
-    for (m, p), local in op.terms.items():
-        by_col = {}
-        for (r, c), v in local.items():
-            by_col.setdefault(c, []).append((r, v))
-        out.append((m, p, by_col))
-    return out
-
-
-def _column(fac: Factors, kind: str, i: int, x: int) -> dict:
-    """Global column x of ``fac.e[i]`` or ``fac.f[i]`` ({row: Z[qs^±1]
-    entry}): each term (M, P, L) puts its local entries (r, x & M) at row
-    r | s, s = x & ~M, with the sign (-1)^popcount(s & P)."""
-    index = fac.indexed.get((kind, i))
-    if index is None:
-        index = fac.indexed[kind, i] = _index(getattr(fac, kind)[i])
+def _column(op: Factored, x: int) -> dict:
+    """Global column x of ``op`` ({row: Z[qs^±1] entry}): each term (M, P, L)
+    puts its local entries (r, x & M) at row r | s, s = x & ~M, with the
+    sign (-1)^popcount(s & P)."""
     out = {}
-    for m, p, by_col in index:
-        rows = by_col.get(x & m)
-        if rows:
-            s = x & ~m
-            odd = (s & p).bit_count() & 1
-            for r, v in rows:
+    for (m, p), local in op.terms.items():
+        c, s = x & m, x & ~m
+        odd = (s & p).bit_count() & 1
+        for (r, cc), v in local.items():
+            if cc == c:
                 _accumulate(out, r | s, _neg(v) if odd else v)
     return out
 
@@ -721,11 +699,12 @@ def kashiwara_operators(fac: Factors, i: int):
     mask, bases = _classes(fac, i)
     inside = [s for s, _ in _spectators(mask, 0)]
     weights = crys.rules(fac.type).weights[i]
+    ops = {"e": fac.e[i], "f": fac.f[i]}
     out = []
     for base in bases:
         members = [base | s for s in inside]
         out.append((members, *_block_operators(members, weights,
-                                               lambda kind, x: _column(fac, kind, i, x),
+                                               lambda kind, x: _column(ops[kind], x),
                                                i, fac.cd.qi_exp[i])))
     return out
 
@@ -859,8 +838,8 @@ class WeightSpace(list):
 
 
 def highest_vectors(fac: Factors, weight_vec) -> WeightSpace:
-    """The :class:`WeightSpace` of ``weight_vec``: its ids narrowed from the
-    basis one rule's weight table at a time, and the columns of e_1..e_n
+    """The :class:`WeightSpace` of ``weight_vec``: its ids
+    (``crystal.with_weight`` over the basis), and the columns of e_1..e_n
     there.
 
     Computed once per weight and kept in ``fac.highest``; callers must not
@@ -870,13 +849,11 @@ def highest_vectors(fac: Factors, weight_vec) -> WeightSpace:
     if weight_vec in fac.highest:
         return fac.highest[weight_vec]
     rs = crys.rules(fac.type)
-    idxs = range(1 << fac.bits)
-    for (mask, table), value in zip(rs.weights, weight_vec):
-        idxs = [x for x in idxs if table[x & mask] == value]
+    idxs = crys.with_weight(rs, range(1 << fac.bits), weight_vec)
     rows = {}
     for i in range(1, fac.type.n + 1):
         for c in idxs:
-            for r, v in _column(fac, "e", i, c).items():
+            for r, v in _column(fac.e[i], c).items():
                 rows.setdefault((i, r), {})[c] = rational(v)
     space = fac.highest[weight_vec] = WeightSpace(_kernel(rows.values(), idxs),
                                                   classically_highest(rs, idxs))
@@ -947,10 +924,9 @@ def apply_extremal_word(fac: Factors, vec: dict, elem, word):
     for i in word:
         mask, table = rs.weights[i]
         m = table[elem & mask]
-        kind = "f" if m >= 0 else "e"
+        op = (fac.f if m >= 0 else fac.e)[i]
         for _ in range(abs(m)):
-            vec = _apply_columns({c: [(r, rational(v)) for r, v
-                                      in _column(fac, kind, i, c).items()]
+            vec = _apply_columns({c: [(r, rational(v)) for r, v in _column(op, c).items()]
                                   for c in vec}, vec)
         inv = rational(qfactorial(abs(m), fac.cd.qi_exp[i])).inverse()
         vec = {idx: v * inv for idx, v in vec.items()}

@@ -189,8 +189,11 @@ class RationalScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: dict, den: dict | None = None):
-        if den is not None and not den:
-            raise ZeroDivisionError("scalar division by zero")
+        num = {e: v for e, v in num.items() if v}
+        if den is not None:
+            den = {e: v for e, v in den.items() if v}
+            if not den:
+                raise ZeroDivisionError("scalar division by zero")
         out = rational(num) if den is None or den == _UNIT else _reduced(num, den)
         self.num, self.den = out.num, out.den
 

@@ -14,7 +14,11 @@ classically-highest filter steps one id at a time; every statement that a
 map is a crystal morphism (two components of one k isomorphic, the
 order-two symmetry commuting with the operators) is one call of
 :func:`check_morphism`, which steps an id and its image at once and names
-the first step on which they disagree.
+the first step on which they disagree.  Every loop over a component's
+members or over the ground set reads weights and string positions through
+the list kernels ``crystal.rule_weights``, ``crystal.with_weight`` and
+``bicrystal.sigmas``; a single id is read alone only for a failure note, a
+representative or a witness.
 """
 
 from __future__ import annotations
@@ -301,7 +305,7 @@ def decomposition_report(t: AffineType) -> dict:
         highest = classically_highest(rs, members)
         split = None  # [|plus half|, |minus half|] of a shared component
         if t.diamond == (FORK, DOUBLE) and 0 < key[0] < t.n and key[1] == t.n - key[0]:
-            plus = sum(1 for x in members if bicrystal.sigma(t.n, x)[1] == key[1])
+            plus = sum(1 for s in bicrystal.sigmas(t.n, members) if s[1] == key[1])
             split = [plus, len(members) - plus]
         rows.append({
             "key": list(key),
@@ -309,8 +313,8 @@ def decomposition_report(t: AffineType) -> dict:
             "rep_id": rep,
             "size": len(members),
             "weight": list(crystal.weight(t, rep)),
-            "branching": sorted_labels(classify_weight(t, crystal.weight(t, x))
-                                       for x in highest),
+            "branching": sorted_labels(classify_weight(t, w)
+                                       for w in crystal.rule_weights(rs, highest)),
             "sigma": list(bicrystal.sigma(t.n, rep)) if t.doubled else None,
             "split": split,
         })
@@ -418,8 +422,8 @@ def verify_classical_branching(t: AffineType) -> SuiteResult:
         members = p.class_of(crystal.v_kl(t, k, l))
         highest = classically_highest(rs, members)
         labels = []
-        for x in highest:
-            lab = classify_weight(t, crystal.weight(t, x))
+        for x, w in zip(highest, crystal.rule_weights(rs, highest)):
+            lab = classify_weight(t, w)
             if lab is None:
                 res.note(f"({k},{l}): highest element {crystal.text(t, x)} "
                          f"has an unexpected weight")
@@ -449,7 +453,7 @@ def verify_sigma_range(t: AffineType, k: int | None = None) -> SuiteResult:
         for i in range(kk // 2 + 1):
             allowed.add((2 * i, t.n - kk))
             allowed.add((2 * i + 1, t.n - kk - 1))
-        sig = [bicrystal.sigma(t.n, x) for x in members]
+        sig = bicrystal.sigmas(t.n, members)
         for x, s in zip(members, sig):
             if s not in allowed:
                 res.note(f"k={kk}: sigma{s} of {crystal.text(t, x)} out of range")
@@ -510,8 +514,9 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
     n = t.n
     p = partition_ids(t)
     by_sigma = {}  # sigma -> the ids with that string position
-    for x in crystal.all_elements(t):
-        by_sigma.setdefault(bicrystal.sigma(n, x), array("I")).append(x)
+    ids = crystal.all_elements(t)
+    for x, s in zip(ids, bicrystal.sigmas(n, ids)):
+        by_sigma.setdefault(s, array("I")).append(x)
     d = t.diamond
     for kk in ks:
         if d == (DOUBLE, DOUBLE):
@@ -559,12 +564,7 @@ def verify_multiplicities(t: AffineType) -> SuiteResult:
             target = fundamental_weight_cl(t, k)
             roots = []
             for l in ls:
-                # the members of the target weight, narrowed one rule's
-                # weight table at a time (at C1 n = 9 the first rule keeps
-                # about a quarter of a component, the fourth under 3 %)
-                hits = p.class_of(crystal.v_kl(t, k, l))
-                for (mask, table), value in zip(rs.weights, target):
-                    hits = [x for x in hits if table[x & mask] == value]
+                hits = crystal.with_weight(rs, p.class_of(crystal.v_kl(t, k, l)), target)
                 if len(hits) != 1:
                     res.note(f"(k,l)=({k},{l}): weight multiplicity "
                              f"{len(hits)} at the extremal weight")
@@ -630,12 +630,11 @@ def verify_spin_decomposition(t: AffineType) -> SuiteResult:
         res.note("expected a single component containing both representatives")
     sizes = sorted(len(ids) for ids in p.members)
     for ids in p.members:
-        weights = [crystal.rule_weight(rs, i) for i in ids]
+        weights = crystal.rule_weights(rs, ids)
         if len(set(weights)) != len(weights):
             res.note(f"repeated weight inside component of {crystal.text(t, ids[0])}")
     reps = [top] if expected == 1 else [top, second]
-    for k, rep in zip((n, n - 1), reps):
-        w = crystal.rule_weight(rs, rep)
+    for k, w in zip((n, n - 1), crystal.rule_weights(rs, reps)):
         if w != fundamental_weight_cl(t, k):
             res.note(f"weight of the k={k} representative is {w}")
     res.stats = {"components": count, "sizes": sizes}

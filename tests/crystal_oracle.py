@@ -350,16 +350,6 @@ def sigma(m: BinaryMatrix):
     return (len(minus), len(plus))
 
 
-def sigma_checked(m: BinaryMatrix):
-    """String position computed two ways; raises if they ever disagree."""
-    by_rule = sigma(m)
-    closed = sigma_closed(m)
-    if by_rule != closed:
-        raise AssertionError(
-            f"string position mismatch at {m.text}: {by_rule} vs {closed}")
-    return by_rule
-
-
 def sigma_by_strings(m: BinaryMatrix):
     """Same statistic computed by iterating the operators (test oracle)."""
     eps = 0

@@ -158,8 +158,8 @@ def test_graph_calls_no_per_vertex_kernel(capsys, monkeypatch, argv):
     for fmt in ("json", "dot"):
         expected = run(capsys, "graph", "--n", "3", *argv, "--format", fmt)
         with monkeypatch.context() as m:
-            for module, name in ((crystal, "text"), (crystal, "rule_weight"),
-                                 (crystal, "weight"), (bicrystal, "sigma")):
+            for module, name in ((crystal, "text"), (crystal, "weight"),
+                                 (bicrystal, "sigma")):
                 m.setattr(module, name, refuse)
             assert run(capsys, "graph", "--n", "3", *argv, "--format", fmt) == expected
         assert expected[0] == 0

@@ -40,9 +40,12 @@ def test_text_matches_oracle(token, n):
 
 
 def _weight_mismatches(t):
+    """The ids whose weight, read by ``weight`` or by the list kernel
+    ``rule_weights``, differs from the oracle's."""
     rs = crystal.rules(t)
-    return [x for x in all_elements(t)
-            if crystal.rule_weight(rs, x) != oracle.rule_weight_by_rules(rs, x)]
+    ids = all_elements(t)
+    return [x for x, listed in zip(ids, crystal.rule_weights(rs, ids))
+            if not weight(t, x) == listed == oracle.rule_weight_by_rules(rs, x)]
 
 
 def _text_mismatches(t):
@@ -69,6 +72,23 @@ def test_a_corrupted_weight_table_entry_is_caught(monkeypatch):
     mask, table = crystal.rules(t).weights[1]
     monkeypatch.setitem(table, mask, table[mask] + 1)
     assert _weight_mismatches(t) != []
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+def test_with_weight_equals_the_filter_by_weight(token):
+    for n in range(2, 5):
+        t = from_label(token, n)
+        rs = crystal.rules(t)
+        ids = all_elements(t)
+        by_weight = {}
+        for x in ids:
+            by_weight.setdefault(weight(t, x), []).append(x)
+        for w, expected in by_weight.items():
+            assert crystal.with_weight(rs, ids, w) == expected, w
+        # every pairing lies in -2..2
+        absent = (n + 1,) * (n + 1)
+        assert absent not in by_weight
+        assert crystal.with_weight(rs, ids, absent) == []
 
 
 @pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)

@@ -196,8 +196,8 @@ def _block(fac, i, members):
     mask, table = crystal.rules(fac.type).weights[i]
     local = {x: k for k, x in enumerate(members)}
     return ([table[x & mask] for x in members],
-            [{local[r]: v for r, v in fock._column(fac, kind, i, x).items()}
-             for kind in ("e", "f") for x in members])
+            [{local[r]: v for r, v in fock._column(op[i], x).items()}
+             for op in (fac.e, fac.f) for x in members])
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)

@@ -234,37 +234,26 @@ def test_a_representative_that_is_not_highest_is_a_failed_check(monkeypatch):
     assert [c.name for c in checks if not c.ok] == ["normalized highest vector (1,0)"]
 
 
-def test_generators_are_indexed_once(capsys, monkeypatch):
-    from wedge_crystal.cli import main
-
-    indexed = []
-    index = fock._index
-
-    def counted(op):
-        indexed.append(id(op))
-        return index(op)
-
-    monkeypatch.setattr(fock, "_index", counted)
-    assert main(["fock", "verify", "--crystal-match", "--highest", "--deltaword",
-                 "--type", "A2odd", "--n", "4"]) == 0
-    # each of e_0..e_4 and f_0..f_4 at most once
-    assert len(indexed) == len(set(indexed)) <= 2 * 5
-
-
 @pytest.mark.parametrize("n", (2, 3, 4))
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_columns_match_the_expansion(label, n):
-    # every global column of every e_i and f_i, read from the factors id by
-    # id, is that column of the expanded matrix, entry for entry
+    # every global column of every e_i, f_i and t_i, read from the factors
+    # id by id, is that column of the expanded matrix, entry for entry; up
+    # to n = 3, so is every global entry
     fac = factors(from_label(label, n))
     dim = 1 << fac.bits
-    for kind in ("e", "f"):
+    for kind in ("e", "f", "t"):
         for i in range(n + 1):
+            op = getattr(fac, kind)[i]
             by_col = {}
-            for (r, c), v in oracle.expand(getattr(fac, kind)[i]).entries.items():
+            for (r, c), v in oracle.expand(op).entries.items():
                 by_col.setdefault(c, {})[r] = v
             for x in range(dim):
-                assert fock._column(fac, kind, i, x) == by_col.get(x, {}), (kind, i, x)
+                column = by_col.get(x, {})
+                assert fock._column(op, x) == column, (kind, i, x)
+                if n <= 3:
+                    assert [op.entry(r, x) for r in range(dim)] == \
+                        [column.get(r, {}) for r in range(dim)], (kind, i, x)
 
 
 def test_empty_weight_space():

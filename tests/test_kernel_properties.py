@@ -150,7 +150,8 @@ def test_list_kernels_match_the_per_id_forms(case):
     t, ids = case
     rs = crystal.rules(t)
     assert crystal.texts(t, ids) == [crystal.text(t, x) for x in ids]
-    assert crystal.rule_weights(rs, ids) == [crystal.rule_weight(rs, x) for x in ids]
+    assert crystal.rule_weights(rs, ids) == [crystal.weight(t, x) for x in ids] \
+        == [oracle.rule_weight_by_rules(rs, x) for x in ids]
 
 
 @SAMPLED

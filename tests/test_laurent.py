@@ -93,6 +93,9 @@ def test_value_at_zero_is_an_int_unless_it_is_not_one():
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         R({0: 1}, {})
+    for den in ({0: 0}, {-1: 0, 2: 0}):
+        with pytest.raises(ZeroDivisionError, match="scalar division by zero"):
+            R({0: 1}, den)
     with pytest.raises(ZeroDivisionError):
         RationalScalar.one() / RationalScalar.zero()
     with pytest.raises(ZeroDivisionError):
@@ -224,6 +227,20 @@ def test_field_operations_match_the_oracle(a, b):
             assert is_canonical(got) and oracle.scalar(got) == want
     assert (x == y) == (ox == oy)
     assert (x == x + RationalScalar.zero()) and (x * RationalScalar.one() == x)
+
+
+@SAMPLED
+@given(quotients(), st.lists(exponents, max_size=3), st.lists(exponents, max_size=3),
+       st.booleans())
+def test_zero_coefficients_are_dropped(a, num_zeros, den_zeros, no_den):
+    # zero coefficients mixed into either dict leave the canonical quotient
+    num, den = a
+    x = R(num) if no_den else R(num, den)
+    padded_num = {**dict.fromkeys(num_zeros, 0), **num}
+    padded_den = {**dict.fromkeys(den_zeros, 0), **den}
+    y = R(padded_num) if no_den else R(padded_num, padded_den)
+    assert is_canonical(y) and y == x
+    assert y.is_zero == x.is_zero == (y == RationalScalar.zero())
 
 
 @FEW

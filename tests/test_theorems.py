@@ -542,11 +542,15 @@ def _id(t, text):
 
 
 def _patch_at(monkeypatch, module, name, x, result):
-    """Make ``module.name`` answer ``result`` for the id ``x``, its last
-    argument, and what it answered before for every other id."""
+    """Make the list kernel ``module.name`` answer ``result`` at the id
+    ``x`` of its last argument, a sequence of ids, and what it answered
+    before at every other id."""
     real = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args: result if args[-1] == x else real(*args))
+
+    def patched(*args):
+        return [result if y == x else r for y, r in zip(args[-1], real(*args))]
+
+    monkeypatch.setattr(module, name, patched)
 
 
 def _failures(capsys, suite, token, n, k=None):
@@ -573,7 +577,7 @@ def _failures(capsys, suite, token, n, k=None):
 ], ids=("out-of-range", "odd-raise-count", "halves"))
 def test_sigma_range_messages(capsys, monkeypatch, x, s, expected):
     t = from_label("A2odd", 3)
-    _patch_at(monkeypatch, bicrystal, "sigma", _id(t, x), s)
+    _patch_at(monkeypatch, bicrystal, "sigmas", _id(t, x), s)
     assert _failures(capsys, "lem44", "A2odd", 3, 1) == expected
 
 
@@ -719,12 +723,12 @@ def test_spin_weight_messages(capsys, monkeypatch):
     assert top == 0 and crystal.text(t, 7) == "1/1/1"
     # the top representative, first in the one component, takes the weight
     # of another member
-    _patch_at(monkeypatch, crystal, "rule_weight", top, crystal.weight(t, 7))
+    _patch_at(monkeypatch, crystal, "rule_weights", top, crystal.weight(t, 7))
     assert _failures(capsys, "spin", "B1", 3) == [
         f"repeated weight inside component of {crystal.text(t, top)}",
         "weight of the k=3 representative is (1, 0, 0, -1)"]
     monkeypatch.undo()
-    _patch_at(monkeypatch, crystal, "rule_weight", top, (0, 0, 0, 0))
+    _patch_at(monkeypatch, crystal, "rule_weights", top, (0, 0, 0, 0))
     assert _failures(capsys, "spin", "B1", 3) == [
         "weight of the k=3 representative is (0, 0, 0, 0)"]
 
