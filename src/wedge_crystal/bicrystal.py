@@ -43,6 +43,12 @@ def _signature(n: int, x: int):
     return eps, phi, raise_row, lower_row if phi else 0
 
 
+def _check_id(n: int, x):
+    """The single-id readers' input check; the list kernels read ids unchecked."""
+    if not (isinstance(x, int) and 0 <= x < 1 << 2 * n):
+        raise ValueError(f"not a matrix id of rank {n}: {x!r}")
+
+
 def _flip(n: int, x: int, row: int):
     """x with the two bits of the given row swapped, or None for row 0."""
     return x ^ (row | row << n) if row else None
@@ -50,16 +56,19 @@ def _flip(n: int, x: int, row: int):
 
 def E_tilde(n: int, x: int):
     """Row-wise raising operator: flips the last surviving [0 1] row."""
+    _check_id(n, x)
     return _flip(n, x, _signature(n, x)[2])
 
 
 def F_tilde(n: int, x: int):
     """Row-wise lowering operator: flips the first surviving [1 0] row."""
+    _check_id(n, x)
     return _flip(n, x, _signature(n, x)[3])
 
 
 def sigma(n: int, x: int):
     """String position (epsilon, phi) of the matrix x under the row operators."""
+    _check_id(n, x)
     return _signature(n, x)[:2]
 
 
@@ -134,6 +143,7 @@ def varsigma(t: AffineType, k: int, x: int) -> int:
     Only defined on the component of the (k, n-k) representative.
     """
     _check_involution(t, k)
+    _check_id(t.n, x)
     return _defined_mate(t.n, k, x)[0]
 
 

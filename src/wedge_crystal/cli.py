@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except Exception as exc:
         print(json.dumps({"internal_error": type(exc).__name__,
                           "message": str(exc)}, sort_keys=True), file=sys.stderr)
         return 3

@@ -220,6 +220,7 @@ def _text_chunks(n: int, doubled: bool) -> tuple:
 
 def text(t: AffineType, x: int) -> str:
     """Display form: rows n-bar down to 1-bar, e.g. ``10/11/01`` or ``1/0/1``."""
+    _check(t, x)
     return texts(t, (x,))[0]
 
 

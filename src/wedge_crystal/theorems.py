@@ -157,10 +157,10 @@ def shared_mates(t: AffineType, k: int) -> array:
 
     The shared components are disjoint, so one array of ground-set size serves
     every k.  It is kept on the memoised partition and filled one component at
-    a time on first use, so that ``prop46``, ``thm58`` and ``cor57`` compute
-    each mate once; callers must not mutate it.  A faulty crystal in which two
-    ks share a component gives the later k an array of its own, so that no k
-    reads another's mates.
+    a time on first use, so that ``prop46`` and ``cor57`` compute each mate
+    once; callers must not mutate it.  A faulty crystal in which two ks share
+    a component gives the later k an array of its own, so that no k reads
+    another's mates.
     """
     p = partition_ids(t)
     mates = p.mates
@@ -508,15 +508,24 @@ def verify_involution_commutes(t: AffineType, k: int | None = None) -> SuiteResu
 
 
 def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteResult:
-    """Components coincide with their string-position level sets."""
+    """Components coincide with their string-position level sets.
+
+    The ids are grouped by sigma one component of the shared partition at a
+    time, and each level set is compared with its component as sorted ids.
+    On the fork-plus-double type the level set of (k, n - k) is the lane
+    phi = n - k with epsilon even together with the lane phi = n - k - 1
+    with epsilon odd: the lowering step takes sigma (epsilon, phi) to
+    (epsilon + 1, phi - 1), so the order-two symmetry maps the first lane
+    onto the second.  At k = n that is phi = 0 with epsilon even.
+    """
     res = SuiteResult(name="thm58", passed=True)
     ks = suite_ks("thm58", t, k)
     n = t.n
     p = partition_ids(t)
     by_sigma = {}  # sigma -> the ids with that string position
-    ids = crystal.all_elements(t)
-    for x, s in zip(ids, bicrystal.sigmas(n, ids)):
-        by_sigma.setdefault(s, array("I")).append(x)
+    for members in p.members:
+        for x, s in zip(members, bicrystal.sigmas(n, members)):
+            by_sigma.setdefault(s, array("I")).append(x)
     d = t.diamond
     for kk in ks:
         if d == (DOUBLE, DOUBLE):
@@ -525,24 +534,12 @@ def verify_sigma_characterization(t: AffineType, k: int | None = None) -> SuiteR
             pair, holds = (kk, n - kk), lambda s: s[1] == n - kk and 0 <= kk - s[0] <= kk
         elif d == (DOUBLE, SINGLE):
             pair, holds = (kk, 0), lambda s: s[0] == n - kk and s[1] <= kk
-        elif kk == n:  # fork-plus-double from here on
-            pair, holds = (n, 0), lambda s: s[1] == 0 and s[0] % 2 == 0
-        else:
-            pair, holds = (kk, n - kk), lambda s: s[1] == n - kk and s[0] % 2 == 0
-        level = {x for s, ids in by_sigma.items() if holds(s) for x in ids}
-        rep = crystal.v_kl(t, *pair)
-        members = p.class_of(rep)
-        if d == (FORK, DOUBLE) and kk < n:
-            # the shared component holds the level set and its mates; an id
-            # of the level set outside the component already makes the two
-            # differ, so only the mates of members are read
-            mate, label, c = shared_mates(t, kk), p.label, p.label[rep]
-            note_unmated(res, t, kk, members, mate)
-            level |= {mate[x] for x in level if label[x] == c}
-            level.discard(UNSET)
-        comp = set(members)
+        else:  # fork-plus-double
+            pair, holds = (kk, n - kk), lambda s: s[1] + s[0] % 2 == n - kk
+        level = array("I", sorted(x for s, ids in by_sigma.items() if holds(s) for x in ids))
+        comp = p.class_of(crystal.v_kl(t, *pair))
         if comp != level:
-            diff = ", ".join(crystal.text(t, x) for x in sorted(comp ^ level)[:4])
+            diff = ", ".join(crystal.text(t, x) for x in sorted(set(comp) ^ set(level))[:4])
             res.note(f"k={kk}: component has {len(comp)} elements, level set "
                      f"{len(level)}; difference {diff}")
     return res

@@ -2,7 +2,7 @@ import pytest
 
 import crystal_oracle as oracle
 from wedge_crystal.cartan import from_label
-from wedge_crystal import crystal, theorems
+from wedge_crystal import bicrystal, crystal, theorems
 from wedge_crystal.bicrystal import (E_tilde, F_tilde, quotient_graph, sigma,
                                      sigma_by_strings, sigma_closed,
                                      varsigma)
@@ -103,6 +103,41 @@ def test_varsigma_domain_errors():
     # phi value outside the two lanes for this k
     with pytest.raises(ValueError):
         varsigma(t, 2, M("10/10/10"))
+
+
+@pytest.mark.parametrize("read, token", [
+    (text, "C1"),
+    (text, "B1"),
+    (lambda t, x: sigma(t.n, x), "C1"),
+    (lambda t, x: E_tilde(t.n, x), "C1"),
+    (lambda t, x: F_tilde(t.n, x), "C1"),
+    (lambda t, x: varsigma(t, 1, x), "A2odd"),
+], ids=("text", "text-vector", "sigma", "E_tilde", "F_tilde", "varsigma"))
+def test_single_id_readers_reject_a_non_id(read, token):
+    # the signature reading would loop forever on a negative id, and an id
+    # past the ground set would read as some other id
+    t = from_label(token, 3)
+    for x in (-1, crystal.ground_size(t)):
+        with pytest.raises(ValueError):
+            read(t, x)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_varsigma_maps_the_even_lane_onto_the_odd_lane(n):
+    # the lane rule of thm58: for every k, varsigma takes the ids with
+    # sigma (even, n - k) onto those with sigma (odd, n - k - 1), each one
+    # to sigma (epsilon + 1, phi - 1)
+    t = from_label("A2odd", n)
+    ids = all_elements(t)
+    sig = bicrystal.sigmas(n, ids)
+    for k in range(1, n):
+        even = [x for x, (e, p) in zip(ids, sig) if p == n - k and e % 2 == 0]
+        odd = [x for x, (e, p) in zip(ids, sig) if p == n - k - 1 and e % 2 == 1]
+        mates = bicrystal.varsigmas(t, k, even)
+        assert sorted(mates) == odd
+        for x, m in zip(even, mates):
+            e, p = sig[x]
+            assert sig[m] == (e + 1, p - 1)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4))

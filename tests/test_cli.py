@@ -439,6 +439,20 @@ def test_internal_value_error_in_a_suite_is_not_a_usage_error(capsys, monkeypatc
                                     "message": "delta word is only defined for 11,2 types"}
 
 
+def test_memory_error_is_an_internal_fault_not_a_failed_check(capsys, monkeypatch):
+    from wedge_crystal import theorems
+
+    # exit 1 means a check failed; running out of memory in the partition
+    # is an internal fault like any other exception
+    def exhausted(t, rs=None):
+        raise MemoryError()
+
+    monkeypatch.setattr(theorems, "partition_ids", exhausted)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--type", "C1", "--n", "3")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ['{"internal_error": "MemoryError", "message": ""}']
+
+
 def test_verify_prints_each_verdict_as_its_suite_ends(capsys, monkeypatch):
     from wedge_crystal import theorems
 

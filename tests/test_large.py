@@ -1,9 +1,10 @@
 """Large-rank runs, each in its own process.
 
 ``verify --suite all`` at rank 10 enumerates 4^10 matrices and takes 5-21 s
-per labeling on a 2-core host; ``fock verify --relations --polarization``
-checks the relations, weights and polarization from the factored
-generators at rank 7 and, for every labeling, at rank 20 (each under 10 s);
+per labeling on a 2-core host; ``verify --suite thm58`` at rank 10 peaks
+under 64 MiB on every matrix labeling; ``fock verify --relations
+--polarization`` checks the relations, weights and polarization from the
+factored generators at rank 7 and, for every labeling, at rank 20 (each under 10 s);
 ``fock verify --crystal-match`` compares the modified root operators at
 qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
 A_{2n-1}^(2); and ``fock verify`` with every group at rank 8, on C_n^(1)
@@ -92,6 +93,27 @@ except (OSError, StopIteration):
     pass
 sys.exit(code)
 """
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("token", ("C1", "A2even", "A2evenDagger", "A2odd"))
+def test_sigma_characterization_at_rank_10_stays_within_the_partition(token):
+    # thm58 reads sigma one component at a time, so its peak is the shared
+    # partition's own (57 MiB on a 64-bit CPython); a list of all 4^10 sigma
+    # tuples would take it to 100-125 MiB
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_WITH_PEAK, "verify", "--suite", "thm58",
+         "--type", token, "--n", "10"],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("[thm58] PASS ") \
+        and lines[0].endswith(" n=10"), proc.stdout
+    peak = re.search(r"^VmHWM:\s+(\d+) kB", proc.stderr, re.M)
+    if peak is None:
+        pytest.skip("no VmHWM in /proc/self/status on this platform")
+    assert int(peak.group(1)) < 64 * 1024, proc.stderr
 
 
 def _fock_check_count(token, n, groups):

@@ -87,11 +87,11 @@ def test_shared_component_checks_can_fail(monkeypatch):
     res = verify_sigma_characterization(t)
     assert not res.passed
     # the split-off id 10/10/00/10 (11) has sigma (0, 3), so it stays in the
-    # level set; its mate 10/10/00/01 (131) is read only for members, so it
-    # leaves it
+    # level set; its mate 10/10/00/01 (131) has sigma (1, 2), so its sigma
+    # puts it in the level set too, and it is still a member
     assert crystal.text(t, 11) == "10/10/00/10"
-    assert res.discrepancies == ["k=1: component has 15 elements, level set 15; "
-                                 "difference 10/10/00/10, 10/10/00/01"]
+    assert res.discrepancies == ["k=1: component has 15 elements, level set 16; "
+                                 "difference 10/10/00/10"]
     res = verify_multiplicities(t)
     assert not res.passed
     assert res.discrepancies == ["k=1: quotient size 8 does not halve 15"]
@@ -379,7 +379,8 @@ def test_sigma_range_and_involution(n):
 
 
 def test_involution_computes_one_mate_per_vertex(monkeypatch):
-    # prop46, thm58 and cor57 read one table of mates: one _mate per member
+    # prop46 and cor57 read one table of mates, thm58 none: one _mate per
+    # member
     calls = []
     mate = bicrystal._mate
 
@@ -401,6 +402,33 @@ def test_involution_computes_one_mate_per_vertex(monkeypatch):
 @pytest.mark.parametrize("n", (2, 3))
 def test_sigma_characterization(token, n):
     assert verify_sigma_characterization(from_label(token, n)).passed
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sigma_characterization_reads_no_mates(monkeypatch, n):
+    # on the fork-plus-double type the level sets come from sigma alone
+    def unused(*args):
+        raise AssertionError("thm58 read the order-two symmetry")
+
+    monkeypatch.setattr(theorems, "shared_mates", unused)
+    monkeypatch.setattr(bicrystal, "varsigmas", unused)
+    assert verify_sigma_characterization(from_label("A2odd", n)).passed
+
+
+@pytest.mark.parametrize("token", DOUBLED)
+def test_sigma_characterization_reads_sigma_one_component_at_a_time(monkeypatch, token):
+    t = from_label(token, 5)
+    largest = max(map(len, partition_ids(t).members))
+    sizes = []
+    sigmas = bicrystal.sigmas
+
+    def counting(n, ids):
+        sizes.append(len(ids))
+        return sigmas(n, ids)
+
+    monkeypatch.setattr(bicrystal, "sigmas", counting)
+    assert verify_sigma_characterization(t).passed
+    assert sizes and max(sizes) <= largest < crystal.ground_size(t)
 
 
 def test_sigma_level_sets_are_components():
@@ -696,9 +724,13 @@ def test_a_mutant_outside_the_involution_domain_fails_without_raising(capsys, mo
              for f in json.loads("\n".join(lines[7:]))["failures"]}
     assert found["prop41"] == ["representatives are not in pairwise distinct components",
                                "4 components found, expected 6"]
+    # thm58 reads no mates: it names the difference from the level set
+    assert found["thm58"][0] == ("k=1: component has 128 elements, level set 16; "
+                                 "difference 10/00/00/00, 00/10/00/00, 00/00/10/00, "
+                                 "00/00/00/10")
     # the k = 1 and k = 3 components are one here; each k reads its own
-    # mates, whichever suite asked first
-    for suite in ("thm58", "cor57", "prop46"):
+    # mates, and cor57 asks for them first
+    for suite in ("cor57", "prop46"):
         assert "k=1: no mate for 10/00/00/00 (phi=1)" in found[suite]
         assert "k=3: no mate for 00/10/10/10 (phi=3)" in found[suite]
 
