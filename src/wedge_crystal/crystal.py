@@ -31,7 +31,9 @@ weights, the component search, the ground-set passes and suite walks of
 
 Each per-id quantity has one implementation, a list kernel over a sequence
 of ids: :func:`rule_weights`, :func:`texts` and :func:`with_weight`.
-:func:`weight` and :func:`text` read it on one id.
+:func:`weight` and :func:`text` read it on one id.  The ids of one weight
+in the whole ground set are generated from the weight tables, without a
+pass over the ground set, by :func:`weight_space`.
 """
 
 from __future__ import annotations
@@ -159,6 +161,29 @@ def with_weight(rs, ids, weight) -> list:
     for (mask, table), value in zip(rs.weights, weight):
         ids = [x for x in ids if table[x & mask] == value]
     return ids
+
+
+def weight_space(rs, weight) -> list:
+    """The ids, in increasing order, whose weight under the rules ``rs`` is
+    ``weight``, generated from the weight tables without reading the
+    ground set.
+
+    Rule by rule, each partial id over the bits assigned so far is extended
+    by every submask of the rule's mask whose table value is the rule's
+    coordinate of ``weight`` and that agrees with it on the bits already
+    assigned.  The rules' masks must cover every bit of the ids.
+    """
+    ids, assigned = [0], 0
+    for (mask, table), value in zip(rs.weights, weight):
+        shared = mask & assigned
+        fits = {}  # the allowed submasks by their bits already assigned
+        for s, w in table.items():
+            if w == value:
+                fits.setdefault(s & shared, []).append(s)
+        ids = [x | s for x in ids for s in fits.get(x & shared, ())]
+        assigned |= mask
+    assert not assigned & (assigned + 1), "the rules' masks must cover every bit"
+    return sorted(ids)
 
 
 def ground_size(t: AffineType) -> int:

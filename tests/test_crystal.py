@@ -1,4 +1,7 @@
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import crystal_oracle as oracle
 from wedge_crystal.cartan import cartan_data, from_label
@@ -89,6 +92,69 @@ def test_with_weight_equals_the_filter_by_weight(token):
         absent = (n + 1,) * (n + 1)
         assert absent not in by_weight
         assert crystal.with_weight(rs, ids, absent) == []
+
+
+@pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)
+def test_weight_space_equals_the_filter_over_the_ground_set(token):
+    # every weight that occurs, and one that does not; the ground set
+    # grouped by weight is with_weight over the ground set, which is called
+    # directly up to n = 4 (at n = 8 there are 6561 weights of 4^8 ids)
+    for n in range(2, 9):
+        t = from_label(token, n)
+        rs = crystal.rules(t)
+        ground = all_elements(t)
+        by_weight = {}
+        for x, w in zip(ground, crystal.rule_weights(rs, ground)):
+            by_weight.setdefault(w, []).append(x)
+        for w, expected in by_weight.items():
+            assert crystal.weight_space(rs, w) == expected, (n, w)
+            if n <= 4:
+                assert expected == crystal.with_weight(rs, ground, w)
+        absent = (n + 1,) * (n + 1)
+        assert absent not in by_weight
+        assert crystal.weight_space(rs, absent) == []
+
+
+BITS = 6
+
+
+@st.composite
+def weight_tables(draw, bits=BITS):
+    """Rules as ``weight_space`` reads them: one to four weight tables
+    (mask, {submask: value in -2..2}) on any masks, and one more on the bits
+    that those leave out, so that the masks cover every bit."""
+    full = (1 << bits) - 1
+    masks = draw(st.lists(st.integers(1, full), min_size=1, max_size=4))
+    rest = full
+    for m in masks:
+        rest &= ~m
+    tables = []
+    for m in masks + [rest] * bool(rest):
+        subs = [s for s in range(m + 1) if s & m == s]
+        tables.append((m, {s: draw(st.integers(-2, 2)) for s in subs}))
+    return SimpleNamespace(weights=tuple(tables))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(weight_tables(), st.integers(0, (1 << BITS) - 1), st.lists(st.integers(-2, 2)))
+# one whole-id table, and two tables that share bits
+@example(SimpleNamespace(weights=((63, {s: s % 3 - 1 for s in range(64)}),)), 5, [])
+@example(SimpleNamespace(weights=((0b000111, {s: s.bit_count() - 1 for s in range(8)}),
+                                  (0b111110, {s: (s >> 1) % 2 for s in range(0, 64, 2)}))),
+         0b011010, [0, 1])
+def test_weight_space_generates_the_filter_on_random_tables(rs, x, prefix):
+    # the weight of x, and that weight with a drawn prefix, which may not occur
+    ground = range(1 << BITS)
+    occurs = crystal.rule_weights(rs, (x,))[0]
+    drawn = tuple(prefix[:len(occurs)]) + occurs[len(prefix):]
+    for w in (occurs, drawn):
+        assert crystal.weight_space(rs, w) == crystal.with_weight(rs, ground, w)
+
+
+def test_weight_space_needs_masks_that_cover_every_bit():
+    with pytest.raises(AssertionError):
+        crystal.weight_space(SimpleNamespace(weights=((0b101, {0: 0, 1: 0, 4: 0, 5: 0}),)),
+                             (0,))
 
 
 @pytest.mark.parametrize("token", DOUBLED + SINGLE_COL)

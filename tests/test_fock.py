@@ -2,10 +2,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fock_oracle as oracle
-from wedge_crystal.cartan import ALL_LABELS, from_label, \
+from wedge_crystal.cartan import ALL_LABELS, CartanData, from_label, \
     fundamental_weight_cl
 from wedge_crystal import crystal, fock, theorems
 from wedge_crystal.fock import (Factored, crystal_match, factors, highest_vectors,
@@ -256,6 +256,21 @@ def test_columns_match_the_expansion(label, n):
                         [column.get(r, {}) for r in range(dim)], (kind, i, x)
 
 
+def test_highest_vectors_generate_their_weight_spaces(monkeypatch):
+    # no fock path filters the whole ground set (4^4 ids) by weight
+    from wedge_crystal.cli import main
+
+    with_weight = crystal.with_weight
+
+    def no_scan(rs, ids, weight):
+        assert ids != range(1 << 8), "with_weight over the whole ground set"
+        return with_weight(rs, ids, weight)
+
+    monkeypatch.setattr(crystal, "with_weight", no_scan)
+    assert main(["fock", "verify", "--type", "A2odd", "--n", "4", "--highest",
+                 "--deltaword"]) == 0
+
+
 def test_empty_weight_space():
     assert highest_vectors(factors(from_label("C1", 2)), (5, 5, 5)) == []
 
@@ -434,6 +449,20 @@ def _terms(draw, bits=BITS, count=(1, 3)):
     return Factored(bits, terms)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_terms(), _terms())
+# disjoint supports, signs that agree and signs that do not
+@example(Factored(BITS, {(0b11, 0b100): {(1, 2): ONE}}),
+         Factored(BITS, {(0b1100, 0b1): {(4, 8): ONE, (12, 0): {1: 2}}}))
+@example(Factored(BITS, {(0b11, 0b100): {(1, 2): ONE}}),
+         Factored(BITS, {(0b1100, 0b1): {(4, 8): ONE, (12, 4): {1: 2}}}))
+def test_termwise_commuting_sums_commute(a, b):
+    # the parity test proves a b = b a: as factors and as global matrices
+    if fock._commute_termwise(a, b):
+        assert (a @ b).terms == (b @ a).terms
+        assert oracle.expand(a @ b) == oracle.expand(b @ a)
+
+
 def _refactor(op, rng):
     """``op`` with each term moved onto one more bit of its character, where
     it has one: the same global matrix, with a character that differs
@@ -512,12 +541,15 @@ def test_a_difference_that_vanishes_at_spectator_zero(a, flip, second, rest):
 
 def _replace(fac, kind, i, edit):
     """Swap generator ``kind`` i of ``fac`` for a copy whose least term is
-    changed by ``edit`` (its local entries and its support)."""
+    changed by ``edit``: given the term's local entries and its support, it
+    edits the entries in place, and it may return bits to flip in the
+    term's character, which changes the term's key."""
     op = getattr(fac, kind)[i]
     terms = {k: dict(local) for k, local in op.terms.items()}
-    key = min(terms)
-    edit(terms[key], key[0])
-    getattr(fac, kind)[i] = Factored(op.bits, terms)
+    m, p = min(terms)
+    local = terms.pop((m, p))
+    flip = edit(local, m) or 0
+    getattr(fac, kind)[i] = Factored(op.bits, terms) + Factored(op.bits, {(m, p ^ flip): local})
 
 
 def _shift_exponent(local, support):
@@ -546,7 +578,14 @@ def _drop_entry(local, support):
     del local[min(local)]
 
 
-# mutation -> (the generator it edits, the edit, a check that must then fail)
+def _flip_character(local, support):
+    return ~support & (support + 1)  # the least bit outside the support
+
+
+# mutation -> (the generator it edits, the edit, a check that must then fail,
+# or None for a check that the parity test of ``fock._commute_termwise``
+# would pass on commuting terms: [e(i), f(j)] = 0 or serre e(i,j) with
+# a_ij = 0)
 MUTATIONS = {
     "t exponent": ("t", _shift_exponent, "t({i}) t({i})^-1 = 1"),
     "t off-diagonal": ("t", _add_off_diagonal, "t({i}) t({i})^-1 = 1"),
@@ -554,6 +593,7 @@ MUTATIONS = {
     "e exponent": ("e", _shift_exponent, "[e({i}), f({i})] string identity"),
     "e off its weight": ("e", _move_off_weight, "t({i}) e({i}) gauge"),
     "e entry dropped": ("e", _drop_entry, "[e({i}), f({i})] string identity"),
+    "e character": ("e", _flip_character, None),
 }
 
 
@@ -562,18 +602,41 @@ MUTATIONS = {
 @pytest.mark.parametrize("label", ALL_LABELS)
 def test_mutated_relations_match_the_product_form(label, node, mutation):
     kind, edit, must_fail = MUTATIONS[mutation]
-    fac = factors(from_label(label, 2))
+    # a character flip shows against a node j with a_ij = 0 that acts on
+    # the flipped bit: at n = 4 nodes 0 and 1 have one on every labeling
+    # (not at n = 3 on D1, whose two forks share row 2)
+    fac = factors(from_label(label, 2 if must_fail else 4))
     _replace(fac, kind, node, edit)
     ours, whole, products = _relation_checks(fac)
     assert ours == whole == products
     failed = {name: witness for name, ok, witness in ours if not ok}
-    assert must_fail.format(i=node) in failed
+    if must_fail:
+        assert must_fail.format(i=node) in failed
+    else:
+        pairs = [re.fullmatch(r"\[e\((\d+)\), f\((\d+)\)\] = 0|serre e\((\d+),(\d+)\)", name)
+                 for name in failed]
+        assert any(fac.cd.a[int(p[1] or p[3])][int(p[2] or p[4])] == 0 for p in pairs if p)
     assert all(witness.startswith("entry ") for witness in failed.values())
     if mutation == "t off-diagonal":
         assert not fac.t[node].is_diagonal()  # the entrywise tests do not apply
     if mutation == "e off its weight":
         # the value-blind gauge test and the Serre sums both see the move
         assert any(name.startswith("serre e(") for name in failed)
+
+
+def test_a_bond_between_commuting_generators_builds_the_serre_sum():
+    # the parity test decides only a_ij = 0: with a bond a_13 = -1 put
+    # between nodes 1 and 3 of C1 n = 4, whose generators commute term by
+    # term, the sum is (2 - [2]) e_3 e_1^2, not 0 on the square
+    fac = factors(from_label("C1", 4))
+    a = [list(row) for row in fac.cd.a]
+    a[1][3] = -1
+    fac.cd = CartanData(fac.cd.type, tuple(map(tuple, a)), fac.cd.marks, fac.cd.comarks,
+                        fac.cd.norms, fac.cd.d, fac.cd.qi_exp)
+    assert fock._commute_termwise(fac.e[1], fac.e[3])
+    ours, whole, products = _relation_checks(fac)
+    assert ours == whole == products
+    assert {"serre e(1,3)", "serre f(1,3)"} <= {name for name, ok, _ in ours if not ok}
 
 
 # -- the crystal match on one block per class, against the global match ---------

@@ -9,12 +9,14 @@ factored generators at rank 7 and, for every labeling, at rank 20 (each under 10
 qs = 0 with the crystal at rank 6 for every labeling and at rank 7 for
 A_{2n-1}^(2); and ``fock verify`` with every group at rank 8, on C_n^(1)
 and A_{2n-1}^(2), reads only the factors, so it passes in under 30 s with a
-peak resident size under 128 MiB.  Next to their tier-1 forms, in process,
-run ``fock verify --crystal-match`` at rank 20 for every labeling, under
-10 s and reading one block per class (``tests/test_cli.py``), and the
-crystal match against the global match over every id at ranks 6 and 7
-(``tests/test_fock.py``).  These tests are deselected by default; run them
-with ``python -m pytest -m large``.
+peak resident size under 128 MiB; at rank 13, on the four matrix
+labelings, its highest vectors read weight spaces generated from the rule
+tables, so it passes in under 10 s with a peak under 64 MiB.  Next to
+their tier-1 forms, in process, run ``fock verify --crystal-match`` at
+rank 20 for every labeling, under 10 s and reading one block per class
+(``tests/test_cli.py``), and the crystal match against the global match
+over every id at ranks 6 and 7 (``tests/test_fock.py``).  These tests
+are deselected by default; run them with ``python -m pytest -m large``.
 """
 
 import importlib.util
@@ -124,25 +126,41 @@ def _fock_check_count(token, n, groups):
     return module.fock_check_count(token, n, groups)
 
 
+def _fock_every_group(token, n, groups, seconds, mib):
+    """``fock verify`` with every group passes with the check count of
+    ``groups``, within ``seconds`` and a peak of ``mib``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_WITH_PEAK, "fock", "verify", "--type", token, "--n", str(n)],
+        capture_output=True, text=True, env=env, timeout=600)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    total = _fock_check_count(token, n, groups)
+    *checks, summary = proc.stdout.splitlines()
+    assert len(checks) == total and all(line.startswith("[ok] ") for line in checks)
+    assert summary.startswith(f"{total}/{total} checks passed")
+    assert elapsed < seconds, elapsed
+    peak = re.search(r"^VmHWM:\s+(\d+) kB", proc.stderr, re.M)
+    if peak is None:
+        pytest.skip("no VmHWM in /proc/self/status on this platform")
+    assert int(peak.group(1)) < mib * 1024, proc.stderr
+
+
 @pytest.mark.large
 @pytest.mark.parametrize("token, groups", [
     ("A2odd", ("relations", "polarization", "crystal_match", "highest", "deltaword")),
     ("C1", ("relations", "polarization", "crystal_match", "highest")),
 ])
 def test_fock_every_group_at_rank_8(token, groups):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _MAIN_WITH_PEAK, "fock", "verify", "--type", token, "--n", "8"],
-        capture_output=True, text=True, env=env, timeout=600)
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    total = _fock_check_count(token, 8, groups)
-    *checks, summary = proc.stdout.splitlines()
-    assert len(checks) == total and all(line.startswith("[ok] ") for line in checks)
-    assert summary.startswith(f"{total}/{total} checks passed")
-    assert elapsed < 30, elapsed
-    peak = re.search(r"^VmHWM:\s+(\d+) kB", proc.stderr, re.M)
-    if peak is None:
-        pytest.skip("no VmHWM in /proc/self/status on this platform")
-    assert int(peak.group(1)) < 128 * 1024, proc.stderr
+    _fock_every_group(token, 8, groups, 30, 128)
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("token", ("C1", "A2even", "A2evenDagger", "A2odd"))
+def test_fock_every_group_at_rank_13(token):
+    # the highest vectors reduce weight spaces generated from the rule
+    # tables (2^(n-k) ids each), not filtered from the 4^13 ids
+    groups = ("relations", "polarization", "crystal_match", "highest") + \
+        ("deltaword",) * (token == "A2odd")
+    _fock_every_group(token, 13, groups, 10, 64)
